@@ -59,12 +59,12 @@ class Point:
             if not (isinstance(S, GroupElement) and S.kind == SE3):
                 raise KindMismatchError("landmark tuple needs an SE3 pose in the first slot")
             L = np.asarray(L, dtype=float)
-            if L.ndim != 2 or L.shape[0] != 4 or not np.array_equal(L[3], np.ones(L.shape[1])):
+            if L.ndim != 2 or L.shape[0] != 4 or not (L[3] == 1.0).all():
                 raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
             v = (S, L)
         elif k == LANDMARKS:
             L = np.asarray(v, dtype=float)
-            if L.ndim != 2 or L.shape[0] != 4 or not np.array_equal(L[3], np.ones(L.shape[1])):
+            if L.ndim != 2 or L.shape[0] != 4 or not (L[3] == 1.0).all():
                 raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
             v = L
         elif k == DIRECTION_PAIR:

@@ -82,10 +82,16 @@ def parse_scenario(path: Path) -> dict:
         }
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
+    numbers = [scen["gain"], scen["h"], scen["t_final"], scen["noise"], *scen["initial_error"]]
+    if not np.isfinite(numbers).all():
+        raise ConfigError(f"{path}: gain, h, t_final, noise and initial_error must be finite")
     if scen["gain"] <= 0:
         raise ConfigError(f"{path}: gain must be > 0")
     if scen["noise"] < 0:
         raise ConfigError(f"{path}: noise must be >= 0")
+    least = {"slam_continuous": 1, "slam_discrete": 4}.get(scen["system"], 0)
+    if scen["n_landmarks"] < least:
+        raise ConfigError(f"{path}: {scen['system']} needs n_landmarks >= {least}")
     return scen
 
 

@@ -86,7 +86,7 @@ class GroupElement:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.array(self.matrix, dtype=float)  # own copy, frozen below
         if not _all_finite(m):
             raise NumericalBlowupError("group matrix has non-finite entries")
         if self.kind == SO3:
@@ -95,14 +95,12 @@ class GroupElement:
             if m.shape != (4, 4):
                 raise DimensionError(f"SE3 matrix must be 4x4, got {m.shape}")
             _check_rotation(m[:3, :3])
-            if not np.array_equal(m[3], np.array([0.0, 0.0, 0.0, 1.0])):
-                m = m.copy()
+            if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
                 if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-12:
                     raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
                 m[3] = np.array([0.0, 0.0, 0.0, 1.0])
         else:
             raise KindMismatchError(f"unknown group kind {self.kind!r}")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -11,7 +11,8 @@ algebra basis is used.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -63,6 +64,15 @@ class ObserverProblem:
         """V^e(e_g) = V^y(varphi_{e_g}(y0), y0)."""
         return self.cost(act(self.output_action, e_g, self.y0), self.y0)
 
+    @cached_property
+    def fd_probes(self) -> list[tuple[Point, Point]]:
+        """varphi_{exp(+-FD_STEP xi_i)}(y0) per basis direction xi_i; built once, on first use."""
+        out, y0 = self.output_action, self.y0
+        return [
+            (act(out, groups.exp(FD_STEP * xi), y0), act(out, groups.exp(-FD_STEP * xi), y0))
+            for xi in _basis(self.algebra_kind)
+        ]
+
     def _check_critical_point(self):
         # V^e must vanish at I and be non-degenerate there (probe each basis
         # direction with a 3-point quadratic fit)
@@ -112,19 +122,14 @@ def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> Alge
 
     Differentiates s -> V^y(varphi_{g~^-1}(varphi_{exp(xi s)}(y0)), y),
     which equals V^e along the corresponding curve through e_g for either
-    handedness, then dualizes through the metric.
+    handedness, then dualizes through the metric.  The perturbed outputs
+    varphi_{exp(+-FD_STEP xi)}(y0) are built once per problem (``prob.fd_probes``).
     """
     g_inv = g_est.inverse()
-    coords = np.empty(3 if prob.algebra_kind == "so3" else 6)
-    for i, xi in enumerate(_basis(prob.algebra_kind)):
-        f_plus = prob.cost(
-            act(prob.output_action, g_inv, act(prob.output_action, groups.exp(FD_STEP * xi), prob.y0)),
-            y,
-        )
-        f_minus = prob.cost(
-            act(prob.output_action, g_inv, act(prob.output_action, groups.exp(-FD_STEP * xi), prob.y0)),
-            y,
-        )
+    coords = np.empty(len(prob.fd_probes))
+    for i, (plus, minus) in enumerate(prob.fd_probes):
+        f_plus = prob.cost(act(prob.output_action, g_inv, plus), y)
+        f_minus = prob.cost(act(prob.output_action, g_inv, minus), y)
         coords[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     return AlgebraElement(prob.algebra_kind, coords / prob.metric.scale)
 

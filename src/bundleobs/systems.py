@@ -189,7 +189,7 @@ def slam_landmark_cost(y: Point, y_est: Point) -> float:
     if A.shape != B.shape:
         raise DimensionError(f"landmark count mismatch: {A.shape} vs {B.shape}")
     d = A[:3] - B[:3]
-    return float(np.sum(d * d))
+    return float((d * d).sum())
 
 
 def slam_problem(landmarks) -> ObserverProblem:

@@ -1,9 +1,13 @@
 """Scenario CLI: parsing, runs, reports, audits, exit codes, determinism."""
 
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from bundleobs import cli
+from bundleobs.errors import ConfigError
 
 
 def write_scenario(path, **overrides):
@@ -129,3 +133,54 @@ class TestAudit:
 
     def test_zero_samples_exit_2(self):
         assert cli.main(["audit", "gradient", "--samples", "0"]) == 2
+
+
+class TestInputContract:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("h", "nan"),
+            ("t_final", "inf"),
+            ("gain", "nan"),
+            ("noise", "nan"),
+            ("initial_error", "0 0 0 0 0 -inf"),
+        ],
+    )
+    def test_non_finite_exit_2(self, tmp_path, capsys, key, value):
+        f = write_scenario(tmp_path / "a.scn", system="slam_continuous", **{key: value})
+        with pytest.raises(ConfigError, match="finite"):
+            cli.parse_scenario(f)
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system, n", [("slam_continuous", "0"), ("slam_discrete", "3")])
+    def test_too_few_landmarks_exit_2(self, tmp_path, capsys, system, n):
+        f = write_scenario(tmp_path / "a.scn", system=system, n_landmarks=n)
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 2
+        assert "n_landmarks" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("system, n", [("slam_continuous", "1"), ("slam_discrete", "4")])
+    def test_fewest_landmarks_run(self, tmp_path, system, n):
+        f = write_scenario(tmp_path / "a.scn", system=system, n_landmarks=n, t_final="0.2")
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+
+# sha256 of the demo outputs, unchanged since the library came in
+GOLDEN_SHA256 = {
+    "slam_continuous_report.txt": "130f6b52903b2884f43540947cc53b8cd8433479e1a7b3099be6bdc1de9197a0",
+    "slam_continuous_trajectory.csv": "84371292ddba220b354b7f160d62aa87d0cb1d2b48de8dea0ae6c9a41557bc32",
+    "slam_discrete_report.txt": "1f35cbc05f344c6a4a9d1c3c7fa938d0f21a0dcc38dc84031e2a07163ef0b109",
+    "slam_discrete_trajectory.csv": "babd3ed596459d23a725f94bd2287229408af206f47a895d46eeaaac1b298e50",
+    "sphere_split_report.txt": "b0f1dc2845176e37e38364c8667c1c13510d42358c79c9fd577c44f9f7daef99",
+    "sphere_split_trajectory.csv": "4aa2ee641ceacdf4ccc522c941baadd5c8e1cccf388e747633493e20d97a75dd",
+}
+
+
+@pytest.mark.parametrize("demo", ["slam_continuous", "slam_discrete", "sphere_split"])
+def test_demo_outputs_byte_identical(tmp_path, demo):
+    assert cli.main(["--out-dir", str(tmp_path), "run", str(SCENARIOS / f"{demo}.scn")]) == 0
+    for suffix in ("_report.txt", "_trajectory.csv"):
+        digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[demo + suffix], demo + suffix

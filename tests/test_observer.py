@@ -1,25 +1,28 @@
 """Gradient observer: cost, zeta_e, innovation, error dynamics."""
 
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
 
 from bundleobs import actions as ac
-from bundleobs import observer
+from bundleobs import groups, observer
 from bundleobs.actions import Point, act
 from bundleobs.groups import AlgebraElement, GroupElement, Metric, adjoint, exp, hat, inner, log
 from bundleobs.integrate import IntegratorConfig
 from bundleobs.observer import ObserverProblem, ObserverState
-from bundleobs.sampling import random_algebra, random_rotation, rng_from
+from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import (
     AttitudeScenario,
     attitude_cost,
     attitude_problem,
     attitude_zeta_e,
     measure_attitude,
+    measure_landmarks,
     simulate_attitude_observer,
     simulate_error_dynamics,
+    slam_problem,
 )
 
 
@@ -211,3 +214,83 @@ class TestProblemValidation:
         state = ObserverState(estimate=GroupElement.identity("SO3"), gain=2.0)
         assert state.gain == 2.0
         assert state.last_innovation.norm() == 0.0
+
+
+def _zeta_e_rebuilding_probes(prob, g_est, y):
+    """Reference zeta_e_numeric that rebuilds varphi_{exp(+-FD_STEP xi)}(y0) on every call."""
+    dim = 3 if prob.algebra_kind == "so3" else 6
+    g_inv = g_est.inverse()
+    coords = np.empty(dim)
+    for i in range(dim):
+        xi = AlgebraElement(prob.algebra_kind, np.eye(dim)[i])
+        f_plus = prob.cost(
+            act(prob.output_action, g_inv, act(prob.output_action, exp(observer.FD_STEP * xi), prob.y0)),
+            y,
+        )
+        f_minus = prob.cost(
+            act(prob.output_action, g_inv, act(prob.output_action, exp(-observer.FD_STEP * xi), prob.y0)),
+            y,
+        )
+        coords[i] = (f_plus - f_minus) / (2.0 * observer.FD_STEP)
+    return coords / prob.metric.scale
+
+
+class TestFdProbes:
+    """zeta_e_numeric builds its perturbed outputs once per problem."""
+
+    @staticmethod
+    def _slam_case(prob, rng):
+        g_est = random_group("SE3", rng)
+        y = measure_landmarks(random_group("SE3", rng), prob.y0.value, 0.05, rng)
+        return g_est, y
+
+    @pytest.mark.parametrize("n_landmarks", [6, 24])
+    def test_slam_matches_rebuilt_probes(self, n_landmarks):
+        rng = rng_from(30 + n_landmarks)
+        prob = slam_problem(random_landmarks(rng, n_landmarks))
+        for _ in range(20):
+            g_est, y = self._slam_case(prob, rng)
+            num = observer.zeta_e_numeric(prob, g_est, y)
+            assert np.array_equal(num.vec, _zeta_e_rebuilding_probes(prob, g_est, y))
+
+    def test_attitude_matches_rebuilt_probes(self):
+        rng = rng_from(31)
+        prob = attitude_problem(analytic=False)
+        for _ in range(50):
+            g_est, y = random_rotation(rng), measure_attitude(random_rotation(rng), 0.05, rng)
+            num = observer.zeta_e_numeric(prob, g_est, y)
+            assert np.array_equal(num.vec, _zeta_e_rebuilding_probes(prob, g_est, y))
+
+    def test_probes_built_once(self, monkeypatch):
+        rng = rng_from(32)
+        prob = slam_problem(random_landmarks(rng, 6))
+        g_est, y = self._slam_case(prob, rng)
+        observer.zeta_e_numeric(prob, g_est, y)
+        assert len(prob.fd_probes) == 6 and prob.fd_probes is prob.fd_probes
+        calls = []
+        real_exp = groups.exp
+
+        def counting_exp(zeta):
+            calls.append(zeta)
+            return real_exp(zeta)
+
+        monkeypatch.setattr(groups, "exp", counting_exp)
+        observer.zeta_e_numeric(prob, g_est, y)
+        assert calls == []
+
+    def test_each_problem_has_its_own_probes(self):
+        rng = rng_from(33)
+        L1, L2 = random_landmarks(rng, 6), random_landmarks(rng, 6)
+        p1 = slam_problem(L1)
+        g_est, y = self._slam_case(p1, rng)
+        observer.zeta_e_numeric(p1, g_est, y)  # fills p1's cache first
+        p2 = slam_problem(L2)
+        moved = dataclasses.replace(p1, y0=Point(ac.LANDMARKS, L2))
+        for prob in (p2, moved):
+            assert prob.fd_probes is not p1.fd_probes
+            assert not np.array_equal(prob.fd_probes[0][0].value, p1.fd_probes[0][0].value)
+            num = observer.zeta_e_numeric(prob, g_est, y)
+            assert np.array_equal(num.vec, _zeta_e_rebuilding_probes(prob, g_est, y))
+        assert np.array_equal(
+            observer.zeta_e_numeric(p1, g_est, y).vec, _zeta_e_rebuilding_probes(p1, g_est, y)
+        )
