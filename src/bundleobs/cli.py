@@ -8,6 +8,7 @@ byte-identical for identical scenario + seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,6 +24,11 @@ from .sampling import random_landmarks, rng_from
 
 SYSTEMS = ("attitude", "slam_continuous", "slam_discrete", "sphere_split_demo")
 AUDIT_MODES = ("equivariance", "gradient", "autonomy")
+# upper bound on n_landmarks, so a scenario cannot ask for unbounded memory
+MAX_LANDMARKS = 10_000
+# initial_error lengths each system can use (a 3-vector twist is angular only)
+_ERROR_LENGTHS = {"attitude": (3,), "slam_continuous": (3, 6), "slam_discrete": (3, 6),
+                  "sphere_split_demo": (3,)}
 
 _DEFAULTS = {
     "system": "attitude",
@@ -64,6 +70,9 @@ def parse_scenario(path: Path) -> dict:
         raise ConfigError(f"{path}: unknown system {raw['system']!r}; options: {SYSTEMS}")
 
     try:
+        omega = raw["omega"]
+        if omega != "standard":
+            omega = np.array([float(x) for x in omega.split()])
         scen = {
             "name": raw["name"],
             "system": raw["system"],
@@ -75,23 +84,33 @@ def parse_scenario(path: Path) -> dict:
             "initial_error": np.array([float(x) for x in raw["initial_error"].split()]),
             "noise": float(raw["noise"]),
             "seed": int(raw["seed"]),
-            "omega": raw["omega"],
+            "omega": omega,
             "n_steps": int(raw["n_steps"]),
             "n_landmarks": int(raw["n_landmarks"]),
             "out_dir": raw.get("out_dir", "."),
         }
     except ValueError as exc:
         raise ConfigError(f"{path}: bad numeric value: {exc}") from exc
-    numbers = [scen["gain"], scen["h"], scen["t_final"], scen["noise"], *scen["initial_error"]]
-    if not np.isfinite(numbers).all():
-        raise ConfigError(f"{path}: gain, h, t_final, noise and initial_error must be finite")
+    omega = () if isinstance(omega, str) else omega
+    if len(omega) not in (0, 3):
+        raise ConfigError(f"{path}: omega must be 'standard' or three numbers, got {raw['omega']!r}")
+    numbers = [scen["gain"], scen["h"], scen["t_final"], scen["noise"], *scen["initial_error"], *omega]
+    if not all(map(math.isfinite, numbers)):
+        raise ConfigError(f"{path}: gain, h, t_final, noise, initial_error and omega must be finite")
     if scen["gain"] <= 0:
         raise ConfigError(f"{path}: gain must be > 0")
     if scen["noise"] < 0:
         raise ConfigError(f"{path}: noise must be >= 0")
+    if scen["seed"] < 0:
+        raise ConfigError(f"{path}: seed must be >= 0")
+    if len(scen["initial_error"]) not in _ERROR_LENGTHS[scen["system"]]:
+        lengths = " or ".join(map(str, _ERROR_LENGTHS[scen["system"]]))
+        raise ConfigError(f"{path}: {scen['system']} needs an initial_error of {lengths} numbers")
     least = {"slam_continuous": 1, "slam_discrete": 4}.get(scen["system"], 0)
-    if scen["n_landmarks"] < least:
-        raise ConfigError(f"{path}: {scen['system']} needs n_landmarks >= {least}")
+    if not least <= scen["n_landmarks"] <= MAX_LANDMARKS:
+        raise ConfigError(f"{path}: {scen['system']} needs {least} <= n_landmarks <= {MAX_LANDMARKS}")
+    if scen["system"] == "slam_discrete" and scen["n_steps"] < 1:
+        raise ConfigError(f"{path}: slam_discrete needs n_steps >= 1")
     return scen
 
 
@@ -107,13 +126,16 @@ def _integrator_config(scen: dict) -> IntegratorConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _omega_fn(spec: str):
-    if spec == "standard":
+def _omega_fn(omega):
+    """omega(t): the standard profile for "standard", else the constant 3-vector."""
+    if isinstance(omega, str):
         return lambda t: np.array([np.sin(t), np.cos(2.0 * t), 0.5])
-    vals = np.array([float(x) for x in spec.split()])
-    if vals.shape != (3,):
-        raise ConfigError(f"omega must be 'standard' or three floats, got {spec!r}")
-    return lambda t: vals
+    return lambda t: omega
+
+
+def _initial_twist(err: np.ndarray) -> np.ndarray:
+    """An se(3) initial error; a 3-vector is the angular part."""
+    return np.concatenate([np.zeros(3), err]) if err.shape == (3,) else err
 
 
 def _fmt(x: float) -> str:
@@ -130,7 +152,7 @@ def write_csv(path: Path, rows: list[dict], n_state: int, n_est: int) -> None:
     lines = [", ".join(header)]
     for row in rows:
         vals = [row["t"], *row["state"], *row["estimate"], row["Ve"], row["zeta_e_norm"]]
-        if not np.all(np.isfinite(vals)):
+        if not all(map(math.isfinite, vals)):
             raise NumericalBlowupError("non-finite value in trajectory output", t=row["t"])
         lines.append(", ".join(_fmt(v) for v in vals))
     path.write_text("\n".join(lines) + "\n")
@@ -159,10 +181,7 @@ def _traj_rows(traj: Trajectory, state_key: str, est_key: str) -> list[dict]:
 
 def _run_attitude(scen: dict) -> tuple[list[dict], list[str], int, int]:
     config = _integrator_config(scen)
-    err = scen["initial_error"]
-    if err.shape != (3,):
-        raise ConfigError("attitude initial_error must be an axis-angle 3-vector")
-    R0 = exp(AlgebraElement("so3", err))
+    R0 = exp(AlgebraElement("so3", scen["initial_error"]))
     att = systems.AttitudeScenario(
         omega=_omega_fn(scen["omega"]),
         gain=scen["gain"],
@@ -185,14 +204,9 @@ def _run_attitude(scen: dict) -> tuple[list[dict], list[str], int, int]:
 
 def _run_slam_continuous(scen: dict) -> tuple[list[dict], list[str], int, int]:
     config = _integrator_config(scen)
-    err = scen["initial_error"]
-    if err.shape not in ((3,), (6,)):
-        raise ConfigError("slam initial_error must be a 6-vector twist")
-    if err.shape == (3,):
-        err = np.concatenate([np.zeros(3), err])
     rng = rng_from(scen["seed"])
     L = random_landmarks(rng, scen["n_landmarks"])
-    S0 = exp(AlgebraElement("se3", err))
+    S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
 
     def twist(t):
         return AlgebraElement(
@@ -224,8 +238,7 @@ def _run_slam_continuous(scen: dict) -> tuple[list[dict], list[str], int, int]:
 def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str], int, int]:
     rng = rng_from(scen["seed"])
     L = random_landmarks(rng, scen["n_landmarks"])
-    err = scen["initial_error"]
-    S0 = exp(AlgebraElement("se3", err)) if err.shape == (6,) else GroupElement.identity("SE3")
+    S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
 
     def twist(t):
         return AlgebraElement(
@@ -266,7 +279,7 @@ def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str], int, int]:
 
 def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str], int, int]:
     config = _integrator_config(scen)
-    q0 = np.array([2.0, 1.0, -0.5]) + scen["initial_error"][:3]
+    q0 = np.array([2.0, 1.0, -0.5]) + scen["initial_error"]
 
     def velocity(t):
         return np.array([np.cos(t), -0.5 * np.sin(2.0 * t), 0.3])

@@ -249,45 +249,60 @@ def vee(zeta) -> np.ndarray:
     raise DimensionError(f"vee expects a 3x3 or 4x4 matrix, got shape {m.shape}")
 
 
-def _so3_exp(w: np.ndarray) -> np.ndarray:
-    theta = math.sqrt(w @ w)
-    W = skew(w)
+def _so3_coeffs(theta: float) -> tuple[float, float, float]:
+    """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = theta.
+
+    Below ``_SMALL_ANGLE`` each is its 4-term Taylor series.
+    """
     if theta < _SMALL_ANGLE:
-        # 4-term Taylor of sin(t)/t and (1-cos t)/t^2
         t2 = theta * theta
         a = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0))
         b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0)))
-    else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / (theta * theta)
+        c = (1.0 / 6.0) * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
+        return a, b, c
+    s = math.sin(theta)
+    return s / theta, (1.0 - math.cos(theta)) / (theta * theta), (theta - s) / (theta ** 3)
+
+
+def _so3_exp(w: np.ndarray) -> np.ndarray:
+    a, b, _ = _so3_coeffs(math.sqrt(w @ w))
+    W = skew(w)
     return _I3 + a * W + b * (W @ W)
 
 
 def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
     """V matrix of the SE(3) closed-form exponential."""
-    theta = math.sqrt(w @ w)
+    _, b, c = _so3_coeffs(math.sqrt(w @ w))
     W = skew(w)
-    if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0)))
-        c = (1.0 / 6.0) * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
-    else:
-        b = (1.0 - math.cos(theta)) / (theta * theta)
-        c = (theta - math.sin(theta)) / (theta ** 3)
     return _I3 + b * W + c * (W @ W)
+
+
+def exp_matrix(vec: np.ndarray) -> np.ndarray:
+    """Matrix exponential of so(3) or se(3) coordinates (Rodrigues / closed SE(3) form).
+
+    Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.
+    The se(3) branch shares theta, skew(w) and its square between the
+    rotation block and the left Jacobian V.
+    """
+    if not _all_finite(vec):
+        raise NumericalBlowupError("algebra coordinates are non-finite")
+    if vec.shape == (3,):
+        return _so3_exp(vec)
+    if vec.shape != (6,):
+        raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
+    v, w = vec[:3], vec[3:]
+    a, b, c = _so3_coeffs(math.sqrt(w @ w))
+    W = skew(w)
+    W2 = W @ W
+    m = np.eye(4)
+    m[:3, :3] = _I3 + a * W + b * W2
+    m[:3, 3] = (_I3 + b * W + c * W2) @ v
+    return m
 
 
 def exp(zeta: AlgebraElement) -> GroupElement:
     """Matrix exponential onto the group (Rodrigues / closed SE(3) form)."""
-    if not _all_finite(zeta.vec):
-        raise NumericalBlowupError("algebra coordinates are non-finite")
-    if zeta.kind == "so3":
-        return GroupElement(SO3, _so3_exp(zeta.vec))
-    v, w = zeta.vec[:3], zeta.vec[3:]
-    m = np.eye(4)
-    m[:3, :3] = _so3_exp(w)
-    m[:3, 3] = _so3_left_jacobian(w) @ v
-    return GroupElement(SE3, m)
+    return GroupElement(zeta.group_kind, exp_matrix(zeta.vec))
 
 
 def _so3_log(R: np.ndarray) -> np.ndarray:

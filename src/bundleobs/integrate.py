@@ -1,23 +1,31 @@
 """Fixed-step time integration on Lie groups and product state spaces.
 
-States are flat dicts mapping component names to either GroupElement (rate:
-AlgebraElement, advanced by exponentials on the configured side) or numpy
-arrays (rate: array, advanced by Euler/RK4).  Group components are projected
-back onto the group every ``projection_interval`` steps to kill drift.
+States map names to GroupElement or numpy arrays (array rates step by
+Euler/RK4).  Every group rate is a SplitRate: a plain AlgebraElement is its
+body part on side "left" and its spatial part on side "right".  One rule,
+m <- exp_matrix(h spatial) @ m @ exp_matrix(h body) on plain matrices, steps
+group states in ``lie_euler``, each ``rk4_cg`` stage and final composition,
+and ``lie_step``.  Rates are checked finite once per evaluation; each step's
+matrix goes once through the validating GroupElement constructor and is
+projected back onto the group every ``projection_interval`` steps.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import groups
-from .errors import ConfigError, NumericalBlowupError
+from .errors import ConfigError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement
 
 LIE_EULER = "lie_euler"
 RK4_CG = "rk4_cg"
+
+# upper bound on round(t_final / h); the longest shipped scenario has 20,000 steps
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -49,6 +57,9 @@ class IntegratorConfig:
             raise ConfigError("t_final must be non-negative")
         if self.projection_interval < 1:
             raise ConfigError("projection_interval must be >= 1")
+        n_steps = self.t_final / self.h
+        if not math.isfinite(n_steps) or round(n_steps) > MAX_STEPS:
+            raise ConfigError(f"t_final / h = {n_steps:.3g} steps; at most {MAX_STEPS} allowed")
 
 
 @dataclass
@@ -63,82 +74,76 @@ class Trajectory:
         return len(self.times)
 
 
+def _as_split(r: AlgebraElement | SplitRate, side: str, g: GroupElement) -> SplitRate:
+    """``r`` as a SplitRate whose parts lie in the algebra of ``g``'s group."""
+    if not isinstance(r, SplitRate):
+        r = SplitRate(body=r) if side == "left" else SplitRate(spatial=r)
+    for x in (r.spatial, r.body):
+        if x is not None and x.kind != g.algebra_kind:
+            raise KindMismatchError(f"cannot step {g.kind} by a {x.kind} rate")
+    return r
+
+
+def _step(g: GroupElement, steps, project: bool = False) -> GroupElement:
+    """Apply the stepping rule to g's matrix for each (h, SplitRate) in ``steps``;
+    validate the result once and project it onto the group when ``project``."""
+    m = g.matrix
+    for h, r in steps:
+        if r.spatial is not None:
+            m = groups.exp_matrix(h * r.spatial.vec) @ m
+        if r.body is not None:
+            m = m @ groups.exp_matrix(h * r.body.vec)
+    g = GroupElement(g.kind, m)
+    return groups.project_to_group(g.matrix, g.kind) if project else g
+
+
 def lie_step(g: GroupElement, xi: AlgebraElement, h: float, side: str = "left") -> GroupElement:
     """One exponential step: g exp(h xi) (left) or exp(h xi) g (right)."""
     if h <= 0:
         raise ConfigError("step size must be positive")
-    step = groups.exp(h * xi)
-    return g @ step if side == "left" else step @ g
+    return _step(g, ((h, _as_split(xi, side, g)),))
 
 
-def _split_step(g: GroupElement, r: SplitRate, h: float) -> GroupElement:
-    if r.spatial is not None:
-        g = groups.exp(h * r.spatial) @ g
-    if r.body is not None:
-        g = g @ groups.exp(h * r.body)
-    return g
-
-
-def _advance(state, rates, h, sides):
-    out = {}
+def _rates(rate, t, state, sides):
+    """rate(t, state) with every group rate as a SplitRate, checked finite."""
+    out = dict(rate(t, state))
     for name, value in state.items():
-        r = rates[name]
-        if isinstance(r, SplitRate):
-            out[name] = _split_step(value, r, h)
-        elif isinstance(value, GroupElement):
-            out[name] = lie_step(value, r, h, sides.get(name, "left"))
+        if isinstance(value, GroupElement):
+            r = out[name] = _as_split(out[name], sides.get(name, "left"), value)
+            arrays = [x.vec for x in (r.spatial, r.body) if x is not None]
         else:
-            out[name] = np.asarray(value) + h * np.asarray(r)
+            arrays = [np.asarray(out[name])]
+        if not all(map(groups._all_finite, arrays)):
+            raise NumericalBlowupError(f"non-finite rate for component {name!r} at t={t:.6g}", t=t)
     return out
 
 
-def _check_finite(rates, t):
-    for name, r in rates.items():
-        if isinstance(r, SplitRate):
-            arrs = [x.vec for x in (r.body, r.spatial) if x is not None]
-        elif isinstance(r, AlgebraElement):
-            arrs = [r.vec]
+def _advance(state, rates, h, project=False):
+    """One lie_euler step (or rk4_cg stage) of every component."""
+    out = {}
+    for name, value in state.items():
+        if isinstance(value, GroupElement):
+            out[name] = _step(value, ((h, rates[name]),), project)
         else:
-            arrs = [np.asarray(r)]
-        if not all(np.isfinite(a).all() for a in arrs):
-            raise NumericalBlowupError(f"non-finite rate for component {name!r} at t={t:.6g}", t=t)
+            out[name] = np.asarray(value) + h * np.asarray(rates[name])
+    return out
 
 
-def _rk4_cg_step(rate, t, state, h, sides):
+def _rk4_cg_step(rate, t, state, h, sides, project):
     """Four frozen-algebra stages; group parts advance by composed
     exponentials (exact for constant rates, order >= 2 otherwise)."""
-    k1 = rate(t, state)
-    k2 = rate(t + h / 2, _advance(state, k1, h / 2, sides))
-    k3 = rate(t + h / 2, _advance(state, k2, h / 2, sides))
-    k4 = rate(t + h, _advance(state, k3, h, sides))
-    for k in (k1, k2, k3, k4):
-        _check_finite(k, t)
-    out = {}
+    k1 = _rates(rate, t, state, sides)
+    k2 = _rates(rate, t + h / 2, _advance(state, k1, h / 2), sides)
+    k3 = _rates(rate, t + h / 2, _advance(state, k2, h / 2), sides)
+    k4 = _rates(rate, t + h, _advance(state, k3, h), sides)
     weights = ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4))
+    out = {}
     for name, value in state.items():
-        if isinstance(k1[name], SplitRate):
-            g = value
-            for w, k in weights:
-                g = _split_step(g, k[name], w)
-            out[name] = g
-        elif isinstance(value, GroupElement):
-            side = sides.get(name, "left")
-            g = value
-            if side == "left":
-                for w, k in weights:
-                    g = g @ groups.exp(w * k[name])
-            else:
-                for w, k in weights:
-                    g = groups.exp(w * k[name]) @ g
-            out[name] = g
+        if isinstance(value, GroupElement):
+            out[name] = _step(value, [(w, k[name]) for w, k in weights], project)
         else:
-            incr = (
-                np.asarray(k1[name])
-                + 2 * np.asarray(k2[name])
-                + 2 * np.asarray(k3[name])
-                + np.asarray(k4[name])
-            )
-            out[name] = np.asarray(value) + (h / 6) * incr
+            a, b, c, d = (np.asarray(k[name]) for k in (k1, k2, k3, k4))
+            out[name] = np.asarray(value) + (h / 6) * (a + 2 * b + 2 * c + d)
     return out
 
 
@@ -159,26 +164,19 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
         states[i] = state
         if record is not None:
             for key, val in record(t, state).items():
-                extras.setdefault(key, []).append(float(val))
-            for vals in extras.values():
-                if not np.isfinite(vals[-1]):
+                if not math.isfinite(val):
                     raise NumericalBlowupError(f"non-finite recorded value at t={t:.6g}", t=t)
+                extras.setdefault(key, []).append(float(val))
 
     state = dict(state0)
     snapshot(0, 0.0, state)
     for i in range(1, n_steps + 1):
         t = (i - 1) * config.h
+        project = i % config.projection_interval == 0
         if config.method == LIE_EULER:
-            rates = rate(t, state)
-            _check_finite(rates, t)
-            state = _advance(state, rates, config.h, sides)
+            state = _advance(state, _rates(rate, t, state, sides), config.h, project)
         else:
-            state = _rk4_cg_step(rate, t, state, config.h, sides)
-        if i % config.projection_interval == 0:
-            state = {
-                name: groups.project_to_group(v.matrix, v.kind) if isinstance(v, GroupElement) else v
-                for name, v in state.items()
-            }
+            state = _rk4_cg_step(rate, t, state, config.h, sides, project)
         snapshot(i, i * config.h, state)
 
     return Trajectory(times, states, {k: np.asarray(v) for k, v in extras.items()})

@@ -21,6 +21,7 @@ from . import groups
 from .actions import ActionSpec, Point, act
 from .errors import KindMismatchError
 from .groups import AlgebraElement, GroupElement, Metric
+from .integrate import SplitRate
 
 FD_STEP = 1e-6
 
@@ -182,8 +183,6 @@ def preobserver_split_rate(
     machine precision.  ``ze``, when given, is zeta_e(prob, g_est, y) as the
     caller already evaluated it.
     """
-    from .integrate import SplitRate
-
     if ze is None:
         ze = zeta_e(prob, g_est, y)
     correction = gain * ze

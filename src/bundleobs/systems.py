@@ -124,17 +124,15 @@ def simulate_attitude_observer(
     clean = _noiseless_zeta_e(prob, measure_attitude, "R", "Rhat")
 
     def rate(t, state):
-        om = np.asarray(scenario.omega(t), dtype=float)
+        om = AlgebraElement("so3", scenario.omega(t))
         if noise > 0:
-            om_meas = om + rng.uniform(-noise, noise, size=3)
+            om_meas = AlgebraElement("so3", om.vec + rng.uniform(-noise, noise, size=3))
             y, ze = measure_attitude(state["R"], noise, rng), None
         else:
             om_meas = om
             y, ze = clean(state)
-        est_rate = observer.preobserver_split_rate(
-            prob, state["Rhat"], y, AlgebraElement("so3", om_meas), scenario.gain, ze
-        )
-        return {"R": AlgebraElement("so3", om), "Rhat": est_rate}
+        est_rate = observer.preobserver_split_rate(prob, state["Rhat"], y, om_meas, scenario.gain, ze)
+        return {"R": om, "Rhat": est_rate}
 
     def record(t, state):
         e_g = observer.group_error(prob, state["R"], state["Rhat"])

@@ -164,6 +164,49 @@ class TestInputContract:
         f = write_scenario(tmp_path / "a.scn", system=system, n_landmarks=n, t_final="0.2")
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"system": "slam_discrete", "n_steps": "0"}, "n_steps"),
+            ({"seed": "-1"}, "seed"),
+            ({"omega": "1 nan 2"}, "finite"),
+            ({"omega": "1 2"}, "omega"),
+            ({"omega": "fast"}, "bad numeric value"),
+            ({"system": "sphere_split_demo", "initial_error": "0.1 0.2"}, "initial_error"),
+            ({"initial_error": "0.1 0.2 0.3 0 0 0"}, "initial_error"),
+            ({"system": "slam_continuous", "n_landmarks": "1000000000"}, "n_landmarks"),
+            ({"n_landmarks": "1000000000"}, "n_landmarks"),
+        ],
+    )
+    def test_rejected_at_parse_exit_2(self, tmp_path, capsys, overrides, message):
+        f = write_scenario(tmp_path / "a.scn", **overrides)
+        with pytest.raises(ConfigError, match=message):
+            cli.parse_scenario(f)
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_trajectory.csv"))
+
+    @pytest.mark.parametrize("system", ["attitude", "slam_continuous", "sphere_split_demo"])
+    def test_too_many_steps_exit_2(self, tmp_path, capsys, system):
+        f = write_scenario(tmp_path / "a.scn", system=system, h="1e-300", t_final="1e-290")
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 2
+        assert "steps" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_trajectory.csv"))
+
+    def test_constant_omega_runs(self, tmp_path):
+        f = write_scenario(tmp_path / "a.scn", omega="0.1 -0.2 0.3", t_final="0.2")
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
+
+    def test_slam_discrete_angular_initial_error(self, tmp_path):
+        # a 3-vector initial_error is the angular part of the twist, as for slam_continuous
+        a = write_scenario(tmp_path / "a.scn", name="d3", system="slam_discrete",
+                           n_steps="5", h="0.05", initial_error="0.1 -0.2 0.3")
+        b = write_scenario(tmp_path / "b.scn", name="d6", system="slam_discrete",
+                           n_steps="5", h="0.05", initial_error="0 0 0 0.1 -0.2 0.3")
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(a), str(b)]) == 0
+        d3 = (tmp_path / "d3_trajectory.csv").read_bytes()
+        assert d3 == (tmp_path / "d6_trajectory.csv").read_bytes()
+
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
@@ -184,3 +227,24 @@ def test_demo_outputs_byte_identical(tmp_path, demo):
     for suffix in ("_report.txt", "_trajectory.csv"):
         digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[demo + suffix], demo + suffix
+
+
+# sha256 of the attitude demos cut to t_final = 1.0 (the full runs take seconds)
+GOLDEN_SHA256_1S = {
+    "attitude_60deg_report.txt": "3e65481f2f5c7358b0f8a5370d5bfdaf3f1f94b7a97add5bccc67c0d23856219",
+    "attitude_60deg_trajectory.csv": "7a64d57bb8fb2382dad424dbb69707dd4820bb0b0f963375d3ef836c8f202531",
+    "attitude_noisy_report.txt": "8a4d45815be08162de553b7ac7d8b927b6236a4d429bae4dafadef03133fb8c7",
+    "attitude_noisy_trajectory.csv": "a72bcda285ba1eb0d351b531a0fd8d41615621c63b80d2a3110c48b62ae61985",
+}
+
+
+@pytest.mark.parametrize("demo", ["attitude_60deg", "attitude_noisy"])
+def test_attitude_demo_1s_byte_identical(tmp_path, demo):
+    text = (SCENARIOS / f"{demo}.scn").read_text()
+    assert "t_final = 20.0" in text
+    f = tmp_path / f"{demo}.scn"
+    f.write_text(text.replace("t_final = 20.0", "t_final = 1.0"))
+    assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
+    for suffix in ("_report.txt", "_trajectory.csv"):
+        digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256_1S[demo + suffix], demo + suffix

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from bundleobs.errors import ConfigError, NumericalBlowupError
-from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
-from bundleobs.integrate import IntegratorConfig, SplitRate, integrate_system, lie_step
-from bundleobs.sampling import random_algebra, random_rotation, rng_from
+from bundleobs.errors import ConfigError, KindMismatchError, NumericalBlowupError
+from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log, project_to_group
+from bundleobs.integrate import MAX_STEPS, IntegratorConfig, SplitRate, integrate_system, lie_step
+from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
 def omega(t):
@@ -132,3 +132,124 @@ class TestConfigValidation:
     def test_negative_horizon(self):
         with pytest.raises(ConfigError):
             IntegratorConfig(method="lie_euler", h=0.1, t_final=-1.0)
+
+
+def _state_rate(kind, split, t, g):
+    """A time- and state-dependent rate, so every rk4_cg stage matters."""
+    dim = 3 if kind == "so3" else 6
+    base = np.sin(t + np.arange(dim)) + 0.3 * g.matrix.ravel()[:dim]
+    xi = AlgebraElement(kind, base)
+    if split:
+        return SplitRate(body=xi, spatial=AlgebraElement(kind, 0.5 * np.cos(base)))
+    return xi
+
+
+def _reference(method, h, n_steps, g0, rate, side, interval):
+    """The stepping rule written with the public exp, @ and project_to_group."""
+
+    def step(g, r, w):
+        if isinstance(r, SplitRate):
+            return exp(w * r.spatial) @ g @ exp(w * r.body)
+        return g @ exp(w * r) if side == "left" else exp(w * r) @ g
+
+    g, out = g0, [g0]
+    for i in range(1, n_steps + 1):
+        t = (i - 1) * h
+        if method == "lie_euler":
+            g = step(g, rate(t, g), h)
+        else:
+            k1 = rate(t, g)
+            k2 = rate(t + h / 2, step(g, k1, h / 2))
+            k3 = rate(t + h / 2, step(g, k2, h / 2))
+            k4 = rate(t + h, step(g, k3, h))
+            for w, k in ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4)):
+                g = step(g, k, w)
+        if i % interval == 0:
+            g = project_to_group(g.matrix, g.kind)
+        out.append(g)
+    return out
+
+
+class TestSteppingRule:
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("side", ["left", "right", "split"])
+    @pytest.mark.parametrize("kind", ["so3", "se3"])
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_bit_identical_to_reference(self, method, side, kind, interval):
+        rng = rng_from(11)
+        g0 = random_rotation(rng) if kind == "so3" else random_group("SE3", rng)
+
+        def rate(t, g):
+            return _state_rate(kind, side == "split", t, g)
+
+        config = IntegratorConfig(method=method, h=0.05, t_final=1.0, projection_interval=interval)
+        traj = integrate_system(
+            lambda t, s: {"g": rate(t, s["g"])}, config, {"g": g0}, sides={"g": side}
+        )
+        expected = _reference(method, 0.05, 20, g0, rate, side, interval)
+        assert len(traj.states) == len(expected)
+        for s, g in zip(traj.states, expected):
+            assert s["g"].matrix.tobytes() == g.matrix.tobytes()
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_lie_step_matches_reference(self, side):
+        rng = rng_from(12)
+        g = random_group("SE3", rng)
+        xi = random_algebra("se3", rng)
+        expected = g @ exp(0.1 * xi) if side == "left" else exp(0.1 * xi) @ g
+        assert lie_step(g, xi, 0.1, side).matrix.tobytes() == expected.matrix.tobytes()
+
+    def test_kind_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            lie_step(GroupElement.identity("SE3"), AlgebraElement.zero("so3"), 0.1)
+        config = IntegratorConfig(method="lie_euler", h=0.1, t_final=0.1)
+        with pytest.raises(KindMismatchError):
+            integrate_system(
+                lambda t, s: {"g": SplitRate(spatial=AlgebraElement.zero("se3"))},
+                config,
+                {"g": GroupElement.identity("SO3")},
+            )
+
+
+class TestBlowup:
+    CASES = {
+        "non_finite": np.array([0.1, np.nan, 0.0, 0.2, 0.1, 0.0]),
+        "translation_overflow": np.array([1e308, 1e308, 0.0, 0.1, 0.2, 0.3]),
+        "translation_grows": np.array([3e307, 3e307, 3e307, 0.0, 0.0, 0.0]),
+    }
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("side", ["left", "right", "split"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("interval", [1, 2])
+    def test_se3_blowup(self, method, side, case, interval):
+        xi = AlgebraElement("se3", self.CASES[case])
+        r = SplitRate(body=xi, spatial=xi) if side == "split" else xi
+        config = IntegratorConfig(method=method, h=1.0, t_final=8.0, projection_interval=interval)
+        with pytest.raises(NumericalBlowupError):
+            integrate_system(
+                lambda t, s: {"S": r}, config, {"S": GroupElement.identity("SE3")}, sides={"S": side}
+            )
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_non_finite_rate_reports_time(self, method):
+        config = IntegratorConfig(method=method, h=0.1, t_final=1.0)
+
+        def rate(t, state):
+            return {"R": AlgebraElement("so3", [np.inf if t > 0.25 else 1.0, 0.0, 0.0])}
+
+        with pytest.raises(NumericalBlowupError) as err:
+            integrate_system(rate, config, {"R": GroupElement.identity("SO3")})
+        assert err.value.t is not None and err.value.t <= 0.3 + 1e-12
+
+
+class TestStepLimit:
+    @pytest.mark.parametrize("h, t_final", [(1e-300, 1e-290), (1e-300, 1e10), (1e-7, 1.0)])
+    def test_too_many_steps(self, h, t_final):
+        with pytest.raises(ConfigError, match="steps"):
+            IntegratorConfig(method="lie_euler", h=h, t_final=t_final)
+
+    def test_limit_accepted(self):
+        config = IntegratorConfig(method="lie_euler", h=1.0, t_final=float(MAX_STEPS))
+        assert round(config.t_final / config.h) == MAX_STEPS
