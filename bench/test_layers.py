@@ -14,7 +14,7 @@ import operator
 import numpy as np
 import pytest
 
-from bundleobs import cli, groups, observer, systems
+from bundleobs import actions, cli, groups, observer, systems
 from bundleobs.groups import AlgebraElement, GroupElement
 from bundleobs.integrate import IntegratorConfig, integrate_system
 from bundleobs.sampling import random_group, random_landmarks, random_rotation, rng_from
@@ -63,6 +63,20 @@ def test_zeta_e_numeric_slam6(benchmark):
     S_est = random_group("SE3", rng)
     observer.zeta_e_numeric(prob, S_est, y)  # builds the per-problem probes before timing
     benchmark(observer.zeta_e_numeric, prob, S_est, y)
+
+
+def test_act_se3_on_landmarks12(benchmark):
+    """The SLAM output action on 12 landmark columns, as ``zeta_e_numeric`` calls it."""
+    rng = rng_from(8)
+    a = actions.se3_on_landmarks(12)
+    benchmark(actions.act, a, random_group("SE3", rng), a.sample_point(rng))
+
+
+def test_act_attitude_direction_pair(benchmark):
+    """The attitude output action on the direction pair (y2, y3)."""
+    rng = rng_from(9)
+    prob = systems.attitude_problem()
+    benchmark(actions.act, prob.output_action, random_rotation(rng), systems.measure_attitude(random_rotation(rng)))
 
 
 def test_lie_euler_attitude_step(benchmark):

@@ -35,7 +35,6 @@ from .bundle import (
 )
 from .observer import (
     ObserverProblem,
-    ObserverState,
     group_error,
     innovation,
     preobserver_rate,
@@ -57,7 +56,6 @@ __all__ = [
     "SplitRate",
     "Metric",
     "ObserverProblem",
-    "ObserverState",
     "Point",
     "Trajectory",
     "act",

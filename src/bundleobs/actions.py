@@ -1,10 +1,10 @@
 """Group actions, infinitesimal generators, and equivariance certification.
 
-An ActionSpec packages the map (g, p) -> p together with its handedness and
-a tangent lift.  All concrete actions here are linear in the ambient
-coordinates of the point, so the lift reuses the same matrix products on raw
-arrays.  Points are tagged unions; tangents mirror the point payload as bare
-arrays (no invariant checks).
+An ActionSpec defines each action by one map, ``lift(g, t)``, on raw arrays.
+All concrete actions here are linear in the raw arrays of the point, so that
+map is both the action (``act`` applies it to the point's arrays and rebuilds
+the point) and its differential on tangents.  Points are tagged unions;
+tangents mirror the point payload as bare arrays (no invariant checks).
 """
 
 from __future__ import annotations
@@ -82,17 +82,19 @@ class Point:
 class ActionSpec:
     """A left or right action of SO(3)/SE(3) on one point kind.
 
-    ``apply`` must be pure.  ``lift`` maps a tangent (point-shaped raw
-    arrays) through T_p(phi_g); for the linear actions here it ignores p.
+    ``lift(g, t)`` is the one map of the action.  Every action here is linear
+    in the point's raw arrays, so the same map sends a point's raw arrays
+    (``point_raw(p)``) to those of phi_g(p), which ``act`` rebuilds into a
+    point, and sends a tangent t at any p to T_p(phi_g) t.  ``generator(zeta,
+    p)``, when given, is the closed-form infinitesimal generator.
     """
 
     name: str
     handedness: str  # "left" | "right"
     group_kind: str
     point_kind: str
-    apply: Callable[[GroupElement, Point], Point]
-    lift: Callable[[GroupElement, Point, object], object]
-    generator: Optional[Callable[[GroupElement, AlgebraElement, Point], object]] = None
+    lift: Callable[[GroupElement, object], object]
+    generator: Optional[Callable[[AlgebraElement, Point], object]] = None
     sample_point: Optional[Callable[[np.random.Generator], Point]] = None
 
 
@@ -101,7 +103,21 @@ def act(a: ActionSpec, g: GroupElement, p: Point) -> Point:
         raise KindMismatchError(f"action {a.name} expects {a.group_kind} elements, got {g.kind}")
     if p.kind != a.point_kind:
         raise KindMismatchError(f"action {a.name} acts on {a.point_kind} points, got {p.kind}")
-    return a.apply(g, p)
+    if p.kind == GROUP and p.value.kind != a.group_kind:
+        raise KindMismatchError(f"action {a.name} acts on {a.group_kind} points, got {p.value.kind}")
+    return _point_from_raw(a, a.lift(g, point_raw(p)))
+
+
+def _point_from_raw(a: ActionSpec, raw) -> Point:
+    """The point of ``a``'s kind whose raw arrays are ``raw``: an S2 vector is
+    renormalized, and group poses go through the validating constructor."""
+    if a.point_kind == S2:
+        raw = raw / np.linalg.norm(raw)
+    elif a.point_kind == GROUP:
+        raw = GroupElement(a.group_kind, raw)
+    elif a.point_kind == LANDMARK_TUPLE:
+        raw = (GroupElement(SE3, raw[0]), raw[1])
+    return Point(a.point_kind, raw)
 
 
 # -- tangent arithmetic (tangents mirror the point payload as raw arrays) --
@@ -132,14 +148,12 @@ def tangent_norm(t) -> float:
 
 def point_raw(p: Point):
     """Payload of p as raw arrays, shaped like a tangent at p."""
-    if p.kind in (R3, S2, LANDMARKS):
-        return np.asarray(p.value)
     if p.kind == GROUP:
         return p.value.matrix
     if p.kind == LANDMARK_TUPLE:
         S, L = p.value
         return (S.matrix, L)
-    return tuple(np.asarray(x) for x in p.value)  # direction pair
+    return p.value  # an array, or the direction pair's two arrays
 
 
 def point_distance(p1: Point, p2: Point) -> float:
@@ -150,63 +164,40 @@ def point_distance(p1: Point, p2: Point) -> float:
 
 # -- concrete actions --
 
-def _linear_lift(apply_raw):
-    def lift(g, p, t):
-        return apply_raw(g, t)
-    return lift
+def _left_multiply(g, t):
+    return g.matrix @ t
+
+
+def _algebra_times_point(zeta, p):
+    return zeta.matrix @ p.value
 
 
 def so3_on_r3() -> ActionSpec:
-    def apply(g, p):
-        return Point(R3, g.matrix @ p.value)
-
-    def raw(g, t):
-        return g.matrix @ np.asarray(t)
-
-    def gen(g_identity, zeta, p):
-        return zeta.matrix @ p.value
-
     def sample(rng):
         q = rng.normal(size=3)
         while np.linalg.norm(q) < 0.1:
             q = rng.normal(size=3)
         return Point(R3, q)
 
-    return ActionSpec("so3_on_r3", "left", SO3, R3, apply, _linear_lift(raw), gen, sample)
+    return ActionSpec("so3_on_r3", "left", SO3, R3, _left_multiply, _algebra_times_point, sample)
 
 
 def so3_on_s2() -> ActionSpec:
-    def apply(g, p):
-        v = g.matrix @ p.value
-        return Point(S2, v / np.linalg.norm(v))
-
-    def raw(g, t):
-        return g.matrix @ np.asarray(t)
-
-    def gen(g_identity, zeta, p):
-        return zeta.matrix @ p.value
-
     def sample(rng):
         return Point(S2, random_unit(rng))
 
-    return ActionSpec("so3_on_s2", "left", SO3, S2, apply, _linear_lift(raw), gen, sample)
+    return ActionSpec("so3_on_s2", "left", SO3, S2, _left_multiply, _algebra_times_point, sample)
 
 
 def so3_on_direction_pair(handedness: str = "left") -> ActionSpec:
     """Rotations on a pair of unit directions: y -> (gy2, gy3) as a left
     action, y -> (g^-1 y2, g^-1 y3) as a right action."""
 
-    def mat(g):
-        return g.matrix if handedness == "left" else g.matrix.T
+    def lift(g, t):
+        m = g.matrix if handedness == "left" else g.matrix.T
+        return (m @ t[0], m @ t[1])
 
-    def apply(g, p):
-        a, b = p.value
-        return Point(DIRECTION_PAIR, (mat(g) @ a, mat(g) @ b))
-
-    def raw(g, t):
-        return (mat(g) @ t[0], mat(g) @ t[1])
-
-    def gen(g_identity, zeta, p):
+    def gen(zeta, p):
         a, b = p.value
         sign = 1.0 if handedness == "left" else -1.0
         return (sign * zeta.matrix @ a, sign * zeta.matrix @ b)
@@ -219,45 +210,29 @@ def so3_on_direction_pair(handedness: str = "left") -> ActionSpec:
         return Point(DIRECTION_PAIR, (a, b / np.linalg.norm(b)))
 
     return ActionSpec(
-        f"so3_on_direction_pair_{handedness}",
-        handedness,
-        SO3,
-        DIRECTION_PAIR,
-        apply,
-        _linear_lift(raw),
-        gen,
-        sample,
+        f"so3_on_direction_pair_{handedness}", handedness, SO3, DIRECTION_PAIR, lift, gen, sample
     )
 
 
 def trivial_action(group_kind: str, point_kind: str, handedness: str, sample_point=None) -> ActionSpec:
     """The action that fixes every point (e.g. the SLAM output action)."""
 
-    def apply(g, p):
-        return p
-
-    def raw(g, t):
+    def lift(g, t):
         return t
 
-    def gen(g_identity, zeta, p):
+    def gen(zeta, p):
         return tangent_scale(0.0, point_raw(p))
 
-    return ActionSpec(
-        f"trivial_on_{point_kind}", handedness, group_kind, point_kind, apply, _linear_lift(raw), gen, sample_point
-    )
+    return ActionSpec(f"trivial_on_{point_kind}", handedness, group_kind, point_kind, lift, gen, sample_point)
 
 
 def group_translation(group_kind: str, handedness: str) -> ActionSpec:
     """The group acting on itself by left or right multiplication."""
 
-    def apply(g, p):
-        h = p.value
-        return Point(GROUP, g @ h if handedness == "left" else h @ g)
+    def lift(g, t):
+        return g.matrix @ t if handedness == "left" else t @ g.matrix
 
-    def raw(g, t):
-        return g.matrix @ np.asarray(t) if handedness == "left" else np.asarray(t) @ g.matrix
-
-    def gen(g_identity, zeta, p):
+    def gen(zeta, p):
         h = p.value.matrix
         return zeta.matrix @ h if handedness == "left" else h @ zeta.matrix
 
@@ -265,30 +240,18 @@ def group_translation(group_kind: str, handedness: str) -> ActionSpec:
         return Point(GROUP, random_group(group_kind, rng))
 
     return ActionSpec(
-        f"{group_kind.lower()}_{handedness}_translation",
-        handedness,
-        group_kind,
-        GROUP,
-        apply,
-        _linear_lift(raw),
-        gen,
-        sample,
+        f"{group_kind.lower()}_{handedness}_translation", handedness, group_kind, GROUP, lift, gen, sample
     )
 
 
 def slam_action(n_landmarks: int = 6) -> ActionSpec:
     """Right SE(3) action on (pose, landmarks): phi_g(p) = (g^-1 S, g^-1 Lbar_i)."""
 
-    def apply(g, p):
-        S, L = p.value
-        gi = g.inverse()
-        return Point(LANDMARK_TUPLE, (gi @ S, gi.matrix @ L))
-
-    def raw(g, t):
+    def lift(g, t):
         gi = g.inverse().matrix
         return (gi @ t[0], gi @ t[1])
 
-    def gen(g_identity, zeta, p):
+    def gen(zeta, p):
         S, L = p.value
         W = zeta.matrix
         return (-W @ S.matrix, -W @ L)
@@ -296,25 +259,16 @@ def slam_action(n_landmarks: int = 6) -> ActionSpec:
     def sample(rng):
         return Point(LANDMARK_TUPLE, (random_group(SE3, rng), random_landmarks(rng, n_landmarks)))
 
-    return ActionSpec("slam_right_action", "right", SE3, LANDMARK_TUPLE, apply, _linear_lift(raw), gen, sample)
+    return ActionSpec("slam_right_action", "right", SE3, LANDMARK_TUPLE, lift, gen, sample)
 
 
 def se3_on_landmarks(n_landmarks: int = 6) -> ActionSpec:
     """Left SE(3) action on homogeneous landmark columns."""
 
-    def apply(g, p):
-        return Point(LANDMARKS, g.matrix @ p.value)
-
-    def raw(g, t):
-        return g.matrix @ np.asarray(t)
-
-    def gen(g_identity, zeta, p):
-        return zeta.matrix @ p.value
-
     def sample(rng):
         return Point(LANDMARKS, random_landmarks(rng, n_landmarks))
 
-    return ActionSpec("se3_on_landmarks", "left", SE3, LANDMARKS, apply, _linear_lift(raw), gen, sample)
+    return ActionSpec("se3_on_landmarks", "left", SE3, LANDMARKS, _left_multiply, _algebra_times_point, sample)
 
 
 # -- generators and checkers --
@@ -324,7 +278,7 @@ def infinitesimal_generator(a: ActionSpec, zeta: AlgebraElement, p: Point):
     if zeta.group_kind != a.group_kind:
         raise KindMismatchError(f"{zeta.kind} generator on a {a.group_kind} action")
     if a.generator is not None:
-        return a.generator(GroupElement.identity(a.group_kind), zeta, p)
+        return a.generator(zeta, p)
     fwd = point_raw(act(a, groups.exp(FD_STEP * zeta), p))
     back = point_raw(act(a, groups.exp(-FD_STEP * zeta), p))
     return tangent_scale(1.0 / (2.0 * FD_STEP), tangent_sub(fwd, back))
@@ -374,7 +328,7 @@ def check_equivariance_vf(
         p = sampler(rng)
         g = random_group(state_action.group_kind, rng)
         u = sample_input(rng) if sample_input is not None else None
-        lifted = state_action.lift(g, p, X(p, u))
+        lifted = state_action.lift(g, X(p, u))
         gu = u if input_action is None else input_action(g, u)
         direct = X(act(state_action, g, p), gu)
         worst = max(worst, tangent_norm(tangent_sub(lifted, direct)))
@@ -411,7 +365,7 @@ def check_ad_equivariance(a: ActionSpec, samples: int = 100, seed=42) -> float:
         p = sampler(rng)
         g = random_group(a.group_kind, rng)
         zeta = random_algebra("so3" if a.group_kind == SO3 else "se3", rng)
-        lifted = a.lift(g, p, infinitesimal_generator(a, zeta, p))
+        lifted = a.lift(g, infinitesimal_generator(a, zeta, p))
         conj = g if a.handedness == "left" else g.inverse()
         direct = infinitesimal_generator(a, groups.adjoint(conj, zeta), act(a, g, p))
         worst = max(worst, tangent_norm(tangent_sub(lifted, direct)))

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -326,14 +325,15 @@ def run_scenario(path: Path, out_dir: Path | None = None) -> int:
         scen = parse_scenario(path)
         target = Path(out_dir) if out_dir is not None else Path(scen["out_dir"])
         target.mkdir(parents=True, exist_ok=True)
-        rows, report, n_state, n_est = _RUNNERS[scen["system"]](scen)
+        with np.errstate(over="ignore"):  # an overflow ends as NumericalBlowupError, not a warning
+            rows, report, n_state, n_est = _RUNNERS[scen["system"]](scen)
         write_csv(target / f"{scen['name']}_trajectory.csv", rows, n_state, n_est)
         header = [f"scenario: {scen['name']}", f"system: {scen['system']}"]
         (target / f"{scen['name']}_report.txt").write_text("\n".join(header + report) + "\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalBlowupError as exc:
+    except BundleobsError as exc:  # numerical failure: blowup, log branch, projection, rank
         print(f"error: {exc}", file=sys.stderr)
         return 3
     return 0
@@ -474,11 +474,10 @@ def main(argv=None) -> int:
         prog="bundleobs-sim",
         description="Run symmetry-bundle observer scenarios and property audits.",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="scenario files run concurrently")
     parser.add_argument("--out-dir", type=Path, default=None, help="directory for CSV/report output")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one or more scenario files")
+    p_run = sub.add_parser("run", help="run one or more scenario files, one after another")
     p_run.add_argument("scenario", type=Path, nargs="+")
 
     p_audit = sub.add_parser("audit", help="check symmetry/gradient/autonomy properties")
@@ -487,19 +486,9 @@ def main(argv=None) -> int:
     p_audit.add_argument("--seed", type=int, default=42)
 
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
     if args.command == "audit":
         return run_audit(args.mode, args.samples, args.seed)
-
-    if args.jobs == 1 or len(args.scenario) == 1:
-        codes = [run_scenario(path, args.out_dir) for path in args.scenario]
-    else:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(lambda p: run_scenario(p, args.out_dir), args.scenario))
-    return max(codes)
+    return max([run_scenario(path, args.out_dir) for path in args.scenario])
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,7 +201,6 @@ class AlgebraElement:
 class Metric:
     """Bi-invariant inner product on the algebra (scaled coordinate dot)."""
 
-    kind: str = "bi_invariant"
     scale: float = 1.0
 
     def __post_init__(self):
@@ -252,7 +251,8 @@ def vee(zeta) -> np.ndarray:
 def _so3_coeffs(theta: float) -> tuple[float, float, float]:
     """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = theta.
 
-    Below ``_SMALL_ANGLE`` each is its 4-term Taylor series.
+    Below ``_SMALL_ANGLE`` each is its 4-term Taylor series.  An infinite
+    theta, or one whose cube overflows, raises NumericalBlowupError.
     """
     if theta < _SMALL_ANGLE:
         t2 = theta * theta
@@ -260,14 +260,11 @@ def _so3_coeffs(theta: float) -> tuple[float, float, float]:
         b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0)))
         c = (1.0 / 6.0) * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
         return a, b, c
-    s = math.sin(theta)
-    return s / theta, (1.0 - math.cos(theta)) / (theta * theta), (theta - s) / (theta ** 3)
-
-
-def _so3_exp(w: np.ndarray) -> np.ndarray:
-    a, b, _ = _so3_coeffs(math.sqrt(w @ w))
-    W = skew(w)
-    return _I3 + a * W + b * (W @ W)
+    try:
+        s = math.sin(theta)
+        return s / theta, (1.0 - math.cos(theta)) / (theta * theta), (theta - s) / (theta ** 3)
+    except (ValueError, OverflowError) as exc:  # sin(inf), theta ** 3 beyond the float range
+        raise NumericalBlowupError(f"rotation angle {theta:.3g} overflows the exponential") from exc
 
 
 def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
@@ -286,17 +283,18 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
     """
     if not _all_finite(vec):
         raise NumericalBlowupError("algebra coordinates are non-finite")
-    if vec.shape == (3,):
-        return _so3_exp(vec)
-    if vec.shape != (6,):
+    if vec.shape not in ((3,), (6,)):
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
-    v, w = vec[:3], vec[3:]
+    w = vec[-3:]
     a, b, c = _so3_coeffs(math.sqrt(w @ w))
     W = skew(w)
     W2 = W @ W
+    R = _I3 + a * W + b * W2
+    if vec.shape == (3,):
+        return R
     m = np.eye(4)
-    m[:3, :3] = _I3 + a * W + b * W2
-    m[:3, 3] = (_I3 + b * W + c * W2) @ v
+    m[:3, :3] = R
+    m[:3, 3] = (_I3 + b * W + c * W2) @ vec[:3]
     return m
 
 

@@ -92,23 +92,6 @@ class ObserverProblem:
                 break
 
 
-@dataclass
-class ObserverState:
-    """Mutable per-simulation estimate."""
-
-    estimate: GroupElement
-    gain: float = 1.0
-    last_innovation: AlgebraElement = None
-
-    def __post_init__(self):
-        if self.gain <= 0:
-            raise ValueError("gain must be positive")
-        if self.last_innovation is None:
-            self.last_innovation = AlgebraElement.zero(
-                "so3" if self.estimate.kind == groups.SO3 else "se3"
-            )
-
-
 def group_error(prob: ObserverProblem, g: GroupElement, g_est: GroupElement) -> GroupElement:
     """e_g: g g~^-1 for left-observed systems, g~^-1 g for right-observed."""
     if g.kind != g_est.kind:

@@ -10,11 +10,11 @@ import numpy as np
 
 from . import actions as ac
 from . import groups, observer
-from .actions import Point, act
+from .actions import Point
 from .errors import DimensionError, RankDeficiencyError
 from .groups import SE3, SO3, AlgebraElement, GroupElement, Metric
 from .integrate import IntegratorConfig, Trajectory, integrate_system
-from .observer import ObserverProblem, preobserver_rate, zeta_e
+from .observer import ObserverProblem, zeta_e
 from .sampling import rng_from
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -166,10 +166,6 @@ def sphere_vector_field(p: Point, v):
 
 
 # -- SLAM --
-
-def make_slam_state(S: GroupElement, landmarks) -> Point:
-    return Point(ac.LANDMARK_TUPLE, (S, np.asarray(landmarks, dtype=float)))
-
 
 def slam_vector_field(p: Point, v):
     """X(p, v) = (S V^, S vbar_i) for input v = (V, vbar columns)."""

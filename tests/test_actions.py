@@ -46,6 +46,83 @@ class TestAct:
             assert ac.check_action_laws(a) <= 1e-10
 
 
+def _apply_today(name, g, p):
+    """The point map of each shipped action, written out: the expected raw arrays of act(a, g, p)."""
+    G = g.matrix
+    if name in ("so3_on_r3", "se3_on_landmarks"):
+        return G @ p.value
+    if name == "so3_on_s2":
+        v = G @ p.value
+        return v / np.linalg.norm(v)
+    if name.startswith("so3_on_direction_pair"):
+        M = G if name.endswith("left") else G.T
+        return (M @ p.value[0], M @ p.value[1])
+    if name.startswith("trivial"):
+        return ac.point_raw(p)
+    if name.endswith("left_translation"):
+        return G @ p.value.matrix
+    if name.endswith("right_translation"):
+        return p.value.matrix @ G
+    S, L = p.value
+    gi = g.inverse().matrix
+    return (gi @ S.matrix, gi @ L)
+
+
+SHIPPED_ACTIONS = [
+    ac.so3_on_r3(),
+    ac.so3_on_s2(),
+    ac.so3_on_direction_pair("left"),
+    ac.so3_on_direction_pair("right"),
+    ac.trivial_action("SE3", ac.LANDMARKS, "right", lambda rng: Point(ac.LANDMARKS, random_landmarks(rng, 6))),
+    ac.group_translation("SO3", "left"),
+    ac.group_translation("SO3", "right"),
+    ac.group_translation("SE3", "left"),
+    ac.group_translation("SE3", "right"),
+    ac.slam_action(5),
+    ac.se3_on_landmarks(12),
+]
+
+
+class TestSingleMap:
+    """Each action defines one map, ``lift``; act rebuilds the point from it."""
+
+    @pytest.mark.parametrize("a", SHIPPED_ACTIONS, ids=lambda a: a.name + "_" + a.group_kind)
+    def test_act_equals_written_out_map(self, a):
+        rng = rng_from(8)
+        for _ in range(20):
+            p = a.sample_point(rng)
+            g = random_group(a.group_kind, rng)
+            out = act(a, g, p)
+            assert out.kind == a.point_kind
+            expected = _apply_today(a.name, g, p)
+            got = ac.point_raw(out)
+            if isinstance(expected, tuple):
+                assert len(got) == len(expected)
+                for x, y in zip(got, expected):
+                    np.testing.assert_array_equal(x, y)
+            else:
+                np.testing.assert_array_equal(got, expected)
+            if a.point_kind == ac.GROUP:
+                assert out.value.kind == a.group_kind
+            if a.point_kind == ac.LANDMARK_TUPLE:
+                assert out.value[0].kind == "SE3"
+
+    @pytest.mark.parametrize("a", SHIPPED_ACTIONS, ids=lambda a: a.name + "_" + a.group_kind)
+    def test_kind_mismatch(self, a):
+        rng = rng_from(10)
+        other = "SE3" if a.group_kind == "SO3" else "SO3"
+        g, p = random_group(a.group_kind, rng), a.sample_point(rng)
+        wrong_kind = Point(ac.S2, np.array([1.0, 0.0, 0.0])) if a.point_kind == ac.R3 else Point(
+            ac.R3, np.array([1.0, 2.0, 3.0])
+        )
+        cases = [(random_group(other, rng), p), (g, wrong_kind)]
+        if a.point_kind == ac.GROUP:
+            cases.append((g, Point(ac.GROUP, random_group(other, rng))))
+        for g_case, p_case in cases:
+            with pytest.raises(KindMismatchError):
+                act(a, g_case, p_case)
+
+
 class TestGenerator:
     def test_e3_axis_at_e1(self):
         a = ac.so3_on_r3()

@@ -95,12 +95,20 @@ class TestRun:
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
         assert (tmp_path / "sph_trajectory.csv").exists()
 
-    def test_jobs_flag_runs_all(self, tmp_path):
+    def test_scenarios_run_one_after_another(self, tmp_path):
         f1 = write_scenario(tmp_path / "a.scn", name="j1")
         f2 = write_scenario(tmp_path / "b.scn", name="j2", system="sphere_split_demo")
-        assert cli.main(["--jobs", "2", "--out-dir", str(tmp_path), "run", str(f1), str(f2)]) == 0
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f1), str(f2)]) == 0
         assert (tmp_path / "j1_trajectory.csv").exists()
         assert (tmp_path / "j2_trajectory.csv").exists()
+
+    def test_jobs_flag_rejected(self, tmp_path, capsys):
+        f = write_scenario(tmp_path / "a.scn", name="j1")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--jobs", "2", "--out-dir", str(tmp_path), "run", str(f)])
+        assert exc.value.code == 2
+        assert "usage: bundleobs-sim" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_trajectory.csv"))
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_blowup_exit_3(self, tmp_path):
@@ -108,6 +116,24 @@ class TestRun:
             tmp_path / "a.scn", name="boom", omega="1e200 1e200 0", h="1e200", t_final="1e201"
         )
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 3
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # zeta_e vanishes at the antipode, so the error stays at pi, where log is ambiguous
+            ({"initial_error": "3.14159265358979 0 0"}, "ambiguous"),
+            # h * omega is finite, but its squared norm overflows: sin(inf) in the exponential
+            ({"omega": "1e160 0 0"}, "overflows"),
+        ],
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_library_error_exit_3(self, tmp_path, capsys, overrides, message):
+        f = write_scenario(tmp_path / "a.scn", name="lib", **overrides)
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not list(tmp_path.glob("*_trajectory.csv"))
 
     def test_all_values_finite(self, tmp_path):
         f = write_scenario(tmp_path / "a.scn", name="fin", system="slam_continuous",

@@ -96,6 +96,28 @@ class TestExp:
         with pytest.raises(NumericalBlowupError):
             exp(AlgebraElement("so3", np.array([np.inf, 0.0, 0.0])))
 
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("angle", [1e160, 1e105])  # |w|^2 overflows; theta ** 3 overflows
+    @pytest.mark.parametrize("kind", ["so3", "se3"])
+    def test_overflowing_angle_raises_blowup(self, kind, angle):
+        vec = np.array([angle, 0.0, 0.0]) if kind == "so3" else np.array([1.0, 0, 0, angle, 0, 0])
+        with pytest.raises(NumericalBlowupError, match="overflows"):
+            exp(AlgebraElement(kind, vec))
+
+    @pytest.mark.parametrize("kind", ["so3", "se3"])
+    def test_huge_finite_angle_still_a_rotation(self, kind):
+        vec = np.array([1e101, 0.0, 0.0]) if kind == "so3" else np.array([1.0, 0, 0, 1e101, 0, 0])
+        R = exp(AlgebraElement(kind, vec)).matrix[:3, :3]
+        assert np.all(np.isfinite(R)) and np.linalg.det(R) > 0
+
+    def test_so3_equals_se3_rotation_block(self):
+        rng = rng_from(13)
+        for scale in (1e-8, 1e-3, 1.0, 3.0):
+            for _ in range(20):
+                w = scale * rng.normal(size=3)
+                se3 = exp(AlgebraElement("se3", np.concatenate([rng.normal(size=3), w])))
+                np.testing.assert_array_equal(exp(AlgebraElement("so3", w)).matrix, se3.matrix[:3, :3])
+
 
 class TestLog:
     def test_identity(self):

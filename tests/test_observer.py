@@ -11,7 +11,7 @@ from bundleobs import groups, observer
 from bundleobs.actions import Point, act
 from bundleobs.groups import AlgebraElement, GroupElement, Metric, adjoint, exp, hat, inner, log
 from bundleobs.integrate import IntegratorConfig
-from bundleobs.observer import ObserverProblem, ObserverState
+from bundleobs.observer import ObserverProblem
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import (
     AttitudeScenario,
@@ -209,11 +209,6 @@ class TestProblemValidation:
 
     def test_error_cost_zero_at_identity(self, prob):
         assert prob.error_cost(GroupElement.identity("SO3")) == 0.0
-
-    def test_observer_state_holds_innovation(self, prob):
-        state = ObserverState(estimate=GroupElement.identity("SO3"), gain=2.0)
-        assert state.gain == 2.0
-        assert state.last_innovation.norm() == 0.0
 
 
 def _zeta_e_rebuilding_probes(prob, g_est, y):
