@@ -1,8 +1,8 @@
 """Command-line driver: run scenario files, audit symmetry properties.
 
-Scenario files are flat ``key = value`` text (``#`` comments).  Each run
-writes ``<name>_trajectory.csv`` and ``<name>_report.txt``; the CSV is
-byte-identical for identical scenario + seed.
+Scenario files are flat ``key = value`` text (``#`` comments, no unknown keys).
+Each run writes ``<name>_trajectory.csv`` and ``<name>_report.txt``; the CSV
+is byte-identical for identical scenario + seed.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ _DEFAULTS = {
     "method": "lie_euler",
     "h": "1e-3",
     "t_final": "20.0",
-    "projection_interval": "1",
     "initial_error": "0 0 0",
     "noise": "0.0",
     "seed": "42",
@@ -61,6 +60,8 @@ def parse_scenario(path: Path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ConfigError(f"{path}:{lineno}: empty key or value")
+        if key not in _DEFAULTS and key not in ("name", "out_dir"):
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         raw[key] = value
 
     if "name" not in raw or not raw["name"]:
@@ -79,7 +80,6 @@ def parse_scenario(path: Path) -> dict:
             "method": raw["method"],
             "h": float(raw["h"]),
             "t_final": float(raw["t_final"]),
-            "projection_interval": int(raw["projection_interval"]),
             "initial_error": np.array([float(x) for x in raw["initial_error"].split()]),
             "noise": float(raw["noise"]),
             "seed": int(raw["seed"]),
@@ -115,12 +115,7 @@ def parse_scenario(path: Path) -> dict:
 
 def _integrator_config(scen: dict) -> IntegratorConfig:
     try:
-        return IntegratorConfig(
-            method=scen["method"],
-            h=scen["h"],
-            t_final=scen["t_final"],
-            projection_interval=scen["projection_interval"],
-        )
+        return IntegratorConfig(method=scen["method"], h=scen["h"], t_final=scen["t_final"])
     except BundleobsError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -154,6 +149,7 @@ def write_csv(path: Path, rows: list[dict], n_state: int, n_est: int) -> None:
         if not all(map(math.isfinite, vals)):
             raise NumericalBlowupError("non-finite value in trajectory output", t=row["t"])
         lines.append(", ".join(_fmt(v) for v in vals))
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -324,7 +320,6 @@ def run_scenario(path: Path, out_dir: Path | None = None) -> int:
     try:
         scen = parse_scenario(path)
         target = Path(out_dir) if out_dir is not None else Path(scen["out_dir"])
-        target.mkdir(parents=True, exist_ok=True)
         with np.errstate(over="ignore"):  # an overflow ends as NumericalBlowupError, not a warning
             rows, report, n_state, n_est = _RUNNERS[scen["system"]](scen)
         write_csv(target / f"{scen['name']}_trajectory.csv", rows, n_state, n_est)

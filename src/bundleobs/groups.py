@@ -26,6 +26,7 @@ SO3 = "SO3"
 SE3 = "SE3"
 
 _ORTHO_TOL = 1e-9
+_DRIFT_TOL = 1e-12  # defect above which the integrators take a Björck step
 _SMALL_ANGLE = 1e-6
 _PI_EXCLUSION = 1e-7
 
@@ -49,8 +50,8 @@ def _det3(rows) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _check_rotation(R: np.ndarray) -> None:
-    """Reject a 3x3 block that is not a rotation.
+def _check_rotation(R: np.ndarray) -> float:
+    """Reject a 3x3 block that is not a rotation; return its defect.
 
     Computes the same quantities as ``np.linalg.norm(R.T @ R - np.eye(3))``
     and ``np.linalg.det(R)`` -- the Frobenius defect from orthogonality and
@@ -76,6 +77,7 @@ def _check_rotation(R: np.ndarray) -> None:
         raise ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect:.3e}")
     if _det3(rows) <= 0:
         raise ProjectionFailureError("rotation block has non-positive determinant")
+    return defect
 
 
 @dataclass(frozen=True)
@@ -366,7 +368,8 @@ def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
     """Nearest group element via SVD orthonormalization of the rotation block.
 
     The input must be within Frobenius distance 0.5 of the group; reflections
-    and badly corrupted blocks raise ProjectionFailureError.
+    and badly corrupted blocks raise ProjectionFailureError.  For matrices built
+    off the group, such as a recovered pose; the integrators never call it.
     """
     m = np.asarray(m, dtype=float)
     if kind == SO3:

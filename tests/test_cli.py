@@ -135,6 +135,13 @@ class TestRun:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not list(tmp_path.glob("*_trajectory.csv"))
 
+    @pytest.mark.filterwarnings("error")
+    def test_failed_run_creates_no_directory(self, tmp_path):
+        f = write_scenario(tmp_path / "a.scn", name="lib", omega="1e160 0 0")
+        out = tmp_path / "fresh" / "out"
+        assert cli.main(["--out-dir", str(out), "run", str(f)]) == 3
+        assert not (tmp_path / "fresh").exists()
+
     def test_all_values_finite(self, tmp_path):
         f = write_scenario(tmp_path / "a.scn", name="fin", system="slam_continuous",
                            initial_error="0.1 0 0.1 0.2 -0.1 0", t_final="0.5")
@@ -212,6 +219,16 @@ class TestInputContract:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.glob("*_trajectory.csv"))
 
+    @pytest.mark.parametrize("key", ["projection_interval", "gian"])
+    def test_unknown_key_exit_2(self, tmp_path, capsys, key):
+        # a removed option or a misspelt one would otherwise run with defaults
+        f = write_scenario(tmp_path / "a.scn", **{key: "10"})
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+            cli.parse_scenario(f)
+        assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 2
+        assert "unknown key" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_trajectory.csv"))
+
     @pytest.mark.parametrize("system", ["attitude", "slam_continuous", "sphere_split_demo"])
     def test_too_many_steps_exit_2(self, tmp_path, capsys, system):
         f = write_scenario(tmp_path / "a.scn", system=system, h="1e-300", t_final="1e-290")
@@ -236,12 +253,13 @@ class TestInputContract:
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
-# sha256 of the demo outputs, unchanged since the library came in
+# sha256 of the demo outputs; sphere_split has no group state, so the stepping rule
+# of the group integrators cannot move its bytes
 GOLDEN_SHA256 = {
-    "slam_continuous_report.txt": "130f6b52903b2884f43540947cc53b8cd8433479e1a7b3099be6bdc1de9197a0",
-    "slam_continuous_trajectory.csv": "84371292ddba220b354b7f160d62aa87d0cb1d2b48de8dea0ae6c9a41557bc32",
-    "slam_discrete_report.txt": "1f35cbc05f344c6a4a9d1c3c7fa938d0f21a0dcc38dc84031e2a07163ef0b109",
-    "slam_discrete_trajectory.csv": "babd3ed596459d23a725f94bd2287229408af206f47a895d46eeaaac1b298e50",
+    "slam_continuous_report.txt": "8ba85c88aa4255168a6c0d150623eb718f9295e363960d19f9b00595fd634746",
+    "slam_continuous_trajectory.csv": "c8b112f00562698a0a09ab3a62fef7cd803cab2c07532963b07947fff17df2c8",
+    "slam_discrete_report.txt": "da5b3f367e4949918781872b9018a6323b49a67ff43dee9d579267f27e19809e",
+    "slam_discrete_trajectory.csv": "35648df6c3b7dfa645a20ddc8a7d388fa197e58769122b9d2c8bf1401cdf09b3",
     "sphere_split_report.txt": "b0f1dc2845176e37e38364c8667c1c13510d42358c79c9fd577c44f9f7daef99",
     "sphere_split_trajectory.csv": "4aa2ee641ceacdf4ccc522c941baadd5c8e1cccf388e747633493e20d97a75dd",
 }
@@ -257,10 +275,10 @@ def test_demo_outputs_byte_identical(tmp_path, demo):
 
 # sha256 of the attitude demos cut to t_final = 1.0 (the full runs take seconds)
 GOLDEN_SHA256_1S = {
-    "attitude_60deg_report.txt": "3e65481f2f5c7358b0f8a5370d5bfdaf3f1f94b7a97add5bccc67c0d23856219",
-    "attitude_60deg_trajectory.csv": "7a64d57bb8fb2382dad424dbb69707dd4820bb0b0f963375d3ef836c8f202531",
-    "attitude_noisy_report.txt": "8a4d45815be08162de553b7ac7d8b927b6236a4d429bae4dafadef03133fb8c7",
-    "attitude_noisy_trajectory.csv": "a72bcda285ba1eb0d351b531a0fd8d41615621c63b80d2a3110c48b62ae61985",
+    "attitude_60deg_report.txt": "63d4ec6eb5329760df36aeb8008155a296417119a770a67b896c89416937db56",
+    "attitude_60deg_trajectory.csv": "1ed4fa3f9e22c5eee103e2154076beca2d4a6b4bf192625d7f5fe67878a9fa15",
+    "attitude_noisy_report.txt": "08da6901ceee2aba47690ed46c3789cce7ffa9863dd48323d5bce946d26e0c61",
+    "attitude_noisy_trajectory.csv": "f1d7ed53a5d86b816c3de563f7e3836d0eb71bae709c5b185710d2a6a273f86d",
 }
 
 

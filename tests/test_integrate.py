@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bundleobs.errors import ConfigError, KindMismatchError, NumericalBlowupError
-from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log, project_to_group
+from bundleobs.errors import ConfigError, KindMismatchError, NumericalBlowupError, ProjectionFailureError
+from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
 from bundleobs.integrate import MAX_STEPS, IntegratorConfig, SplitRate, integrate_system, lie_step
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
@@ -108,11 +110,13 @@ class TestIntegrateSystem:
         expected = exp(0.25 * spatial) @ g @ exp(0.25 * body)
         np.testing.assert_allclose(traj.states[-1]["g"].matrix, expected.matrix, atol=1e-14)
 
-    def test_projection_interval(self):
-        config = IntegratorConfig(method="lie_euler", h=1e-2, t_final=2.0, projection_interval=10)
+    def test_no_drift_without_projection(self):
+        config = IntegratorConfig(method="lie_euler", h=1e-2, t_final=2.0)
         traj = integrate_system(attitude_rate, config, {"R": GroupElement.identity("SO3")})
-        R = traj.states[-1]["R"].matrix
-        assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-9
+        assert len(traj.states) == 201
+        for s in traj.states:
+            R = s["R"].matrix
+            assert np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12
 
     def test_times_grid(self):
         config = IntegratorConfig(method="lie_euler", h=0.25, t_final=1.0)
@@ -144,8 +148,20 @@ def _state_rate(kind, split, t, g):
     return xi
 
 
-def _reference(method, h, n_steps, g0, rate, side, interval):
-    """The stepping rule written with the public exp, @ and project_to_group."""
+def _gate(g):
+    """One Björck step R <- R (3I - R^T R) / 2 on the rotation block when
+    ||R^T R - I|| exceeds 1e-12; otherwise g as it is."""
+    R = g.matrix[:3, :3]
+    if np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-12:
+        return g
+    m = g.matrix.copy()
+    m[:3, :3] = 0.5 * (R @ (3.0 * np.eye(3) - R.T @ R))
+    return GroupElement(g.kind, m)
+
+
+def _reference(method, h, n_steps, g0, rate, side):
+    """The stepping rule written with the public exp, @ and numpy, gated
+    after every lie_euler step, rk4_cg stage and rk4_cg composition."""
 
     def step(g, r, w):
         if isinstance(r, SplitRate):
@@ -156,16 +172,15 @@ def _reference(method, h, n_steps, g0, rate, side, interval):
     for i in range(1, n_steps + 1):
         t = (i - 1) * h
         if method == "lie_euler":
-            g = step(g, rate(t, g), h)
+            g = _gate(step(g, rate(t, g), h))
         else:
             k1 = rate(t, g)
-            k2 = rate(t + h / 2, step(g, k1, h / 2))
-            k3 = rate(t + h / 2, step(g, k2, h / 2))
-            k4 = rate(t + h, step(g, k3, h))
+            k2 = rate(t + h / 2, _gate(step(g, k1, h / 2)))
+            k3 = rate(t + h / 2, _gate(step(g, k2, h / 2)))
+            k4 = rate(t + h, _gate(step(g, k3, h)))
             for w, k in ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4)):
                 g = step(g, k, w)
-        if i % interval == 0:
-            g = project_to_group(g.matrix, g.kind)
+            g = _gate(g)
         out.append(g)
     return out
 
@@ -174,19 +189,19 @@ class TestSteppingRule:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     @pytest.mark.parametrize("side", ["left", "right", "split"])
     @pytest.mark.parametrize("kind", ["so3", "se3"])
-    @pytest.mark.parametrize("interval", [1, 3])
-    def test_bit_identical_to_reference(self, method, side, kind, interval):
-        rng = rng_from(11)
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_bit_identical_to_reference(self, method, side, kind, seed):
+        rng = rng_from(seed)
         g0 = random_rotation(rng) if kind == "so3" else random_group("SE3", rng)
 
         def rate(t, g):
             return _state_rate(kind, side == "split", t, g)
 
-        config = IntegratorConfig(method=method, h=0.05, t_final=1.0, projection_interval=interval)
+        config = IntegratorConfig(method=method, h=0.05, t_final=1.0)
         traj = integrate_system(
             lambda t, s: {"g": rate(t, s["g"])}, config, {"g": g0}, sides={"g": side}
         )
-        expected = _reference(method, 0.05, 20, g0, rate, side, interval)
+        expected = _reference(method, 0.05, 20, g0, rate, side)
         assert len(traj.states) == len(expected)
         for s, g in zip(traj.states, expected):
             assert s["g"].matrix.tobytes() == g.matrix.tobytes()
@@ -211,6 +226,64 @@ class TestSteppingRule:
             )
 
 
+def _drifted(kind, w, t, u, defect):
+    """A rotation exp(w), stretched along its columns by 1 + s with |s| = defect / 2
+    (so ||R^T R - I|| is about ``defect``), as SO(3) or with translation t as SE(3)."""
+    R = exp(AlgebraElement("so3", w)).matrix @ np.diag(1.0 + 0.5 * defect * u / np.linalg.norm(u))
+    if kind == "SO3":
+        return R
+    m = np.eye(4)
+    m[:3, :3] = R
+    m[:3, 3] = t + 0.0  # no -0.0, which the step's product with I would turn into 0.0
+    return m
+
+
+def _defect(m):
+    R = m[:3, :3]
+    return np.linalg.norm(R.T @ R - np.eye(3))
+
+
+_vec3 = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3).map(np.array)
+_unit3 = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda u: np.linalg.norm(u) > 0.1
+)
+_kind = st.sampled_from(["SO3", "SE3"])
+
+
+class TestDriftGate:
+    """No shipped scenario drifts past 1e-12, so these build elements that have."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=_kind, w=_vec3, t=_vec3, u=_unit3, log_defect=st.floats(np.log10(2e-12), np.log10(9e-10)))
+    def test_bjorck_step_restores_rotation(self, kind, w, t, u, log_defect):
+        m = _drifted(kind, w, t, u, 10.0**log_defect)
+        defect = _defect(m)
+        assume(1.5e-12 <= defect <= 0.95e-9)
+        g = GroupElement(kind, m)
+        out = lie_step(g, AlgebraElement.zero(g.algebra_kind), 1.0)
+        assert _defect(out.matrix) <= 1e-14
+        assert np.linalg.det(out.matrix[:3, :3]) > 0
+        assert np.linalg.norm(out.matrix - g.matrix) <= 2.0 * defect
+        if kind == "SE3":
+            assert out.matrix[:, 3].tobytes() == g.matrix[:, 3].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=_kind, w=_vec3, t=_vec3, u=_unit3, defect=st.floats(0.0, 5e-13))
+    def test_small_drift_passes_through(self, kind, w, t, u, defect):
+        g = GroupElement(kind, _drifted(kind, w, t, u, defect))
+        assert _defect(g.matrix) <= 1e-12
+        out = lie_step(g, AlgebraElement.zero(g.algebra_kind), 1.0)
+        assert out.matrix.tobytes() == g.matrix.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(kind=_kind, w=_vec3, t=_vec3, u=_unit3, log_defect=st.floats(np.log10(1.2e-9), -6.0))
+    def test_large_drift_still_rejected(self, kind, w, t, u, log_defect):
+        m = _drifted(kind, w, t, u, 10.0**log_defect)
+        assume(_defect(m) > 1.05e-9)
+        with pytest.raises(ProjectionFailureError):
+            GroupElement(kind, m)
+
+
 class TestBlowup:
     CASES = {
         "non_finite": np.array([0.1, np.nan, 0.0, 0.2, 0.1, 0.0]),
@@ -222,11 +295,11 @@ class TestBlowup:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     @pytest.mark.parametrize("side", ["left", "right", "split"])
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("interval", [1, 2])
-    def test_se3_blowup(self, method, side, case, interval):
+    @pytest.mark.parametrize("h", [1, 2])
+    def test_se3_blowup(self, method, side, case, h):
         xi = AlgebraElement("se3", self.CASES[case])
         r = SplitRate(body=xi, spatial=xi) if side == "split" else xi
-        config = IntegratorConfig(method=method, h=1.0, t_final=8.0, projection_interval=interval)
+        config = IntegratorConfig(method=method, h=h, t_final=8.0)
         with pytest.raises(NumericalBlowupError):
             integrate_system(
                 lambda t, s: {"S": r}, config, {"S": GroupElement.identity("SE3")}, sides={"S": side}
