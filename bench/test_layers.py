@@ -80,7 +80,7 @@ def test_act_attitude_direction_pair(benchmark):
 
 
 def test_lie_euler_attitude_step(benchmark):
-    """One noiseless attitude observer step, as ``simulate_attitude_observer``
+    """One noiseless attitude observer step, as ``simulate_observer``
     takes it (plus integrate_system's fixed cost for a one-step run)."""
     prob = systems.attitude_problem()
 
@@ -115,4 +115,4 @@ def test_write_csv_100_rows(benchmark, tmp_path):
         for i in range(100)
     ]
     benchmark.extra_info["rows"] = len(rows)
-    benchmark(cli.write_csv, tmp_path / "rows.csv", rows, 9, 9)
+    benchmark(cli.write_csv, tmp_path / "rows.csv", rows)

@@ -24,7 +24,7 @@ from . import groups
 from .actions import ActionSpec, Point, act
 from .errors import KindMismatchError, NotFiberInjectiveError, OriginError
 from .groups import SE3, SO3, AlgebraElement, GroupElement
-from .sampling import rng_from
+from .sampling import random_group, rng_from
 
 _ORIGIN_EPS = 1e-12
 
@@ -169,7 +169,7 @@ def slam_bundle(n_landmarks: int = 6) -> CrossSection:
 
 def slam_section(p: Point) -> BundlePoint:
     """Decompose a SLAM state: base = (I, S^-1 Lbar_i), fiber = S."""
-    S, L = p.value
+    _, L = p.value
     return decompose(slam_bundle(L.shape[1]), p)
 
 
@@ -208,8 +208,6 @@ def associated_section_from_output(
     sampler = state_action.sample_point
     if sampler is None:
         raise ValueError("state action needs a point sampler to certify fiber injectivity")
-    from .sampling import random_group
-
     for _ in range(samples):
         p = sampler(rng)
         g = random_group(state_action.group_kind, rng)

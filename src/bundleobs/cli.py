@@ -1,8 +1,9 @@
 """Command-line driver: run scenario files, audit symmetry properties.
 
 Scenario files are flat ``key = value`` text (``#`` comments, no unknown keys).
-Each run writes ``<name>_trajectory.csv`` and ``<name>_report.txt``; the CSV
-is byte-identical for identical scenario + seed.
+Each run writes ``<name>_trajectory.csv`` and ``<name>_report.txt`` inside
+the output directory (``name`` must be a plain file name); the CSV is
+byte-identical for identical scenario + seed.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from . import actions as ac
 from . import bundle, observer, systems
 from .errors import BundleobsError, ConfigError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, exp, log
-from .integrate import IntegratorConfig, Trajectory, integrate_system
-from .sampling import random_landmarks, rng_from
+from .integrate import IntegratorConfig, integrate_system
+from .sampling import random_algebra, random_landmarks, random_rotation, rng_from
 
 SYSTEMS = ("attitude", "slam_continuous", "slam_discrete", "sphere_split_demo")
 AUDIT_MODES = ("equivariance", "gradient", "autonomy")
@@ -49,9 +50,11 @@ def parse_scenario(path: Path) -> dict:
     raw = dict(_DEFAULTS)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scenario file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
+        if "\0" in line:
+            raise ConfigError(f"{path}:{lineno}: NUL byte in scenario line")
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -66,6 +69,9 @@ def parse_scenario(path: Path) -> dict:
 
     if "name" not in raw or not raw["name"]:
         raise ConfigError(f"{path}: scenario needs a nonempty 'name'")
+    # the name becomes part of two file names inside the output directory
+    if raw["name"] in (".", "..") or Path(raw["name"]).name != raw["name"]:
+        raise ConfigError(f"{path}: name must be a plain file name, got {raw['name']!r}")
     if raw["system"] not in SYSTEMS:
         raise ConfigError(f"{path}: unknown system {raw['system']!r}; options: {SYSTEMS}")
 
@@ -98,8 +104,8 @@ def parse_scenario(path: Path) -> dict:
         raise ConfigError(f"{path}: gain, h, t_final, noise, initial_error and omega must be finite")
     if scen["gain"] <= 0:
         raise ConfigError(f"{path}: gain must be > 0")
-    if scen["noise"] < 0:
-        raise ConfigError(f"{path}: noise must be >= 0")
+    if not 0 <= 2 * scen["noise"] < math.inf:  # noise is drawn from [-noise, noise]
+        raise ConfigError(f"{path}: noise must be >= 0 with 2 * noise finite")
     if scen["seed"] < 0:
         raise ConfigError(f"{path}: seed must be >= 0")
     if len(scen["initial_error"]) not in _ERROR_LENGTHS[scen["system"]]:
@@ -136,11 +142,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_csv(path: Path, rows: list[dict], n_state: int, n_est: int) -> None:
+def write_csv(path: Path, rows: list[dict]) -> None:
+    """Write rows of t, state, estimate, Ve and zeta_e_norm; the first row sets the widths."""
     header = (
         ["t"]
-        + [f"state_{i}" for i in range(n_state)]
-        + [f"estimate_{i}" for i in range(n_est)]
+        + [f"state_{i}" for i in range(len(rows[0]["state"]))]
+        + [f"estimate_{i}" for i in range(len(rows[0]["estimate"]))]
         + ["Ve", "zeta_e_norm"]
     )
     lines = [", ".join(header)]
@@ -157,80 +164,37 @@ def _monotone_verdict(ve: np.ndarray, slack: float = 1e-9) -> str:
     return "yes" if np.all(np.diff(ve) <= slack) else "no"
 
 
-def _traj_rows(traj: Trajectory, state_key: str, est_key: str) -> list[dict]:
-    rows = []
+def _run_observer(scen: dict) -> tuple[list[dict], list[str]]:
+    """The gradient observer run of the attitude and slam_continuous systems."""
+    config = _integrator_config(scen)
+    if scen["system"] == "attitude":
+        prob, measure = systems.attitude_problem(), systems.measure_attitude
+        omega = _omega_fn(scen["omega"])
+        u = lambda t: AlgebraElement("so3", omega(t))
+        xi0, (true, est), label = scen["initial_error"], ("R", "Rhat"), "final_error_angle_rad"
+    else:
+        L = random_landmarks(rng_from(scen["seed"]), scen["n_landmarks"])
+        prob = systems.slam_problem(L)
+        measure = lambda S, amp, rng: systems.measure_landmarks(S, L, amp, rng)
+        u = lambda t: AlgebraElement("se3", np.array([0.2, 0.0, 0.1, np.sin(t), np.cos(2.0 * t), 0.5]))
+        xi0, (true, est), label = _initial_twist(scen["initial_error"]), ("S", "Shat"), "final_error_twist_norm"
+    state0 = {true: exp(AlgebraElement(prob.algebra_kind, xi0)), est: GroupElement.identity(prob.group_kind)}
+    traj = systems.simulate_observer(prob, measure, u, state0, scen["gain"], config, scen["noise"], scen["seed"])
     ve = traj.extras["Ve"]
-    zn = traj.extras["zeta_e_norm"]
-    for i, (t, state) in enumerate(zip(traj.times, traj.states)):
-        rows.append(
-            {
-                "t": t,
-                "state": state[state_key].matrix.ravel(),
-                "estimate": state[est_key].matrix.ravel(),
-                "Ve": ve[i],
-                "zeta_e_norm": zn[i],
-            }
-        )
-    return rows
-
-
-def _run_attitude(scen: dict) -> tuple[list[dict], list[str], int, int]:
-    config = _integrator_config(scen)
-    R0 = exp(AlgebraElement("so3", scen["initial_error"]))
-    att = systems.AttitudeScenario(
-        omega=_omega_fn(scen["omega"]),
-        gain=scen["gain"],
-        noise_amp=scen["noise"],
-        seed=scen["seed"],
-    )
-    traj = systems.simulate_attitude_observer(R0, GroupElement.identity("SO3"), att, config)
-    rows = _traj_rows(traj, "R", "Rhat")
+    rows = [
+        {"t": t, "state": s[true].matrix.ravel(), "estimate": s[est].matrix.ravel(), "Ve": v, "zeta_e_norm": z}
+        for t, s, v, z in zip(traj.times, traj.states, ve, traj.extras["zeta_e_norm"])
+    ]
     final = traj.states[-1]
-    e_g = observer.group_error(systems.attitude_problem(), final["R"], final["Rhat"])
-    angle = log(e_g).norm()
-    ve = np.array([r["Ve"] for r in rows])
     report = [
         f"final_Ve: {_fmt(ve[-1])}",
-        f"final_error_angle_rad: {_fmt(angle)}",
+        f"{label}: {_fmt(log(observer.group_error(prob, final[true], final[est])).norm())}",
         f"Ve_monotone_nonincreasing: {_monotone_verdict(ve)}",
     ]
-    return rows, report, 9, 9
+    return rows, report
 
 
-def _run_slam_continuous(scen: dict) -> tuple[list[dict], list[str], int, int]:
-    config = _integrator_config(scen)
-    rng = rng_from(scen["seed"])
-    L = random_landmarks(rng, scen["n_landmarks"])
-    S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
-
-    def twist(t):
-        return AlgebraElement(
-            "se3", np.array([0.2, 0.0, 0.1, np.sin(t), np.cos(2.0 * t), 0.5])
-        )
-
-    traj = systems.simulate_slam_observer(
-        S0,
-        GroupElement.identity("SE3"),
-        L,
-        twist,
-        scen["gain"],
-        config,
-        noise_amp=scen["noise"],
-        seed=scen["seed"],
-    )
-    rows = _traj_rows(traj, "S", "Shat")
-    final = traj.states[-1]
-    e_g = observer.group_error(systems.slam_problem(L), final["S"], final["Shat"])
-    ve = np.array([r["Ve"] for r in rows])
-    report = [
-        f"final_Ve: {_fmt(ve[-1])}",
-        f"final_error_twist_norm: {_fmt(log(e_g).norm())}",
-        f"Ve_monotone_nonincreasing: {_monotone_verdict(ve)}",
-    ]
-    return rows, report, 16, 16
-
-
-def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str], int, int]:
+def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str]]:
     rng = rng_from(scen["seed"])
     L = random_landmarks(rng, scen["n_landmarks"])
     S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
@@ -269,10 +233,10 @@ def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str], int, int]:
         f"max_recovery_error: {_fmt(max_err)}",
         f"Ve_monotone_nonincreasing: {_monotone_verdict(np.array([r['Ve'] for r in rows]), 1e-12)}",
     ]
-    return rows, report, 16, 16
+    return rows, report
 
 
-def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str], int, int]:
+def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str]]:
     config = _integrator_config(scen)
     q0 = np.array([2.0, 1.0, -0.5]) + scen["initial_error"]
 
@@ -304,12 +268,12 @@ def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str], int, int]
         f"max_split_residual: {_fmt(max(np.sqrt(r['Ve']) for r in rows))}",
         f"Ve_monotone_nonincreasing: {_monotone_verdict(np.array([r['Ve'] for r in rows]), 1e-12)}",
     ]
-    return rows, report, 3, 3
+    return rows, report
 
 
 _RUNNERS = {
-    "attitude": _run_attitude,
-    "slam_continuous": _run_slam_continuous,
+    "attitude": _run_observer,
+    "slam_continuous": _run_observer,
     "slam_discrete": _run_slam_discrete,
     "sphere_split_demo": _run_sphere_split_demo,
 }
@@ -321,10 +285,13 @@ def run_scenario(path: Path, out_dir: Path | None = None) -> int:
         scen = parse_scenario(path)
         target = Path(out_dir) if out_dir is not None else Path(scen["out_dir"])
         with np.errstate(over="ignore"):  # an overflow ends as NumericalBlowupError, not a warning
-            rows, report, n_state, n_est = _RUNNERS[scen["system"]](scen)
-        write_csv(target / f"{scen['name']}_trajectory.csv", rows, n_state, n_est)
+            rows, report = _RUNNERS[scen["system"]](scen)
         header = [f"scenario: {scen['name']}", f"system: {scen['system']}"]
-        (target / f"{scen['name']}_report.txt").write_text("\n".join(header + report) + "\n")
+        try:
+            write_csv(target / f"{scen['name']}_trajectory.csv", rows)
+            (target / f"{scen['name']}_report.txt").write_text("\n".join(header + report) + "\n")
+        except OSError as exc:  # e.g. a directory in the way, a name too long, no permission
+            raise ConfigError(f"cannot write outputs to {target}: {exc}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -400,8 +367,6 @@ def _slam_y_sample(rng):
 
 
 def _sample_slam_input(rng):
-    from .sampling import random_algebra
-
     return (random_algebra("se3", rng), np.vstack([rng.normal(size=(3, 6)), np.zeros((1, 6))]))
 
 
@@ -410,8 +375,6 @@ def _audit_gradient(samples: int, seed: int) -> list[tuple[str, float, float]]:
     rng = rng_from(seed)
     worst = 0.0
     for _ in range(samples):
-        from .sampling import random_rotation
-
         g_est = random_rotation(rng)
         y = systems.measure_attitude(random_rotation(rng))
         num = observer.zeta_e_numeric(prob, g_est, y)
@@ -423,8 +386,6 @@ def _audit_gradient(samples: int, seed: int) -> list[tuple[str, float, float]]:
 
 def _audit_autonomy(samples: int, seed: int) -> list[tuple[str, float, float]]:
     rng = rng_from(seed)
-    from .sampling import random_rotation
-
     config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=2.0)
     e0 = exp(AlgebraElement("so3", np.array([0.5, -0.3, 0.8])))
     att = systems.AttitudeScenario(omega=_omega_fn("standard"))

@@ -1,5 +1,9 @@
 """Concrete systems: attitude kinematics with two direction measurements,
-sphere kinematics, and SLAM with discrete-time relative-pose recovery."""
+sphere kinematics, and SLAM with discrete-time relative-pose recovery.
+
+The attitude and continuous SLAM observers are one run, ``simulate_observer``,
+given a problem, a measurement and an input; ``simulate_attitude_observer``
+and ``simulate_slam_observer`` only supply those."""
 
 from __future__ import annotations
 
@@ -11,7 +15,7 @@ import numpy as np
 from . import actions as ac
 from . import groups, observer
 from .actions import Point
-from .errors import DimensionError, RankDeficiencyError
+from .errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from .groups import SE3, SO3, AlgebraElement, GroupElement, Metric
 from .integrate import IntegratorConfig, Trajectory, integrate_system
 from .observer import ObserverProblem, zeta_e
@@ -24,24 +28,55 @@ E3 = np.array([0.0, 0.0, 1.0])
 _COND_LIMIT = 1e12
 
 
-def _noiseless_zeta_e(prob: ObserverProblem, measure, true_key: str, est_key: str):
-    """Return ``state -> (y, zeta_e)`` at the state's noiseless output.
+# -- the gradient observer run --
 
-    ``record`` and a noiseless ``rate`` ask for it at the same state one after
-    the other.  The answer for the last state is kept, keyed on the identity
-    of its (immutable) true and estimated group elements, so each state costs
-    one measurement and one zeta_e.
+def simulate_observer(
+    prob: ObserverProblem,
+    measure: Callable,
+    u: Callable[[float], AlgebraElement],
+    state0: dict,
+    gain: float,
+    config: IntegratorConfig,
+    noise_amp: float = 0.0,
+    seed: int = 42,
+) -> Trajectory:
+    """Integrate a true state g' = g u(t)^ alongside the gradient pre-observer.
+
+    ``state0`` maps the true state's name, then the estimate's, to their
+    initial group elements; ``measure(g, noise_amp, rng)`` gives the output.
+    The observer sees the (possibly noisy) input and output; noise on the
+    input is drawn before noise on the output.  The recorded V^e and
+    ||zeta_e|| use the noiseless ones.  ``record`` and a noiseless ``rate``
+    ask for them at the same state one after the other, so the answer for
+    the last state is kept, keyed on the identity of its (immutable) group
+    elements: each state costs one measurement and one zeta_e.
     """
+    true, est = state0
+    rng = rng_from(seed)
     last = [None, None, None]
 
-    def at(state):
-        g, g_est = state[true_key], state[est_key]
+    def clean(state):
+        g, g_est = state[true], state[est]
         if last[0] is not g or last[1] is not g_est:
-            y = measure(g)
+            y = measure(g, 0.0, None)
             last[:] = [g, g_est, (y, zeta_e(prob, g_est, y))]
         return last[2]
 
-    return at
+    def rate(t, state):
+        v = u(t)
+        if noise_amp > 0.0:
+            v_meas = AlgebraElement(v.kind, v.vec + rng.uniform(-noise_amp, noise_amp, size=len(v.vec)))
+            y, ze = measure(state[true], noise_amp, rng), None
+        else:
+            v_meas = v
+            y, ze = clean(state)
+        return {true: v, est: observer.preobserver_split_rate(prob, state[est], y, v_meas, gain, ze)}
+
+    def record(t, state):
+        e_g = observer.group_error(prob, state[true], state[est])
+        return {"Ve": prob.error_cost(e_g), "zeta_e_norm": clean(state)[1].norm()}
+
+    return integrate_system(rate, config, state0, record=record)
 
 
 # -- attitude --
@@ -112,34 +147,10 @@ def simulate_attitude_observer(
     scenario: AttitudeScenario,
     config: IntegratorConfig,
 ) -> Trajectory:
-    """Integrate true attitude and pre-observer together.
-
-    Records V^e and ||zeta_e|| per sample; the observer sees the (possibly
-    noisy) measured rate and directions, the recorded diagnostics use the
-    noiseless ones.
-    """
-    prob = attitude_problem()
-    rng = rng_from(scenario.seed)
-    noise = scenario.noise_amp
-    clean = _noiseless_zeta_e(prob, measure_attitude, "R", "Rhat")
-
-    def rate(t, state):
-        om = AlgebraElement("so3", scenario.omega(t))
-        if noise > 0:
-            om_meas = AlgebraElement("so3", om.vec + rng.uniform(-noise, noise, size=3))
-            y, ze = measure_attitude(state["R"], noise, rng), None
-        else:
-            om_meas = om
-            y, ze = clean(state)
-        est_rate = observer.preobserver_split_rate(prob, state["Rhat"], y, om_meas, scenario.gain, ze)
-        return {"R": om, "Rhat": est_rate}
-
-    def record(t, state):
-        e_g = observer.group_error(prob, state["R"], state["Rhat"])
-        return {"Ve": prob.error_cost(e_g), "zeta_e_norm": clean(state)[1].norm()}
-
-    return integrate_system(
-        rate, config, {"R": R0, "Rhat": R_est0}, sides={"R": "left", "Rhat": "left"}, record=record
+    """``simulate_observer`` of the attitude problem, states ``R`` and ``Rhat``."""
+    return simulate_observer(
+        attitude_problem(), measure_attitude, lambda t: AlgebraElement("so3", scenario.omega(t)),
+        {"R": R0, "Rhat": R_est0}, scenario.gain, config, scenario.noise_amp, scenario.seed,
     )
 
 
@@ -154,8 +165,7 @@ def simulate_error_dynamics(
     def record(t, state):
         return {"Ve": prob.error_cost(state["e"])}
 
-    side = "left" if prob.handedness == "left" else "right"
-    return integrate_system(rate, config, {"e": e0}, sides={"e": side}, record=record)
+    return integrate_system(rate, config, {"e": e0}, sides={"e": prob.handedness}, record=record)
 
 
 # -- sphere kinematics --
@@ -213,6 +223,8 @@ def slam_discrete_recover(M_k, M_k1) -> GroupElement:
     if M_k.shape != M_k1.shape or M_k.shape[0] != 4 or M_k.shape[1] < 4:
         raise DimensionError("measurement matrices must be matching 4xN with N >= 4")
     gram = M_k1 @ M_k1.T
+    if not groups._all_finite(gram):  # LAPACK would print to stdout and call it rank deficient
+        raise NumericalBlowupError("non-finite landmark measurements")
     if np.linalg.cond(gram) >= _COND_LIMIT:
         raise RankDeficiencyError(
             "M M^T is singular or ill-conditioned (coplanar or too few landmarks)"
@@ -260,29 +272,11 @@ def simulate_slam_observer(
     noise_amp: float = 0.0,
     seed: int = 42,
 ) -> Trajectory:
-    """Integrate true pose S' = S V^ alongside the gradient pre-observer."""
+    """``simulate_observer`` of the SLAM pose problem, states ``S`` and ``Shat``."""
     L = np.asarray(landmarks, dtype=float)
-    prob = slam_problem(L)
-    rng = rng_from(seed)
-    clean = _noiseless_zeta_e(prob, lambda S: measure_landmarks(S, L), "S", "Shat")
-
-    def rate(t, state):
-        V = twist(t)
-        if noise_amp > 0.0:
-            V_meas = AlgebraElement("se3", V.vec + rng.uniform(-noise_amp, noise_amp, size=6))
-            y, ze = measure_landmarks(state["S"], L, noise_amp, rng), None
-        else:
-            V_meas = V
-            y, ze = clean(state)
-        est_rate = observer.preobserver_split_rate(prob, state["Shat"], y, V_meas, gain, ze)
-        return {"S": V, "Shat": est_rate}
-
-    def record(t, state):
-        e_g = observer.group_error(prob, state["S"], state["Shat"])
-        return {"Ve": prob.error_cost(e_g), "zeta_e_norm": clean(state)[1].norm()}
-
-    return integrate_system(
-        rate, config, {"S": S0, "Shat": S_est0}, sides={"S": "left", "Shat": "left"}, record=record
+    return simulate_observer(
+        slam_problem(L), lambda S, amp, rng: measure_landmarks(S, L, amp, rng), twist,
+        {"S": S0, "Shat": S_est0}, gain, config, noise_amp, seed,
     )
 
 

@@ -1,10 +1,13 @@
 """Scenario CLI: parsing, runs, reports, audits, exit codes, determinism."""
 
 import hashlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleobs import cli
 from bundleobs.errors import ConfigError
@@ -209,6 +212,8 @@ class TestInputContract:
             ({"initial_error": "0.1 0.2 0.3 0 0 0"}, "initial_error"),
             ({"system": "slam_continuous", "n_landmarks": "1000000000"}, "n_landmarks"),
             ({"n_landmarks": "1000000000"}, "n_landmarks"),
+            # the uniform draw from [-noise, noise] overflows its range
+            ({"noise": "1.7976931348623157e308"}, "noise"),
         ],
     )
     def test_rejected_at_parse_exit_2(self, tmp_path, capsys, overrides, message):
@@ -236,6 +241,46 @@ class TestInputContract:
         assert "steps" in capsys.readouterr().err
         assert not list(tmp_path.glob("*_trajectory.csv"))
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [("{tmp}/elsewhere/x", "plain file name"), ("a\0b", "NUL"), (".", "plain file name"),
+         ("..", "plain file name")],
+        ids=["absolute", "nul", "dot", "dotdot"],
+    )
+    def test_name_not_plain_file_name_exit_2(self, tmp_path, capsys, name, message):
+        f = write_scenario(tmp_path / "a.scn", name=name.format(tmp=tmp_path))
+        with pytest.raises(ConfigError, match=message):
+            cli.parse_scenario(f)
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "run", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["a.scn"]
+
+    @pytest.mark.parametrize("text", ["seed = 7\0\n", "# \0\n"], ids=["value", "comment"])
+    def test_nul_in_any_line_exit_2(self, tmp_path, text):
+        f = write_scenario(tmp_path / "a.scn")
+        f.write_text(f.read_text() + text)
+        with pytest.raises(ConfigError, match="NUL"):
+            cli.parse_scenario(f)
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "run", str(f)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_undecodable_file_exit_2(self, tmp_path, capsys):
+        f = tmp_path / "a.scn"
+        f.write_bytes(b"name = \xff\n")
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "run", str(f)]) == 2
+        assert "cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_output_path_is_directory_exit_2(self, tmp_path, capsys):
+        f = write_scenario(tmp_path / "a.scn", name="d", t_final="0.02")
+        (tmp_path / "out" / "d_trajectory.csv").mkdir(parents=True)
+        assert cli.main(["--out-dir", str(tmp_path / "out"), "run", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*"))
+        assert written == ["a.scn", "out", "out/d_trajectory.csv"]
+
     def test_constant_omega_runs(self, tmp_path):
         f = write_scenario(tmp_path / "a.scn", omega="0.1 -0.2 0.3", t_final="0.2")
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
@@ -249,6 +294,48 @@ class TestInputContract:
         assert cli.main(["--out-dir", str(tmp_path), "run", str(a), str(b)]) == 0
         d3 = (tmp_path / "d3_trajectory.csv").read_bytes()
         assert d3 == (tmp_path / "d6_trajectory.csv").read_bytes()
+
+
+# scenario values for the fuzz test below; each run keeps a tiny valid scenario
+# except for up to two keys, so that many runs get past parsing
+_NUMBER = st.one_of(
+    st.sampled_from(["nan", "inf", "-inf", "1e300", "-1e300", "1.7976931348623157e308", "0", "-0.0", "-1", "0.5"]),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+)
+_VECTOR = st.one_of(*(st.lists(_NUMBER, min_size=n, max_size=n) for n in (3, 6)),
+                    st.lists(_NUMBER, max_size=7)).map(" ".join)
+_FUZZ = {
+    "name": st.one_of(st.sampled_from(["/abs/x", "a/b", ".", "..", "a\0b", "x" * 300]), st.text(max_size=12)),
+    "method": st.sampled_from(["rk4_cg", "euler", ""]),
+    "gain": _NUMBER,
+    "noise": _NUMBER,
+    "initial_error": _VECTOR,
+    "omega": _VECTOR,
+    # with h >= 0.005 and t_final <= 0.02 a run is at most 4 steps long
+    "h": st.sampled_from(["nan", "inf", "-1e300", "1e300", "0", "-0.01", "1e-300", "0.005", "0.02"]),
+    "t_final": st.sampled_from(["nan", "inf", "-1e300", "-0.01", "0", "1e-300", "0.01"]),
+    "n_steps": st.sampled_from(["-1", "0", "1"]),
+    "n_landmarks": st.sampled_from(["-1", "0", "1", "3", "4", str(cli.MAX_LANDMARKS), str(cli.MAX_LANDMARKS + 1)]),
+    "seed": st.sampled_from(["0", "-1", str(2**70)]),
+}
+
+
+@st.composite
+def _scenarios(draw):
+    fields = {"name": "fz", "system": draw(st.sampled_from(cli.SYSTEMS)), "h": "0.01", "t_final": "0.02",
+              "n_steps": "3", "noise": draw(st.sampled_from(["0", "0.01"]))}
+    for key in draw(st.lists(st.sampled_from(sorted(_FUZZ)), max_size=2, unique=True)):
+        fields[key] = draw(_FUZZ[key])
+    return fields
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_scenarios())
+def test_fuzzed_scenarios_exit_0_2_or_3(fields):
+    with tempfile.TemporaryDirectory() as tmp:
+        f = Path(tmp) / "fuzz.scn"
+        f.write_text("\n".join(f"{k} = {v}" for k, v in fields.items()) + "\n", encoding="utf-8")
+        assert cli.main(["--out-dir", str(Path(tmp) / "out"), "run", str(f)]) in (0, 2, 3)
 
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"

@@ -6,7 +6,7 @@ import pytest
 from bundleobs import actions as ac
 from bundleobs import bundle, observer, systems
 from bundleobs.actions import Point, act
-from bundleobs.errors import DimensionError, RankDeficiencyError
+from bundleobs.errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
 from bundleobs.integrate import IntegratorConfig, integrate_system
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
@@ -113,6 +113,13 @@ class TestSlamDiscrete:
         M = random_landmarks(rng, 3)
         with pytest.raises(DimensionError):
             systems.slam_discrete_recover(M, M)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_non_finite_measurements(self, capfd):
+        M = np.vstack([np.full((3, 6), 1e300), np.ones((1, 6))])
+        with pytest.raises(NumericalBlowupError, match="non-finite"):
+            systems.slam_discrete_recover(M, M)
+        assert capfd.readouterr().out == ""
 
     def test_chain_recovery_50_steps(self):
         rng = rng_from(10)
@@ -271,20 +278,24 @@ class TestSharedNoiselessZetaE:
             np.testing.assert_array_equal(s["Rhat"].matrix, r["Rhat"].matrix)
             assert zn == observer.zeta_e(prob, s["Rhat"], systems.measure_attitude(s["R"])).norm()
 
-    def test_slam_matches_unshared_loop(self):
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("noise", [0.0, 0.005])
+    def test_slam_matches_unshared_loop(self, method, noise):
         L = random_landmarks(rng_from(19), 6)
         prob = systems.slam_problem(L)
-        config = IntegratorConfig(method="lie_euler", h=1e-2, t_final=0.2)
+        config = IntegratorConfig(method=method, h=1e-2, t_final=0.2)
         V = AlgebraElement("se3", np.array([0.1, 0.0, 0.05, 0.2, -0.1, 0.3]))
         S0 = exp(AlgebraElement("se3", np.array([0.2, -0.1, 0.3, 0.3, -0.2, 0.4])))
         state0 = {"S": S0, "Shat": GroupElement.identity("SE3")}
         traj = systems.simulate_slam_observer(
-            S0, state0["Shat"], L, lambda t: V, gain=1.5, config=config
+            S0, state0["Shat"], L, lambda t: V, gain=1.5, config=config, noise_amp=noise, seed=3
         )
+        rng = rng_from(3)
 
         def rate(t, state):
-            y = systems.measure_landmarks(state["S"], L)
-            return {"S": V, "Shat": observer.preobserver_split_rate(prob, state["Shat"], y, V, 1.5)}
+            V_meas = AlgebraElement("se3", V.vec + rng.uniform(-noise, noise, size=6)) if noise > 0 else V
+            y = systems.measure_landmarks(state["S"], L, noise, rng)
+            return {"S": V, "Shat": observer.preobserver_split_rate(prob, state["Shat"], y, V_meas, 1.5)}
 
         ref = integrate_system(rate, config, state0, sides={"S": "left", "Shat": "left"})
         for s, r, zn in zip(traj.states, ref.states, traj.extras["zeta_e_norm"]):
