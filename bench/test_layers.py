@@ -65,6 +65,18 @@ def test_zeta_e_numeric_slam6(benchmark):
     benchmark(observer.zeta_e_numeric, prob, S_est, y)
 
 
+@pytest.mark.parametrize("n_landmarks", [6, 24])
+def test_zeta_e_slam(benchmark, n_landmarks):
+    """``observer.zeta_e`` of the SLAM problem, whichever gradient it registers."""
+    rng = rng_from(10)
+    L = random_landmarks(rng, n_landmarks)
+    prob = systems.slam_problem(L)
+    y = systems.measure_landmarks(random_group("SE3", rng), L)
+    S_est = random_group("SE3", rng)
+    observer.zeta_e(prob, S_est, y)  # builds any per-problem probes before timing
+    benchmark(observer.zeta_e, prob, S_est, y)
+
+
 def test_act_se3_on_landmarks12(benchmark):
     """The SLAM output action on 12 landmark columns, as ``zeta_e_numeric`` calls it."""
     rng = rng_from(8)

@@ -1,7 +1,9 @@
 """SLAM with known landmarks: continuous pose observer and discrete recovery.
 
 Continuous: an SE(3) gradient observer tracks the pose from body-frame
-landmark measurements M = S^-1 Lbar. Discrete: the relative pose between
+landmark measurements M = S^-1 Lbar, with the closed-form landmark gradient
+zeta_e = 2 (sum_i a_i, sum_i lbar_i x a_i), a_i = Rhat (Shat^-1 Lbar_i - M_i)_{1..3}
+(systems.slam_zeta_e). Discrete: the relative pose between
 two measurement snapshots is recovered in closed form,
 S^k = M_k M_{k+1}^T (M_{k+1} M_{k+1}^T)^-1.
 

@@ -20,7 +20,7 @@ from . import bundle, observer, systems
 from .errors import BundleobsError, ConfigError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, exp, log
 from .integrate import IntegratorConfig, integrate_system
-from .sampling import random_algebra, random_landmarks, random_rotation, rng_from
+from .sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 
 SYSTEMS = ("attitude", "slam_continuous", "slam_discrete", "sphere_split_demo")
 AUDIT_MODES = ("equivariance", "gradient", "autonomy")
@@ -371,17 +371,19 @@ def _sample_slam_input(rng):
 
 
 def _audit_gradient(samples: int, seed: int) -> list[tuple[str, float, float]]:
-    prob = systems.attitude_problem(analytic=False)
     rng = rng_from(seed)
-    worst = 0.0
-    for _ in range(samples):
-        g_est = random_rotation(rng)
-        y = systems.measure_attitude(random_rotation(rng))
-        num = observer.zeta_e_numeric(prob, g_est, y)
-        ana = systems.attitude_zeta_e(g_est, y)
-        denom = max(ana.norm(), 1e-12)
-        worst = max(worst, float(np.linalg.norm(num.vec - ana.vec)) / denom)
-    return [("attitude zeta_e analytic vs numeric (relative)", worst, 1e-5)]
+    L = random_landmarks(rng, 6)
+    measures = {"attitude": (systems.attitude_problem(), systems.measure_attitude),
+                "slam": (systems.slam_problem(L), lambda S: systems.measure_landmarks(S, L))}
+    results = []
+    for name, (prob, measure) in measures.items():
+        worst = 0.0
+        for _ in range(samples):
+            g_est, y = random_group(prob.group_kind, rng), measure(random_group(prob.group_kind, rng))
+            num, ana = observer.zeta_e_numeric(prob, g_est, y), observer.zeta_e(prob, g_est, y)
+            worst = max(worst, float(np.linalg.norm(num.vec - ana.vec)) / max(ana.norm(), 1e-12))
+        results.append((f"{name} zeta_e analytic vs numeric (relative)", worst, 1e-5))
+    return results
 
 
 def _audit_autonomy(samples: int, seed: int) -> list[tuple[str, float, float]]:

@@ -4,8 +4,8 @@ An ObserverProblem packages the output action, reference output, invariant
 cost, and metric.  The correction direction zeta_e is the metric dual of the
 differential of the error cost; it depends only on the estimate and the
 measurement, which is what makes the error dynamics autonomous.  An analytic
-zeta_e can be registered; otherwise a central-difference gradient over the
-algebra basis is used.
+differential can be registered and is dualized through the metric like the
+central-difference gradient over the algebra basis, which is used otherwise.
 """
 
 from __future__ import annotations
@@ -119,9 +119,10 @@ def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> Alge
 
 
 def zeta_e(prob: ObserverProblem, g_est: GroupElement, y: Point) -> AlgebraElement:
-    if prob.zeta_e_analytic is not None:
-        return prob.zeta_e_analytic(g_est, y)
-    return zeta_e_numeric(prob, g_est, y)
+    if prob.zeta_e_analytic is None:
+        return zeta_e_numeric(prob, g_est, y)
+    ze, scale = prob.zeta_e_analytic(g_est, y), prob.metric.scale
+    return ze if scale == 1.0 else AlgebraElement(ze.kind, ze.vec / scale)  # x / 1.0 is x
 
 
 def innovation(prob: ObserverProblem, g_est: GroupElement, y: Point, gain: float = 1.0) -> AlgebraElement:

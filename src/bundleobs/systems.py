@@ -196,11 +196,22 @@ def slam_landmark_cost(y: Point, y_est: Point) -> float:
     return float((d * d).sum())
 
 
+def slam_zeta_e(landmarks: np.ndarray, S_est: GroupElement, y: Point) -> AlgebraElement:
+    """Landmark gradient 2 (sum_i a_i, sum_i lbar_i x a_i), twist order (linear, angular), for
+    a_i = R~ (S~^-1 Lbar_i - y_i)_{1..3} = lbar_i - p~ - R~ y_i; sum_i lbar_i x a_i is read off A lbar^T."""
+    if y.value.shape != landmarks.shape:
+        raise DimensionError(f"landmark count mismatch: {y.value.shape} vs {landmarks.shape}")
+    lbar, m = landmarks[:3], S_est.matrix
+    A = lbar - m[:3, 3:] - m[:3, :3] @ y.value[:3]
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = (A @ lbar.T).tolist()
+    return AlgebraElement("se3", 2.0 * np.array([*A.sum(axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01]))
+
+
 def slam_problem(landmarks) -> ObserverProblem:
     """Left-observed SE(3) pose observer from body-frame landmark columns.
 
     y0 holds the inertial landmarks, so y = S^-1 Lbar_i reproduces the
-    measurements; zeta_e comes from the numeric gradient.
+    measurements; zeta_e is ``slam_zeta_e`` (Vasconcelos et al., Systems & Control Letters 2010).
     """
     L = np.asarray(landmarks, dtype=float)
     return ObserverProblem(
@@ -209,6 +220,7 @@ def slam_problem(landmarks) -> ObserverProblem:
         output_action=ac.se3_on_landmarks(L.shape[1]),
         y0=Point(ac.LANDMARKS, L),
         cost=slam_landmark_cost,
+        zeta_e_analytic=lambda S_est, y: slam_zeta_e(L, S_est, y),
     )
 
 

@@ -83,6 +83,22 @@ class TestZetaE:
         z3 = observer.zeta_e_numeric(scaled, g_est, y)
         np.testing.assert_allclose(z3.vec, 3.0 * z1.vec, atol=1e-6)
 
+    @pytest.mark.parametrize("system", ["attitude", "slam"])
+    def test_analytic_dualized_through_metric(self, system):
+        rng = rng_from(11)
+        if system == "attitude":
+            unit = attitude_problem()
+            g_est, y = random_rotation(rng), measure_attitude(random_rotation(rng))
+        else:
+            L = random_landmarks(rng, 6)
+            unit = slam_problem(L)
+            g_est, y = random_group("SE3", rng), measure_landmarks(random_group("SE3", rng), L)
+        scaled = dataclasses.replace(unit, metric=Metric(2.0))
+        ana = observer.zeta_e(scaled, g_est, y)
+        num = observer.zeta_e_numeric(scaled, g_est, y)
+        assert np.linalg.norm(num.vec - ana.vec) <= 1e-5 * ana.norm()
+        np.testing.assert_array_equal(ana.vec, observer.zeta_e(unit, g_est, y).vec / 2.0)
+
     def test_g_independence(self, prob):
         # measurements generated by different g on the same error coset give
         # the same zeta_e

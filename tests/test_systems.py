@@ -211,6 +211,66 @@ class TestSlamLandmarkCost:
             )
 
 
+class TestSlamZetaE:
+    """The analytic SLAM zeta_e against central differences: the SLAM twin of criterion 6."""
+
+    def test_zero_at_zero_error(self):
+        rng = rng_from(20)
+        L = random_landmarks(rng, 6)
+        S_est = random_group("SE3", rng)
+        y = systems.measure_landmarks(S_est, L)
+        assert observer.zeta_e(systems.slam_problem(L), S_est, y).norm() <= 1e-12
+
+    def test_closed_form_sum(self):
+        # a loop over landmarks with np.cross; the whole-array form sums in another order
+        rng = rng_from(23)
+        L = random_landmarks(rng, 12)
+        S_est = random_group("SE3", rng)
+        y = systems.measure_landmarks(random_group("SE3", rng), L, 0.05, rng)
+        R, p = S_est.matrix[:3, :3], S_est.matrix[:3, 3]
+        a = [R @ (R.T @ (L[:3, i] - p) - y.value[:3, i]) for i in range(12)]
+        expected = 2.0 * np.concatenate([sum(a), sum(np.cross(L[:3, i], a[i]) for i in range(12))])
+        np.testing.assert_allclose(systems.slam_zeta_e(L, S_est, y).vec, expected, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n_landmarks", [6, 12, 24])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_matches_numeric_gradient(self, n_landmarks, noise):
+        rng = rng_from(21)
+        L = random_landmarks(rng, n_landmarks)
+        prob = systems.slam_problem(L)
+        worst = 0.0
+        for _ in range(100):
+            S_est = random_group("SE3", rng)
+            y = systems.measure_landmarks(random_group("SE3", rng), L, noise, rng)
+            ana = observer.zeta_e(prob, S_est, y)
+            num = observer.zeta_e_numeric(prob, S_est, y)
+            worst = max(worst, float(np.linalg.norm(num.vec - ana.vec)) / max(ana.norm(), 1e-12))
+        assert worst <= 1e-5
+
+    @pytest.mark.parametrize("n_measured", [1, 5])
+    def test_landmark_count_mismatch(self, n_measured):
+        # a single measured column would otherwise broadcast against all six landmarks
+        rng = rng_from(24)
+        L = random_landmarks(rng, 6)
+        y = systems.measure_landmarks(random_group("SE3", rng), L[:, :n_measured])
+        with pytest.raises(DimensionError):
+            observer.zeta_e(systems.slam_problem(L), random_group("SE3", rng), y)
+
+    def test_observer_run_uses_no_finite_differences(self, monkeypatch):
+        def numeric(*args):
+            raise AssertionError("zeta_e_numeric on the SLAM observer's path")
+
+        monkeypatch.setattr(observer, "zeta_e_numeric", numeric)
+        L = random_landmarks(rng_from(22), 6)
+        S0 = exp(AlgebraElement("se3", np.array([0.2, -0.1, 0.3, 0.3, -0.2, 0.4])))
+        V = AlgebraElement("se3", np.array([0.1, 0.0, 0.05, 0.2, -0.1, 0.3]))
+        config = IntegratorConfig(method="rk4_cg", h=1e-2, t_final=0.1)
+        traj = systems.simulate_slam_observer(
+            S0, GroupElement.identity("SE3"), L, lambda t: V, gain=1.5, config=config, noise_amp=0.01
+        )
+        assert len(traj.states) == 11 and np.all(np.diff(traj.extras["Ve"]) < 0.0)
+
+
 class TestSlamObserver:
     def test_pose_estimate_converges(self):
         rng = rng_from(19)
