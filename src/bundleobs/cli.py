@@ -142,22 +142,27 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_values(row: dict) -> tuple:
+    return (row["t"], *row["state"].tolist(), *row["estimate"].tolist(), row["Ve"], row["zeta_e_norm"])
+
+
 def write_csv(path: Path, rows: list[dict]) -> None:
-    """Write rows of t, state, estimate, Ve and zeta_e_norm; the first row sets the widths."""
+    """Write rows of t, state, estimate (arrays), Ve and zeta_e_norm; the first row sets the widths.
+    All values are checked finite before the directory is made, then streamed line by line."""
     header = (
         ["t"]
         + [f"state_{i}" for i in range(len(rows[0]["state"]))]
         + [f"estimate_{i}" for i in range(len(rows[0]["estimate"]))]
         + ["Ve", "zeta_e_norm"]
     )
-    lines = [", ".join(header)]
     for row in rows:
-        vals = [row["t"], *row["state"], *row["estimate"], row["Ve"], row["zeta_e_norm"]]
-        if not all(map(math.isfinite, vals)):
+        if not all(map(math.isfinite, _csv_values(row))):
             raise NumericalBlowupError("non-finite value in trajectory output", t=row["t"])
-        lines.append(", ".join(_fmt(v) for v in vals))
+    line = ", ".join(["%.17g"] * len(header)) + "\n"  # %.17g prints as format(float(v), ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as f:
+        f.write(", ".join(header) + "\n")
+        f.writelines(line % _csv_values(row) for row in rows)
 
 
 def _monotone_verdict(ve: np.ndarray, slack: float = 1e-9) -> str:

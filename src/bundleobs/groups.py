@@ -10,7 +10,7 @@ layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ _PI_EXCLUSION = 1e-7
 _ALGEBRA_OF_GROUP = {SO3: "so3", SE3: "se3"}
 _GROUP_OF_ALGEBRA = {"so3": SO3, "se3": SE3}
 _DIM_OF_ALGEBRA = {"so3": 3, "se3": 6}
+_SIZE_OF_GROUP = {SO3: 3, SE3: 4}
 
 # shared read-only identity, so the exponentials do not build np.eye(3) per call
 _I3 = np.eye(3)
@@ -50,18 +51,15 @@ def _det3(rows) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _check_rotation(R: np.ndarray) -> float:
-    """Reject a 3x3 block that is not a rotation; return its defect.
+def _check_rotation(rows) -> float:
+    """Reject a 3x3 block, given as rows of floats, that is not a rotation; return its defect.
 
     Computes the same quantities as ``np.linalg.norm(R.T @ R - np.eye(3))``
     and ``np.linalg.det(R)`` -- the Frobenius defect from orthogonality and
-    the determinant -- in plain float arithmetic on ``R.tolist()``, which is
-    far cheaper than the generic numpy routines on a 3x3 block.  The defect
-    must not exceed ``_ORTHO_TOL`` and the determinant must be positive.
+    the determinant -- in plain float arithmetic, which is far cheaper than
+    the generic numpy routines on a 3x3 block.  The defect must not exceed
+    ``_ORTHO_TOL`` and the determinant must be positive.
     """
-    if R.shape != (3, 3):
-        raise DimensionError(f"rotation block must be 3x3, got {R.shape}")
-    rows = R.tolist()
     (a, b, c), (d, e, f), (g, h, i) = rows
     # R^T R - I is symmetric: three diagonal and three off-diagonal entries
     d00 = a * a + d * d + g * g - 1.0
@@ -82,29 +80,31 @@ def _check_rotation(R: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """An element of SO(3) or SE(3) as a (homogeneous) matrix."""
+    """An element of SO(3) or SE(3) as a (homogeneous) matrix; ``defect`` is the
+    ||R^T R - I||_F of its rotation block, which the integrators' drift gate reads."""
 
     kind: str
     matrix: np.ndarray
+    defect: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=float)  # own copy, frozen below
-        if not _all_finite(m):
+        flat = m.ravel().tolist()  # read once, for the finiteness and the rotation check
+        if not all(map(math.isfinite, flat)):
             raise NumericalBlowupError("group matrix has non-finite entries")
-        if self.kind == SO3:
-            _check_rotation(m)
-        elif self.kind == SE3:
-            if m.shape != (4, 4):
-                raise DimensionError(f"SE3 matrix must be 4x4, got {m.shape}")
-            _check_rotation(m[:3, :3])
-            if m[3].tolist() != [0.0, 0.0, 0.0, 1.0]:
-                if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-12:
-                    raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
-                m[3] = np.array([0.0, 0.0, 0.0, 1.0])
-        else:
+        n = _SIZE_OF_GROUP.get(self.kind)
+        if n is None:
             raise KindMismatchError(f"unknown group kind {self.kind!r}")
+        if m.shape != (n, n):
+            raise DimensionError(f"{self.kind} matrix must be {n}x{n}, got {m.shape}")
+        defect = _check_rotation((flat[0:3], flat[n:n + 3], flat[2 * n:2 * n + 3]))
+        if n == 4 and flat[12:] != [0.0, 0.0, 0.0, 1.0]:
+            if np.linalg.norm(m[3] - np.array([0.0, 0.0, 0.0, 1.0])) > 1e-12:
+                raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
+            m[3] = np.array([0.0, 0.0, 0.0, 1.0])
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "defect", defect)
 
     @classmethod
     def identity(cls, kind: str) -> "GroupElement":
@@ -124,14 +124,7 @@ class GroupElement:
         return self.matrix[:3, 3]
 
     def inverse(self) -> "GroupElement":
-        if self.kind == SO3:
-            return GroupElement(SO3, self.matrix.T)
-        R = self.rotation()
-        t = self.translation()
-        m = np.eye(4)
-        m[:3, :3] = R.T
-        m[:3, 3] = -R.T @ t
-        return GroupElement(SE3, m)
+        return GroupElement(self.kind, inverse_matrix(self.matrix))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         if self.kind != other.kind:
@@ -206,8 +199,8 @@ class Metric:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("metric scale must be positive")
+        if not 0 < self.scale < math.inf:  # also rejects NaN
+            raise ValueError("metric scale must be positive and finite")
 
 
 def skew(w: np.ndarray) -> np.ndarray:
@@ -248,6 +241,16 @@ def vee(zeta) -> np.ndarray:
     if m.shape == (4, 4):
         return np.concatenate([m[:3, 3], np.array([m[2, 1], m[0, 2], m[1, 0]])])
     raise DimensionError(f"vee expects a 3x3 or 4x4 matrix, got shape {m.shape}")
+
+
+def inverse_matrix(m: np.ndarray) -> np.ndarray:
+    """Inverse of an SO(3) or SE(3) matrix: R^T, or the block form (R^T, -R^T p)."""
+    if m.shape == (3, 3):
+        return m.T
+    out = np.eye(4)
+    out[:3, :3] = m[:3, :3].T
+    out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
+    return out
 
 
 def _so3_coeffs(theta: float) -> tuple[float, float, float]:

@@ -1,14 +1,14 @@
 """Fixed-step time integration on Lie groups and product state spaces.
 
 States map names to GroupElement or numpy arrays (array rates step by
-Euler/RK4).  Every group rate is a SplitRate: a plain AlgebraElement is its
-body part on side "left" and its spatial part on side "right".  One rule,
-m <- exp_matrix(h spatial) @ m @ exp_matrix(h body) on plain matrices, steps
-group states in ``lie_euler``, each ``rk4_cg`` stage and final composition,
-and ``lie_step``.  Rates are checked finite once per evaluation; each step's
-matrix goes once through the validating GroupElement constructor.  Its
-defect ||R^T R - I|| stays at rounding level; above 1e-12 it takes one
-Björck step, which squares it, instead of an SVD projection.
+Euler/RK4).  Every group rate is a SplitRate: a plain AlgebraElement or
+coordinate vector is its body part on side "left" and its spatial part on
+side "right".  Its parts, length-checked once, step group states as vectors
+under one rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in
+``lie_euler``, each ``rk4_cg`` stage and final composition, and ``lie_step``.
+Each step's matrix goes once through the validating GroupElement constructor,
+whose defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift
+gate takes one Björck step, which squares it, instead of an SVD projection.
 """
 
 from __future__ import annotations
@@ -31,15 +31,15 @@ MAX_STEPS = 1_000_000
 
 @dataclass(frozen=True)
 class SplitRate:
-    """Group rate with parts lifted on both sides: g' = spatial^ g + g body^.
+    """Group rate g' = spatial^ g + g body^; each part is an AlgebraElement or its vector.
 
     Stepped as exp(h spatial) g exp(h body), which keeps discretizations of
     observer loops exactly equivariant (the correction and the feedforward
     commute through the group error).
     """
 
-    body: AlgebraElement = None
-    spatial: AlgebraElement = None
+    body: AlgebraElement | np.ndarray | None = None
+    spatial: AlgebraElement | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -72,35 +72,41 @@ class Trajectory:
         return len(self.times)
 
 
-def _as_split(r: AlgebraElement | SplitRate, side: str, g: GroupElement) -> SplitRate:
-    """``r`` as a SplitRate whose parts lie in the algebra of ``g``'s group."""
-    if not isinstance(r, SplitRate):
-        r = SplitRate(body=r) if side == "left" else SplitRate(spatial=r)
-    for x in (r.spatial, r.body):
-        if x is not None and x.kind != g.algebra_kind:
-            raise KindMismatchError(f"cannot step {g.kind} by a {x.kind} rate")
-    return r
+def _as_split(r, side: str, g: GroupElement) -> tuple:
+    """``r`` as (spatial, body) coordinate vectors of ``g``'s algebra, None for a missing part."""
+    spatial, body = (r.spatial, r.body) if isinstance(r, SplitRate) else (None, r) if side == "left" else (r, None)
+    return _coords(spatial, g), _coords(body, g)
+
+
+def _coords(x, g: GroupElement) -> np.ndarray | None:
+    """The coordinates of an AlgebraElement or vector ``x`` (None stays None), checked to fit g's algebra."""
+    if x is None:
+        return None
+    v = x.vec if isinstance(x, AlgebraElement) else np.asarray(x, dtype=float)
+    if v.shape != (3 if g.kind == groups.SO3 else 6,):
+        raise KindMismatchError(f"cannot step {g.kind} by a rate with coordinates of shape {v.shape}")
+    return v
 
 
 def _step(g: GroupElement, steps) -> GroupElement:
-    """Apply the stepping rule to g's matrix for each (h, SplitRate) in ``steps``;
+    """Apply the stepping rule to g's matrix for each (h, (spatial, body)) in ``steps``;
     validate the result, then take one Björck step if its rotation drifted."""
     m = g.matrix
-    for h, r in steps:
-        if r.spatial is not None:
-            m = groups.exp_matrix(h * r.spatial.vec) @ m
-        if r.body is not None:
-            m = m @ groups.exp_matrix(h * r.body.vec)
+    for h, (spatial, body) in steps:
+        if spatial is not None:
+            m = groups.exp_matrix(h * spatial) @ m
+        if body is not None:
+            m = m @ groups.exp_matrix(h * body)
     g = GroupElement(g.kind, m)
-    R = g.rotation()
-    if groups._check_rotation(R) <= groups._DRIFT_TOL:
+    if g.defect <= groups._DRIFT_TOL:
         return g
+    R = g.rotation()
     m = g.matrix.copy()
     m[:3, :3] = 0.5 * (R @ (3.0 * np.eye(3) - R.T @ R))  # R (3I - R^T R) / 2, translation kept
     return GroupElement(g.kind, m)
 
 
-def lie_step(g: GroupElement, xi: AlgebraElement, h: float, side: str = "left") -> GroupElement:
+def lie_step(g: GroupElement, xi: AlgebraElement | np.ndarray, h: float, side: str = "left") -> GroupElement:
     """One exponential step: g exp(h xi) (left) or exp(h xi) g (right)."""
     if h <= 0:
         raise ConfigError("step size must be positive")
@@ -108,12 +114,12 @@ def lie_step(g: GroupElement, xi: AlgebraElement, h: float, side: str = "left") 
 
 
 def _rates(rate, t, state, sides):
-    """rate(t, state) with every group rate as a SplitRate, checked finite."""
+    """rate(t, state) with every group rate as (spatial, body) vectors, checked finite."""
     out = dict(rate(t, state))
     for name, value in state.items():
         if isinstance(value, GroupElement):
-            r = out[name] = _as_split(out[name], sides.get(name, "left"), value)
-            arrays = [x.vec for x in (r.spatial, r.body) if x is not None]
+            out[name] = _as_split(out[name], sides.get(name, "left"), value)
+            arrays = [x for x in out[name] if x is not None]
         else:
             arrays = [np.asarray(out[name])]
         if not all(map(groups._all_finite, arrays)):

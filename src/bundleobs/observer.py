@@ -96,9 +96,8 @@ def group_error(prob: ObserverProblem, g: GroupElement, g_est: GroupElement) -> 
     """e_g: g g~^-1 for left-observed systems, g~^-1 g for right-observed."""
     if g.kind != g_est.kind:
         raise KindMismatchError(f"group error between {g.kind} and {g_est.kind}")
-    if prob.handedness == LEFT:
-        return g @ g_est.inverse()
-    return g_est.inverse() @ g
+    inv = groups.inverse_matrix(g_est.matrix)  # one validated element: the product
+    return GroupElement(g.kind, g.matrix @ inv if prob.handedness == LEFT else inv @ g.matrix)
 
 
 def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> AlgebraElement:
@@ -127,8 +126,8 @@ def zeta_e(prob: ObserverProblem, g_est: GroupElement, y: Point) -> AlgebraEleme
 
 def innovation(prob: ObserverProblem, g_est: GroupElement, y: Point, gain: float = 1.0) -> AlgebraElement:
     """Delta = -k Ad_{g~^-1} zeta_e (left observed) / -k Ad_{g~} zeta_e (right)."""
-    if gain <= 0:
-        raise ValueError("gain must be positive")
+    if not 0 < gain < np.inf:  # also rejects NaN
+        raise ValueError("gain must be positive and finite")
     ze = zeta_e(prob, g_est, y)
     conj = g_est.inverse() if prob.handedness == LEFT else g_est
     return -gain * groups.adjoint(conj, ze)
@@ -153,7 +152,7 @@ def preobserver_split_rate(
     prob: ObserverProblem,
     g_est: GroupElement,
     y: Point,
-    zeta: AlgebraElement,
+    zeta: AlgebraElement | np.ndarray,
     gain: float = 1.0,
     ze: Optional[AlgebraElement] = None,
 ):
@@ -165,11 +164,12 @@ def preobserver_split_rate(
     separate exponentials makes the discrete error map a function of the
     group error alone, so simulated error trajectories stay autonomous to
     machine precision.  ``ze``, when given, is zeta_e(prob, g_est, y) as the
-    caller already evaluated it.
+    caller already evaluated it.  ``zeta`` may be an AlgebraElement or its
+    coordinate vector; the correction part is the vector gain * zeta_e.
     """
     if ze is None:
         ze = zeta_e(prob, g_est, y)
-    correction = gain * ze
+    correction = gain * ze.vec
     if prob.handedness == LEFT:
         return SplitRate(body=zeta, spatial=correction)
     return SplitRate(body=correction, spatial=zeta)

@@ -63,9 +63,9 @@ def simulate_observer(
         return last[2]
 
     def rate(t, state):
-        v = u(t)
+        v = u(t).vec
         if noise_amp > 0.0:
-            v_meas = AlgebraElement(v.kind, v.vec + rng.uniform(-noise_amp, noise_amp, size=len(v.vec)))
+            v_meas = v + rng.uniform(-noise_amp, noise_amp, size=len(v))
             y, ze = measure(state[true], noise_amp, rng), None
         else:
             v_meas = v
@@ -267,7 +267,7 @@ def simulate_slam_poses(
 
 def measure_landmarks(S: GroupElement, landmarks, noise_amp: float = 0.0, rng=None) -> Point:
     """Body-frame landmark matrix M = S^-1 Lbar, optionally perturbed."""
-    M = S.inverse().matrix @ np.asarray(landmarks, dtype=float)
+    M = groups.inverse_matrix(S.matrix) @ np.asarray(landmarks, dtype=float)
     if noise_amp > 0.0:
         M = M.copy()
         M[:3] += rng.uniform(-noise_amp, noise_amp, size=M[:3].shape)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bundleobs import cli
-from bundleobs.errors import ConfigError
+from bundleobs.errors import ConfigError, NumericalBlowupError
 
 
 def write_scenario(path, **overrides):
@@ -396,3 +396,39 @@ def test_attitude_demo_1s_byte_identical(tmp_path, demo):
     for suffix in ("_report.txt", "_trajectory.csv"):
         digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256_1S[demo + suffix], demo + suffix
+
+
+class TestWriteCsv:
+    EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1e-17, 1.0]
+
+    @staticmethod
+    def _rows(values):
+        return [
+            {"t": np.float64(v), "state": np.array(values), "estimate": np.array(values[::-1]),
+             "Ve": v, "zeta_e_norm": values[i - 1]}
+            for i, v in enumerate(values)
+        ]
+
+    def test_bytes_match_17_significant_digits(self, tmp_path):
+        rows = self._rows(self.EDGE)
+        cli.write_csv(tmp_path / "edge.csv", rows)
+        n = len(self.EDGE)
+        header = ["t", *(f"state_{i}" for i in range(n)), *(f"estimate_{i}" for i in range(n)), "Ve", "zeta_e_norm"]
+        lines = [", ".join(header)] + [
+            ", ".join(format(float(v), ".17g")
+                      for v in [r["t"], *r["state"], *r["estimate"], r["Ve"], r["zeta_e_norm"]])
+            for r in rows
+        ]
+        assert (tmp_path / "edge.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+        assert "-0, 4.9406564584124654e-324, 1.7976931348623157e+308, 1.0000000000000001e-17, 1, " in lines[1]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", ["t", "state", "Ve", "zeta_e_norm"])
+    def test_non_finite_row_writes_nothing(self, tmp_path, bad, key):
+        rows = self._rows(self.EDGE)
+        last = rows[-1]
+        last[key] = np.array([1.0, bad, 0.0, 0.0, 0.0]) if key == "state" else bad
+        target = tmp_path / "out" / "edge.csv"
+        with pytest.raises(NumericalBlowupError):
+            cli.write_csv(target, rows)
+        assert not (tmp_path / "out").exists()

@@ -1,7 +1,11 @@
 """Group/algebra primitives: hat/vee, exp/log, adjoint, metric, projection."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleobs.errors import (
     BranchAmbiguityError,
@@ -23,7 +27,8 @@ from bundleobs.groups import (
     project_to_group,
     vee,
 )
-from bundleobs.sampling import random_algebra, random_rotation, rng_from
+from bundleobs.groups import _PI_EXCLUSION, _SMALL_ANGLE
+from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
 def series_exp(m: np.ndarray, terms: int = 60) -> np.ndarray:
@@ -312,3 +317,73 @@ class TestInvariants:
         h = random_rotation(rng)
         gh = g @ h
         assert np.linalg.norm(gh.matrix.T @ gh.matrix - np.eye(3)) <= 1e-9
+
+
+# rotation angles of each branch of exp and log: the small-angle Taylor series,
+# the generic closed form, and the near-pi axis from the symmetric part, kept
+# outside the 1e-7 exclusion band (twice its width, so rounding in exp cannot
+# push the recovered angle into it)
+_BRANCHES = {
+    "taylor": (0.0, _SMALL_ANGLE),
+    "generic": (_SMALL_ANGLE, math.pi - 1e-3),
+    "near_pi": (math.pi - 1e-3, math.pi - 2.0 * _PI_EXCLUSION),
+}
+_axis = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).map(np.array).filter(
+    lambda u: np.linalg.norm(u) > 0.1
+)
+
+
+@st.composite
+def _rotation_vector(draw):
+    lo, hi = _BRANCHES[draw(st.sampled_from(sorted(_BRANCHES)))]
+    theta = draw(st.floats(lo, hi))
+    u = draw(_axis)
+    return theta * u / np.linalg.norm(u)
+
+
+class TestExpLogProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(w=_rotation_vector())
+    def test_so3_roundtrip(self, w):
+        out = log(exp(AlgebraElement("so3", w))).vec
+        assert np.linalg.norm(out - w) <= 1e-12 * np.linalg.norm(w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(w=_rotation_vector(), rho=st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))
+    def test_se3_roundtrip(self, w, rho):
+        out = log(exp(AlgebraElement("se3", np.concatenate([rho, w])))).vec
+        assert np.linalg.norm(out[3:] - w) <= 1e-12 * np.linalg.norm(w)
+        # Just above the Taylor threshold, (1 - cos t) / t^2 in V cancels to an
+        # absolute error of about eps / t^2, so V rho carries about eps |rho| / t
+        # wherever exp or log took the generic branch.
+        theta, r = max(np.linalg.norm(w), np.linalg.norm(out[3:])), np.linalg.norm(rho)
+        cancellation = 1e-15 * r / theta if theta >= _SMALL_ANGLE else 0.0
+        assert np.linalg.norm(out[:3] - rho) <= 1e-12 * (1.0 + r) + cancellation
+
+
+class TestProjectionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["SO3", "SE3"]),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.floats(0.0, 0.25),
+    )
+    def test_idempotent(self, kind, seed, size):
+        rng = rng_from(seed)
+        m = random_group(kind, rng).matrix.copy()
+        m[:3, :3] += size * rng.uniform(-1.0, 1.0, size=(3, 3)) / 3.0  # Frobenius distance <= size
+        once = project_to_group(m, kind)
+        twice = project_to_group(once.matrix, kind)
+        assert np.linalg.norm(twice.matrix - once.matrix) <= 1e-14
+        if kind == "SE3":
+            assert twice.matrix[:3, 3].tobytes() == once.matrix[:3, 3].tobytes()
+
+
+class TestMetricValidation:
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_non_positive_or_non_finite(self, scale):
+        with pytest.raises(ValueError, match="positive"):
+            Metric(scale)
+
+    def test_accepts_positive_finite(self):
+        assert Metric(2.5).scale == 2.5

@@ -226,6 +226,50 @@ class TestSteppingRule:
             )
 
 
+def _as_vectors(r):
+    """The same rate with every AlgebraElement replaced by its coordinate vector."""
+    if isinstance(r, SplitRate):
+        return SplitRate(body=r.body.vec.copy(), spatial=r.spatial.vec.copy())
+    return r.vec.copy()
+
+
+class TestVectorRates:
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("side", ["left", "right", "split"])
+    @pytest.mark.parametrize("kind", ["so3", "se3"])
+    def test_same_bytes_as_algebra_elements(self, method, side, kind):
+        rng = rng_from(21)
+        g0 = random_rotation(rng) if kind == "so3" else random_group("SE3", rng)
+        config = IntegratorConfig(method=method, h=0.05, t_final=1.0)
+        trajs = [
+            integrate_system(
+                lambda t, s, conv=conv: {"g": conv(_state_rate(kind, side == "split", t, s["g"]))},
+                config, {"g": g0}, sides={"g": side},
+            )
+            for conv in (lambda r: r, _as_vectors)
+        ]
+        for a, b in zip(*(traj.states for traj in trajs)):
+            assert a["g"].matrix.tobytes() == b["g"].matrix.tobytes()
+
+    def test_lists_are_coordinates(self):
+        g = random_group("SE3", rng_from(22))
+        xi = [0.1, -0.2, 0.3, 0.2, 0.1, -0.4]
+        assert lie_step(g, xi, 0.1).matrix.tobytes() == lie_step(g, AlgebraElement("se3", xi), 0.1).matrix.tobytes()
+
+    @pytest.mark.parametrize("kind, length", [("SO3", 6), ("SO3", 2), ("SE3", 3), ("SE3", 7)])
+    def test_wrong_length_raises_kind_mismatch(self, kind, length):
+        g = GroupElement.identity(kind)
+        with pytest.raises(KindMismatchError):
+            lie_step(g, np.zeros(length), 0.1)
+        config = IntegratorConfig(method="lie_euler", h=0.1, t_final=0.1)
+        with pytest.raises(KindMismatchError):
+            integrate_system(lambda t, s: {"g": SplitRate(spatial=np.zeros(length))}, config, {"g": g})
+
+    def test_matrix_rate_raises_kind_mismatch(self):
+        with pytest.raises(KindMismatchError):
+            lie_step(GroupElement.identity("SO3"), np.zeros((3, 3)), 0.1)
+
+
 def _drifted(kind, w, t, u, defect):
     """A rotation exp(w), stretched along its columns by 1 + s with |s| = defect / 2
     (so ||R^T R - I|| is about ``defect``), as SO(3) or with translation t as SE(3)."""

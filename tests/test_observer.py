@@ -139,6 +139,12 @@ class TestInnovation:
         ze = observer.zeta_e(prob, g_est, y)
         np.testing.assert_allclose(delta.vec, -adjoint(g_est.inverse(), ze).vec, atol=1e-12)
 
+    @pytest.mark.parametrize("gain", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_rejects_non_positive_or_non_finite_gain(self, prob, gain):
+        g_est = GroupElement.identity("SO3")
+        with pytest.raises(ValueError, match="positive"):
+            observer.innovation(prob, g_est, prob.output(g_est), gain=gain)
+
 
 class TestPreObserver:
     def test_pure_feedforward_at_zero_error(self, prob):

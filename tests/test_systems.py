@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bundleobs import actions as ac
-from bundleobs import bundle, observer, systems
+from bundleobs import bundle, groups, observer, systems
 from bundleobs.actions import Point, act
 from bundleobs.errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
@@ -361,3 +361,33 @@ class TestSharedNoiselessZetaE:
         for s, r, zn in zip(traj.states, ref.states, traj.extras["zeta_e_norm"]):
             np.testing.assert_array_equal(s["Shat"].matrix, r["Shat"].matrix)
             assert zn == observer.zeta_e(prob, s["Shat"], systems.measure_landmarks(s["S"], L)).norm()
+
+
+class TestValidationPerStep:
+    """A lie_euler attitude step validates each new matrix once: the stepped
+    R and Rhat, and the recorded group error (its inverse is not validated)."""
+
+    def test_attitude_checks_and_builds_at_most_three_per_step(self, monkeypatch):
+        prob = systems.attitude_problem()
+        state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
+        config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=0.1)
+        counts = {"_check_rotation": 0, "GroupElement": 0}
+        check, post_init = groups._check_rotation, GroupElement.__post_init__
+
+        def counted_check(rows):
+            counts["_check_rotation"] += 1
+            return check(rows)
+
+        def counted_post_init(self):
+            counts["GroupElement"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(groups, "_check_rotation", counted_check)
+        monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
+        omega = lambda t: AlgebraElement("so3", [np.sin(t), np.cos(2.0 * t), 0.5])
+        traj = systems.simulate_observer(prob, systems.measure_attitude, omega, state0, 1.0, config)
+        n_steps = len(traj) - 1
+        assert n_steps == 100
+        # the initial sample records one group error before the first step
+        for name, count in counts.items():
+            assert count <= 3 * n_steps + 1, (name, count)
