@@ -11,6 +11,7 @@ step with vector rates, which the integrator accepts since ``BENCH_10.json``.
 """
 
 import operator
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from bundleobs import actions, cli, groups, observer, systems
 from bundleobs.groups import AlgebraElement, GroupElement
 from bundleobs.integrate import IntegratorConfig, integrate_system
 from bundleobs.sampling import random_group, random_landmarks, random_rotation, rng_from
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
 
 ALGEBRA = {
     "so3": AlgebraElement("so3", [0.3, -0.2, 0.4]),
@@ -131,3 +134,15 @@ def test_write_csv_100_rows(benchmark, tmp_path):
     ]
     benchmark.extra_info["rows"] = len(rows)
     benchmark(cli.write_csv, tmp_path / "rows.csv", rows)
+
+
+def test_run_slam_discrete_demo(benchmark, tmp_path):
+    """``cli.run_scenario`` on the slam_discrete demo: 50 rk4_cg steps, then the
+    recovery, measurement and relative-pose row passes and the CSV."""
+    assert benchmark(cli.run_scenario, SCENARIOS / "slam_discrete.scn", tmp_path) == 0
+
+
+def test_run_sphere_split_demo(benchmark, tmp_path):
+    """``cli.run_scenario`` on the sphere_split demo: 200 Euler steps, then the
+    Givens split of every row and the CSV."""
+    assert benchmark(cli.run_scenario, SCENARIOS / "sphere_split.scn", tmp_path) == 0

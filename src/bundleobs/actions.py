@@ -248,7 +248,7 @@ def slam_action(n_landmarks: int = 6) -> ActionSpec:
     """Right SE(3) action on (pose, landmarks): phi_g(p) = (g^-1 S, g^-1 Lbar_i)."""
 
     def lift(g, t):
-        gi = g.inverse().matrix
+        gi = groups.inverse_matrix(g.matrix)
         return (gi @ t[0], gi @ t[1])
 
     def gen(zeta, p):

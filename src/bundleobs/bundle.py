@@ -22,7 +22,7 @@ import numpy as np
 from . import actions as ac
 from . import groups
 from .actions import ActionSpec, Point, act
-from .errors import KindMismatchError, NotFiberInjectiveError, OriginError
+from .errors import KindMismatchError, NotFiberInjectiveError, NumericalBlowupError, OriginError
 from .groups import SE3, SO3, AlgebraElement, GroupElement
 from .sampling import random_group, rng_from
 
@@ -85,45 +85,47 @@ def decompose(sec: CrossSection, p: Point) -> BundlePoint:
 
 # -- sphere bundle --
 
-def _givens_pair(a: float, b: float):
-    """(c, s) zeroing b against a: [c s; -s c] @ (a, b) = (hypot(a,b), 0)."""
-    h = math.hypot(a, b)
-    if h == 0.0:
-        return 1.0, 0.0
-    return a / h, b / h
+def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radii r (N,) and canonical fiber rotations R (N, 3, 3) with q_i = r_i R_i e1, for points q (N, 3).
+
+    R = R2^T R1^T: R2 zeroes the 3rd component against the 2nd, then R1 the 2nd against the 1st.
+    Rows are checked in order as ``GroupElement(SO3, R_i)`` checks, one at a time (not R.tolist())."""
+    r = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0, 0]  # np.linalg.norm of each row
+    entries = []  # R2, then R1, row by row
+    for x, y, z in q.tolist():
+        h23 = math.hypot(y, z)
+        h = math.hypot(x, h23)
+        c2, s2 = (y / h23, z / h23) if h23 else (1.0, 0.0)
+        c1, s1 = (x / h, h23 / h) if h else (1.0, 0.0)
+        entries.append((1.0, 0.0, 0.0, 0.0, c2, s2, 0.0, -s2, c2, c1, s1, 0.0, -s1, c1, 0.0, 0.0, 0.0, 1.0))
+    R21 = np.array(entries).reshape(-1, 2, 3, 3)
+    R = np.swapaxes(R21[:, 0], 1, 2) @ np.swapaxes(R21[:, 1], 1, 2)
+    for radius, finite, Ri in zip(r.tolist(), np.isfinite(R).all(axis=(1, 2)).tolist(), R):
+        if radius <= _ORIGIN_EPS:
+            raise OriginError("the origin is excluded from the sphere bundle")
+        if not finite:
+            raise NumericalBlowupError("group matrix has non-finite entries")
+        groups._check_rotation(Ri.tolist())
+    return r, R
 
 
 def givens_section(q) -> tuple[float, GroupElement]:
-    """Base radius and canonical fiber rotation with q = r R e1.
-
-    R = R2^T R1^T where R2 zeroes the 3rd component against the 2nd and R1
-    then zeroes the 2nd against the 1st.
-    """
-    q = np.asarray(q, dtype=float)
-    r = float(np.linalg.norm(q))
-    if r <= _ORIGIN_EPS:
-        raise OriginError("the origin is excluded from the sphere bundle")
-    c2, s2 = _givens_pair(q[1], q[2])
-    R2 = np.array([[1.0, 0.0, 0.0], [0.0, c2, s2], [0.0, -s2, c2]])
-    h23 = math.hypot(q[1], q[2])
-    c1, s1 = _givens_pair(q[0], h23)
-    R1 = np.array([[c1, s1, 0.0], [-s1, c1, 0.0], [0.0, 0.0, 1.0]])
-    return r, GroupElement(SO3, R2.T @ R1.T)
+    """Base radius and canonical fiber rotation with q = r R e1: one row of ``givens_frames``."""
+    r, R = givens_frames(np.asarray(q, dtype=float)[None])
+    return float(r[0]), GroupElement(SO3, R[0])
 
 
 def sphere_bundle() -> CrossSection:
     action = ac.so3_on_r3()
 
     def base_of(p: Point) -> BaseCoordinate:
-        r, _ = givens_section(p.value)
-        return BaseCoordinate("radius", r)
+        return BaseCoordinate("radius", givens_section(p.value)[0])
 
     def section(b: BaseCoordinate) -> Point:
         return Point(ac.R3, np.array([b.value, 0.0, 0.0]))
 
     def fiber_of(p: Point) -> GroupElement:
-        _, R = givens_section(p.value)
-        return R
+        return givens_section(p.value)[1]
 
     return CrossSection("sphere_givens", action, base_of, section, fiber_of)
 
@@ -133,16 +135,19 @@ def sphere_split(q, v) -> tuple[float, AlgebraElement]:
 
     Returns (hor, ver) with hor = e1^T R^T v (= dr/dt) and ver the body rate
     representative in span(e2^, e3^); reconstruction is
-    v = hor * R e1 + r * R * hat(ver) e1.
+    v = hor * R e1 + r * R * hat(ver) e1.  The one-row case of ``sphere_splits``.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    r, R = givens_section(q)
-    w = R.matrix.T @ v
-    hor = float(w[0])
-    u = (w - np.array([hor, 0.0, 0.0])) / r
-    ver = AlgebraElement("so3", np.array([0.0, -u[2], u[1]]))
-    return hor, ver
+    _, _, hor, ver = sphere_splits(np.asarray(q, dtype=float)[None], np.asarray(v, dtype=float)[None])
+    return float(hor[0]), AlgebraElement("so3", ver[0])
+
+
+def sphere_splits(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``sphere_split`` of velocities v (N, 3) at points q (N, 3), stacked: returns
+    the radii r, Givens rotations R of ``givens_frames``, and hor (N,) and ver (N, 3)."""
+    r, R = givens_frames(q)
+    w = (np.swapaxes(R, 1, 2) @ v[:, :, None])[:, :, 0]
+    u = w[:, 1:] / r[:, None]  # (w - hor e1) / r without its zero first entry
+    return r, R, w[:, 0], np.stack([np.zeros(len(u)), -u[:, 1], u[:, 0]], axis=1)
 
 
 # -- SLAM bundle --
@@ -154,7 +159,7 @@ def slam_bundle(n_landmarks: int = 6) -> CrossSection:
         S, L = p.value
         return BaseCoordinate(
             "slam",
-            Point(ac.LANDMARK_TUPLE, (GroupElement.identity(SE3), S.inverse().matrix @ L)),
+            Point(ac.LANDMARK_TUPLE, (GroupElement.identity(SE3), groups.inverse_matrix(S.matrix) @ L)),
         )
 
     def section(b: BaseCoordinate) -> Point:
@@ -281,13 +286,12 @@ def reduce_system(
     v = X(p, u)
 
     if sec.name == "sphere_givens":
-        hor, ver = sphere_split(p.value, v)
-        return hor, ver
+        return sphere_split(p.value, v)
 
     if sec.name == "slam_identity_slot":
         S, L = p.value
         Sdot, Ldot = v
-        Sinv = S.inverse().matrix
+        Sinv = groups.inverse_matrix(S.matrix)
         Vhat = Sinv @ Sdot
         fiber_rate = AlgebraElement("se3", groups.vee(Vhat))
         base_rate = (np.zeros((4, 4)), -Vhat @ (Sinv @ L) + Sinv @ Ldot)

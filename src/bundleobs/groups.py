@@ -244,12 +244,19 @@ def vee(zeta) -> np.ndarray:
 
 
 def inverse_matrix(m: np.ndarray) -> np.ndarray:
-    """Inverse of an SO(3) or SE(3) matrix: R^T, or the block form (R^T, -R^T p)."""
+    """Inverse of an SO(3) or SE(3) matrix: R^T, or the block form (R^T, -R^T p).
+    A stack (k, 4, 4) takes the same operations through stacked @: each item has the 2-D bits."""
     if m.shape == (3, 3):
         return m.T
-    out = np.eye(4)
-    out[:3, :3] = m[:3, :3].T
-    out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
+    if m.shape == (4, 4):
+        out = np.eye(4)
+        out[:3, :3] = m[:3, :3].T
+        out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
+        return out
+    Rt = np.swapaxes(m[..., :3, :3], -1, -2)
+    out = np.zeros(m.shape)
+    out[..., :3, :3], out[..., 3, 3] = Rt, 1.0
+    out[..., :3, 3:] = -Rt @ m[..., :3, 3:]
     return out
 
 
@@ -270,13 +277,6 @@ def _so3_coeffs(theta: float) -> tuple[float, float, float]:
         return s / theta, (1.0 - math.cos(theta)) / (theta * theta), (theta - s) / (theta ** 3)
     except (ValueError, OverflowError) as exc:  # sin(inf), theta ** 3 beyond the float range
         raise NumericalBlowupError(f"rotation angle {theta:.3g} overflows the exponential") from exc
-
-
-def _so3_left_jacobian(w: np.ndarray) -> np.ndarray:
-    """V matrix of the SE(3) closed-form exponential."""
-    _, b, c = _so3_coeffs(math.sqrt(w @ w))
-    W = skew(w)
-    return _I3 + b * W + c * (W @ W)
 
 
 def exp_matrix(vec: np.ndarray) -> np.ndarray:
@@ -340,8 +340,9 @@ def log(g: GroupElement) -> AlgebraElement:
     if g.kind == SO3:
         return AlgebraElement("so3", _so3_log(g.matrix))
     w = _so3_log(g.rotation())
-    V = _so3_left_jacobian(w)
-    v = np.linalg.solve(V, g.translation())
+    _, b, c = _so3_coeffs(math.sqrt(w @ w))
+    W = skew(w)
+    v = np.linalg.solve(_I3 + b * W + c * (W @ W), g.translation())  # V, the left Jacobian
     return AlgebraElement("se3", np.concatenate([v, w]))
 
 
@@ -349,7 +350,7 @@ def adjoint(g: GroupElement, zeta: AlgebraElement) -> AlgebraElement:
     """Ad_g zeta, computed as matrix conjugation g zeta^ g^-1."""
     if g.algebra_kind != zeta.kind:
         raise KindMismatchError(f"adjoint: {g.kind} element with {zeta.kind} algebra")
-    conj = g.matrix @ zeta.matrix @ g.inverse().matrix
+    conj = g.matrix @ zeta.matrix @ inverse_matrix(g.matrix)
     return AlgebraElement(zeta.kind, vee(conj))
 
 
@@ -372,34 +373,34 @@ def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
 
     The input must be within Frobenius distance 0.5 of the group; reflections
     and badly corrupted blocks raise ProjectionFailureError.  For matrices built
-    off the group, such as a recovered pose; the integrators never call it.
+    off the group, such as a recovered pose; the integrators never call it.  One item of ``project_stack``.
     """
-    m = np.asarray(m, dtype=float)
-    if kind == SO3:
-        if m.shape != (3, 3):
-            raise DimensionError(f"SO3 projection expects 3x3, got {m.shape}")
-        block = m
-    elif kind == SE3:
-        if m.shape != (4, 4):
-            raise DimensionError(f"SE3 projection expects 4x4, got {m.shape}")
-        block = m[:3, :3]
-    else:
+    return project_stack(np.asarray(m, dtype=float)[None], kind)[0]
+
+
+def project_stack(ms: np.ndarray, kind: str) -> list[GroupElement]:
+    """``project_to_group`` of each matrix of a stack (k, n, n): one SVD and one
+    U @ Vt for the whole stack, then the checks of each item, in order."""
+    n = _SIZE_OF_GROUP.get(kind)
+    if n is None:
         raise KindMismatchError(f"unknown group kind {kind!r}")
-    U, _, Vt = np.linalg.svd(block)
-    R = U @ Vt
-    if _det3(R.tolist()) < 0:
-        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
-    if _det3(R.tolist()) <= 0:
-        raise ProjectionFailureError("orthonormalized block has non-positive determinant")
-    d = (R - block).ravel()
-    dist = math.sqrt(d @ d)  # Frobenius distance ||R - block||
-    if dist > 0.5:
-        raise ProjectionFailureError(
-            f"matrix too far from {kind}: Frobenius distance {dist:.3e} > 0.5"
-        )
-    if kind == SO3:
-        return GroupElement(SO3, R)
-    out = np.eye(4)
-    out[:3, :3] = R
-    out[:3, 3] = m[:3, 3]
-    return GroupElement(SE3, out)
+    if ms.shape[1:] != (n, n):
+        raise DimensionError(f"{kind} projection expects {n}x{n}, got {ms.shape[1:]}")
+    blocks = ms[:, :3, :3]
+    U, _, Vt = np.linalg.svd(blocks)
+    out = []
+    for m, block, u, vt, R in zip(ms, blocks, U, Vt, U @ Vt):
+        if _det3(R.tolist()) < 0:
+            R = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+        if _det3(R.tolist()) <= 0:
+            raise ProjectionFailureError("orthonormalized block has non-positive determinant")
+        d = (R - block).ravel()
+        dist = math.sqrt(d @ d)  # Frobenius distance ||R - block||
+        if dist > 0.5:
+            raise ProjectionFailureError(f"matrix too far from {kind}: Frobenius distance {dist:.3e} > 0.5")
+        g = R
+        if kind == SE3:
+            g = np.eye(4)
+            g[:3, :3], g[:3, 3] = R, m[:3, 3]
+        out.append(GroupElement(kind, g))
+    return out

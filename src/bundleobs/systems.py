@@ -228,21 +228,9 @@ def slam_discrete_recover(M_k, M_k1) -> GroupElement:
     """Relative pose from two landmark measurement matrices.
 
     S^k = M_k M_{k+1}^T (M_{k+1} M_{k+1}^T)^{-1}, projected onto SE(3).
-    Raises RankDeficiencyError for coplanar or too few landmarks.
+    Raises RankDeficiencyError for coplanar or too few landmarks.  One pair of ``recover_pose_chain``.
     """
-    M_k = np.asarray(M_k, dtype=float)
-    M_k1 = np.asarray(M_k1, dtype=float)
-    if M_k.shape != M_k1.shape or M_k.shape[0] != 4 or M_k.shape[1] < 4:
-        raise DimensionError("measurement matrices must be matching 4xN with N >= 4")
-    gram = M_k1 @ M_k1.T
-    if not groups._all_finite(gram):  # LAPACK would print to stdout and call it rank deficient
-        raise NumericalBlowupError("non-finite landmark measurements")
-    if np.linalg.cond(gram) >= _COND_LIMIT:
-        raise RankDeficiencyError(
-            "M M^T is singular or ill-conditioned (coplanar or too few landmarks)"
-        )
-    S = M_k @ M_k1.T @ np.linalg.inv(gram)
-    return groups.project_to_group(S, SE3)
+    return recover_pose_chain([M_k, M_k1])[0]
 
 
 def simulate_slam_poses(
@@ -261,7 +249,7 @@ def simulate_slam_poses(
 
     traj = integrate_system(rate, config, {"S": S0}, sides={"S": "left"})
     poses = [s["S"] for s in traj.states]
-    measurements = [S.inverse().matrix @ L for S in poses]
+    measurements = [S_inv @ L for S_inv in groups.inverse_matrix(np.array([S.matrix for S in poses]))]
     return poses, measurements
 
 
@@ -293,8 +281,28 @@ def simulate_slam_observer(
 
 
 def recover_pose_chain(measurements) -> list[GroupElement]:
-    """Relative poses S^k with S^k M_{k+1} = M_k along a measurement sequence."""
-    return [
-        slam_discrete_recover(measurements[k], measurements[k + 1])
-        for k in range(len(measurements) - 1)
-    ]
+    """Relative poses S^k with S^k M_{k+1} = M_k along a measurement sequence, as
+    ``slam_discrete_recover`` of each pair.  A failing check cuts the stack at its first
+    bad pair and raises once the pairs before it are through, so pairs fail in order."""
+    Ms = [np.asarray(M, dtype=float) for M in measurements]
+    grams, crosses, error = [], [], None
+    for M_k, M_k1 in zip(Ms, Ms[1:]):
+        if M_k.shape != M_k1.shape or M_k.shape[0] != 4 or M_k.shape[1] < 4:
+            error = DimensionError("measurement matrices must be matching 4xN with N >= 4")
+            break
+        grams.append(M_k1 @ M_k1.T)
+        crosses.append(M_k @ M_k1.T)
+    gram, cross = np.array(grams).reshape(-1, 4, 4), np.array(crosses).reshape(-1, 4, 4)
+    bad = ~np.isfinite(gram).all(axis=(1, 2))  # LAPACK would print to stdout and call it rank deficient
+    if bad.any():
+        k = bad.argmax()
+        gram, cross, error = gram[:k], cross[:k], NumericalBlowupError("non-finite landmark measurements")
+    bad = np.linalg.cond(gram) >= _COND_LIMIT
+    if bad.any():
+        k = bad.argmax()
+        gram, cross, error = gram[:k], cross[:k], RankDeficiencyError(
+            "M M^T is singular or ill-conditioned (coplanar or too few landmarks)")
+    poses = groups.project_stack(cross @ np.linalg.inv(gram), SE3)
+    if error is not None:
+        raise error
+    return poses

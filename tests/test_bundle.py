@@ -1,12 +1,16 @@
 """Cross-sections, fiber/base coordinates, splitting, system reduction."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bundleobs import actions as ac
 from bundleobs import bundle
 from bundleobs.actions import Point, act
-from bundleobs.errors import NotFiberInjectiveError, OriginError
+from bundleobs.errors import BundleobsError, NotFiberInjectiveError, OriginError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import slam_vector_field, sphere_vector_field
@@ -74,6 +78,84 @@ class TestSphereSplit:
     def test_origin_excluded(self):
         with pytest.raises(OriginError):
             bundle.sphere_split([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+
+
+def _split_row(q, v):
+    """The sphere split of one point written out per row, with 2-D @: the reference
+    the stacked ``givens_frames`` and ``sphere_splits`` must match bit for bit."""
+    r = float(np.linalg.norm(q))
+    if r <= 1e-12:
+        raise OriginError("the origin is excluded from the sphere bundle")
+
+    def pair(a, b):
+        h = math.hypot(a, b)
+        return (1.0, 0.0) if h == 0.0 else (a / h, b / h)
+
+    x, y, z = q.tolist()
+    c2, s2 = pair(y, z)
+    c1, s1 = pair(x, math.hypot(y, z))
+    R2 = np.array([[1.0, 0.0, 0.0], [0.0, c2, s2], [0.0, -s2, c2]])
+    R1 = np.array([[c1, s1, 0.0], [-s1, c1, 0.0], [0.0, 0.0, 1.0]])
+    R = GroupElement("SO3", R2.T @ R1.T).matrix
+    w = R.T @ v
+    u = (w - np.array([float(w[0]), 0.0, 0.0])) / r
+    return r, R, float(w[0]), np.array([0.0, -u[2], u[1]])
+
+
+def _first_failure(fn, items):
+    """The exception class of the first item ``fn`` fails on, or None."""
+    for item in items:
+        try:
+            fn(*item)
+        except BundleobsError as exc:
+            return type(exc)
+    return None
+
+
+_COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3, allow_subnormal=False))
+_VEC = st.tuples(_COORD, _COORD, _COORD)
+# values the per-row code fails on: the origin, subnormal pairs whose hypot rounds
+# (not orthogonal), an overflowing hypot, and non-finite coordinates
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.7e308, -1.3e308, math.inf, -math.inf, math.nan])
+
+
+class TestStackedSplit:
+    """``sphere_splits`` runs the split of a whole trajectory at once; every row must
+    carry the bits of the per-row code, points on the coordinate axes included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(_VEC, _VEC), min_size=1, max_size=8))
+    @example(rows=[((0.0, 0.0, -2.0), (1.0, 0.0, 0.0)), ((-0.0, 3.0, -0.0), (0.0, -1.0, 0.5)),
+                   ((5.0, -0.0, 0.0), (-0.0, 0.0, -0.0))])
+    def test_rows_match_per_row_code(self, rows):
+        q = np.array([p for p, _ in rows])
+        q[np.linalg.norm(q, axis=1) <= 1e-9, 0] = 1.0  # keep off the origin
+        v = np.array([u for _, u in rows])
+        stacked = bundle.sphere_splits(q, v)
+        for i in range(len(q)):
+            expected = _split_row(q[i], v[i])
+            for got, want in zip(stacked, expected):
+                assert np.asarray(got[i]).tobytes() == np.asarray(want, dtype=float).tobytes()
+            hor, ver = bundle.sphere_split(q[i], v[i])
+            r, R = bundle.givens_section(q[i])
+            assert (r, R.matrix.tobytes(), hor, ver.vec.tobytes()) == (
+                expected[0], expected[1].tobytes(), expected[2], expected[3].tobytes())
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(st.tuples(st.one_of(_COORD, _SPECIAL), _SPECIAL, st.one_of(_COORD, _SPECIAL)),
+                         min_size=1, max_size=6))
+    @example(rows=[(1.0, 5e-324, 5e-324)])
+    @example(rows=[(1.0, 2.0, 3.0), (1.7e308, 1.0, 5.39e307), (math.inf, 0.0, 0.0)])
+    def test_failing_rows_fail_in_order(self, rows):
+        q = np.array(rows)
+        v = np.ones_like(q)
+        with np.errstate(all="ignore"):
+            expected = _first_failure(_split_row, zip(q, v))
+            if expected is None:
+                bundle.sphere_splits(q, v)
+            else:
+                with pytest.raises(expected):
+                    bundle.sphere_splits(q, v)
 
 
 class TestSlamSection:

@@ -145,6 +145,16 @@ class TestRun:
         assert cli.main(["--out-dir", str(out), "run", str(f)]) == 3
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_sphere_split_at_origin_exit_3(self, tmp_path, capsys):
+        # q(0) = (2, 1, -0.5) + initial_error is the origin, which the Givens section excludes
+        f = write_scenario(tmp_path / "a.scn", name="origin", system="sphere_split_demo",
+                           initial_error="-2 -1 0.5")
+        out = tmp_path / "out"
+        assert cli.main(["--out-dir", str(out), "run", str(f)]) == 3
+        assert capsys.readouterr().err == "error: the origin is excluded from the sphere bundle\n"
+        assert not out.exists()
+
     def test_all_values_finite(self, tmp_path):
         f = write_scenario(tmp_path / "a.scn", name="fin", system="slam_continuous",
                            initial_error="0.1 0 0.1 0.2 -0.1 0", t_final="0.5")
@@ -375,6 +385,30 @@ def test_demo_outputs_byte_identical(tmp_path, demo):
     for suffix in ("_report.txt", "_trajectory.csv"):
         digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[demo + suffix], demo + suffix
+
+
+# sha256 of two longer row passes, taken before recovery and split ran stacked: a noisy
+# slam_discrete chain of 200 steps over 150 landmarks, and a sphere split of 1001 rows
+GOLDEN_SHA256_ROWS = {
+    "noisy_discrete_report.txt": "a03ad1a14f56c9141296450da96e52e59dac244ce2adf2f3c7c038bbccf18268",
+    "noisy_discrete_trajectory.csv": "0540040ba777b8a5de4b4f064d52f7381087d41d304319bd05d29af24e3f096e",
+    "sphere_1ms_report.txt": "326fa0c369424342b2fc60600e78fefaf6653566a23c2cc6d50f5473749cefae",
+    "sphere_1ms_trajectory.csv": "ba273102295dd39d9a77e8999d2b5b2dcea7cf94218d789eaff7830d363a24f9",
+}
+ROW_PASSES = {
+    "noisy_discrete": {"system": "slam_discrete", "n_steps": "200", "h": "0.02", "n_landmarks": "150",
+                       "noise": "0.01", "initial_error": "0.1 -0.2 0.3 0.4 -0.5 0.6"},
+    "sphere_1ms": {"system": "sphere_split_demo", "h": "1e-3", "t_final": "1.0"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_PASSES))
+def test_row_passes_byte_identical(tmp_path, name):
+    f = write_scenario(tmp_path / f"{name}.scn", name=name, **ROW_PASSES[name])
+    assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
+    for suffix in ("_report.txt", "_trajectory.csv"):
+        digest = hashlib.sha256((tmp_path / f"{name}{suffix}").read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256_ROWS[name + suffix], name + suffix
 
 
 # sha256 of the attitude demos cut to t_final = 1.0 (the full runs take seconds)

@@ -2,11 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleobs import actions as ac
 from bundleobs import bundle, groups, observer, systems
 from bundleobs.actions import Point, act
-from bundleobs.errors import DimensionError, NumericalBlowupError, RankDeficiencyError
+from bundleobs.errors import (
+    BundleobsError,
+    DimensionError,
+    NumericalBlowupError,
+    ProjectionFailureError,
+    RankDeficiencyError,
+)
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
 from bundleobs.integrate import IntegratorConfig, integrate_system
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
@@ -81,6 +89,84 @@ class TestAttitudeZetaE:
         np.testing.assert_array_equal(systems.attitude_zeta_e(R_est, y).vec, expected)
 
 
+PLANAR = np.array(
+    [
+        [0.0, 1.0, 0.0, 1.0],
+        [0.0, 0.0, 1.0, 1.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 1.0, 1.0, 1.0],
+    ]
+)
+
+
+def _chain(rng, n_landmarks, length, noise):
+    """Measurements M_k = S_k^-1 Lbar of random poses S_k, with uniform noise on the first three rows."""
+    L = random_landmarks(rng, n_landmarks)
+    chain = [groups.inverse_matrix(random_group("SE3", rng).matrix) @ L for _ in range(length)]
+    for M in chain:
+        M[:3] += rng.uniform(-noise, noise, size=M[:3].shape)
+    return chain
+
+
+def _recover_pair(M_k, M_k1):
+    """``slam_discrete_recover`` of one pair written out with 2-D @ and an SVD per pair:
+    the reference the stacked ``recover_pose_chain`` must match bit for bit."""
+    gram = M_k1 @ M_k1.T
+    if not np.isfinite(gram).all():
+        raise NumericalBlowupError("non-finite")
+    if np.linalg.cond(gram) >= 1e12:
+        raise RankDeficiencyError("rank")
+    S = M_k @ M_k1.T @ np.linalg.inv(gram)
+    U, _, Vt = np.linalg.svd(S[:3, :3])
+    R = U @ Vt
+    if np.linalg.det(R) < 0:
+        R = U @ np.diag([1.0, 1.0, -1.0]) @ Vt
+    if np.linalg.norm(R - S[:3, :3]) > 0.5:
+        raise ProjectionFailureError("far")
+    out = np.eye(4)
+    out[:3, :3], out[:3, 3] = R, S[:3, 3]
+    return GroupElement("SE3", out).matrix
+
+
+class TestStackedRecovery:
+    """``recover_pose_chain`` recovers a whole chain at once; every pose must carry the
+    bits of the per-pair code, and the first failing pair decides the error."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_landmarks=st.integers(4, 40),
+        length=st.integers(1, 8),
+        noise=st.sampled_from([0.0, 1e-3, 0.05]),
+        bad=st.sampled_from([None, "planar", "huge", "far"]),
+        where=st.integers(0, 7),
+    )
+    def test_chain_matches_per_pair_code(self, seed, n_landmarks, length, noise, bad, where):
+        chain = _chain(rng_from(seed), n_landmarks, length, noise)
+        if bad is not None and where < length:
+            M = chain[where]
+            M[:3] = {"planar": lambda m: m * [[1.0], [1.0], [0.0]], "huge": lambda m: m * 1e200,
+                     "far": lambda m: 3.0 * m}[bad](M[:3])
+        pairs = list(zip(chain, chain[1:]))
+        expected = None
+        with np.errstate(all="ignore"):
+            for pair in pairs:
+                try:
+                    _recover_pair(*pair)
+                except BundleobsError as exc:
+                    expected = type(exc)
+                    break
+            if expected is not None:
+                with pytest.raises(expected):
+                    systems.recover_pose_chain(chain)
+                return
+            recovered = systems.recover_pose_chain(chain)
+        assert len(recovered) == len(pairs)
+        for S, pair in zip(recovered, pairs):
+            assert S.matrix.tobytes() == _recover_pair(*pair).tobytes()
+            assert systems.slam_discrete_recover(*pair).matrix.tobytes() == S.matrix.tobytes()
+
+
 class TestSlamDiscrete:
     def test_equal_measurements_give_identity(self):
         rng = rng_from(7)
@@ -120,6 +206,25 @@ class TestSlamDiscrete:
         with pytest.raises(NumericalBlowupError, match="non-finite"):
             systems.slam_discrete_recover(M, M)
         assert capfd.readouterr().out == ""
+
+    @pytest.mark.parametrize("bad", ["planar", "huge"])
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_bad_pair_in_the_middle_of_a_chain(self, capfd, bad):
+        chain = _chain(rng_from(11), 4, 10, 0.0)
+        chain[5] = PLANAR if bad == "planar" else np.vstack([np.full((3, 4), 1e300), np.ones((1, 4))])
+        expected = RankDeficiencyError if bad == "planar" else NumericalBlowupError
+        with pytest.raises(expected):
+            systems.recover_pose_chain(chain)
+        assert capfd.readouterr().out == ""  # LAPACK never sees the non-finite Gram matrix
+
+    def test_earliest_bad_pair_decides_the_error(self):
+        chain = _chain(rng_from(12), 4, 10, 0.0)
+        chain[3], chain[6] = PLANAR, np.vstack([np.full((3, 4), np.nan), np.ones((1, 4))])
+        with pytest.raises(RankDeficiencyError):
+            systems.recover_pose_chain(chain)
+        chain[3], chain[6] = chain[6], PLANAR
+        with pytest.raises(NumericalBlowupError):
+            systems.recover_pose_chain(chain)
 
     def test_chain_recovery_50_steps(self):
         rng = rng_from(10)
