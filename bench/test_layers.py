@@ -8,6 +8,8 @@ Run from the repository root (``bench/`` is not in the Tier-1 testpaths):
 one ``BENCH_<n>.json``.  Only public names are used, so the same file times
 older commits too, except ``test_lie_euler_attitude_step``: it takes the
 step with vector rates, which the integrator accepts since ``BENCH_10.json``.
+Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
+(before ``BENCH_12.json``), their benchmarks time the work they replace.
 """
 
 import operator
@@ -16,7 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleobs import actions, cli, groups, observer, systems
+from bundleobs import actions, cli, groups, integrate, observer, systems
+from bundleobs.errors import DimensionError
 from bundleobs.groups import AlgebraElement, GroupElement
 from bundleobs.integrate import IntegratorConfig, integrate_system
 from bundleobs.sampling import random_group, random_landmarks, random_rotation, rng_from
@@ -120,6 +123,34 @@ def test_rk4_cg_se3_step(benchmark):
         return {"S": AlgebraElement("se3", [0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5])}
 
     config = IntegratorConfig(method="rk4_cg", h=0.02, t_final=0.02)
+    S0 = random_group("SE3", rng_from(6))
+    benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
+
+
+@pytest.mark.parametrize("kind", ["se3"])
+def test_exp_matrix_stack(benchmark, kind):
+    """``groups.exp_matrix`` of a stack of 800 se(3) vectors, ``us_per_item`` per vector.
+    A checkout whose ``exp_matrix`` takes no stack times the loop of single calls."""
+    vecs = np.random.default_rng(11).normal(size=(800, 6))
+    try:
+        groups.exp_matrix(vecs)
+        fn = groups.exp_matrix
+    except DimensionError:
+        fn = lambda v: [groups.exp_matrix(x) for x in v]  # noqa: E731
+    benchmark(fn, vecs)
+    benchmark.extra_info["items"] = len(vecs)
+    benchmark.extra_info["us_per_item"] = benchmark.stats.stats.median * 1e6 / len(vecs)
+
+
+def test_rk4_cg_se3_open_loop_200_steps(benchmark):
+    """200 rk4_cg SE(3) steps of a rate that reads only the time, as ``simulate_slam_poses``
+    takes them: open-loop through ``integrate.Input``, or the general loop where it is missing."""
+
+    def twist(t):
+        return {"S": AlgebraElement("se3", [0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5])}
+
+    rate = integrate.Input(twist) if hasattr(integrate, "Input") else (lambda t, state: twist(t))
+    config = IntegratorConfig(method="rk4_cg", h=0.02, t_final=4.0)
     S0 = random_group("SE3", rng_from(6))
     benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
 

@@ -41,7 +41,7 @@ from .observer import (
     zeta_e,
     zeta_e_numeric,
 )
-from .integrate import IntegratorConfig, SplitRate, Trajectory, integrate_system, lie_step
+from .integrate import Input, IntegratorConfig, SplitRate, Trajectory, integrate_system, lie_step
 
 __all__ = [
     "SE3",
@@ -52,6 +52,7 @@ __all__ = [
     "BundlePoint",
     "CrossSection",
     "GroupElement",
+    "Input",
     "IntegratorConfig",
     "SplitRate",
     "Metric",

@@ -27,6 +27,7 @@ from .groups import SE3, SO3, AlgebraElement, GroupElement
 from .sampling import random_group, rng_from
 
 _ORIGIN_EPS = 1e-12
+_TINY = 2.2250738585072014e-308  # sys.float_info.min, the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,11 @@ def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for x, y, z in q.tolist():
         h23 = math.hypot(y, z)
         h = math.hypot(x, h23)
-        c2, s2 = (y / h23, z / h23) if h23 else (1.0, 0.0)
         c1, s1 = (x / h, h23 / h) if h else (1.0, 0.0)
+        if 0.0 < h23 < _TINY:  # a subnormal hypot has lost digits: scale the pair by its larger magnitude
+            y, z = y / max(abs(y), abs(z)), z / max(abs(y), abs(z))
+            h23 = math.hypot(y, z)
+        c2, s2 = (y / h23, z / h23) if h23 else (1.0, 0.0)
         entries.append((1.0, 0.0, 0.0, 0.0, c2, s2, 0.0, -s2, c2, c1, s1, 0.0, -s1, c1, 0.0, 0.0, 0.0, 1.0))
     R21 = np.array(entries).reshape(-1, 2, 3, 3)
     R = np.swapaxes(R21[:, 0], 1, 2) @ np.swapaxes(R21[:, 1], 1, 2)

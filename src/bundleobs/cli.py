@@ -19,7 +19,7 @@ from . import actions as ac
 from . import bundle, observer, systems
 from .errors import BundleobsError, ConfigError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, exp, inverse_matrix, log
-from .integrate import IntegratorConfig, integrate_system
+from .integrate import Input, IntegratorConfig, integrate_system
 from .sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 
 SYSTEMS = ("attitude", "slam_continuous", "slam_discrete", "sphere_split_demo")
@@ -232,15 +232,12 @@ def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str]]:
 
 def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str]]:
     config = _integrator_config(scen)
-    q0 = np.array([2.0, 1.0, -0.5]) + scen["initial_error"]
+    q0 = ac.Point(ac.R3, np.array([2.0, 1.0, -0.5]) + scen["initial_error"]).value
 
     def velocity(t):
         return np.array([np.cos(t), -0.5 * np.sin(2.0 * t), 0.3])
 
-    def rate(t, state):
-        return {"q": systems.sphere_vector_field(ac.Point(ac.R3, state["q"]), velocity(t))}
-
-    traj = integrate_system(rate, config, {"q": q0})
+    traj = integrate_system(Input(lambda t: {"q": velocity(t)}), config, {"q": q0})
     v = np.array([velocity(t) for t in traj.times])
     r, R, hor, ver = bundle.sphere_splits(np.array([state["q"] for state in traj.states]), v)
     col = np.stack([np.zeros(len(r)), ver[:, 2], -ver[:, 1]], axis=1)  # hat(ver) e1

@@ -284,11 +284,14 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
 
     Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.
     The se(3) branch shares theta, skew(w) and its square between the
-    rotation block and the left Jacobian V.
+    rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
+    (k, 3, 3) or (k, 4, 4), each item with the bits of its own call.
     """
     if not _all_finite(vec):
         raise NumericalBlowupError("algebra coordinates are non-finite")
     if vec.shape not in ((3,), (6,)):
+        if vec.ndim == 2 and vec.shape[1] in (3, 6):
+            return _exp_matrix_stack(vec)
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
     w = vec[-3:]
     a, b, c = _so3_coeffs(math.sqrt(w @ w))
@@ -300,6 +303,23 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
     m = np.eye(4)
     m[:3, :3] = R
     m[:3, 3] = (_I3 + b * W + c * W2) @ vec[:3]
+    return m
+
+
+def _exp_matrix_stack(vec: np.ndarray) -> np.ndarray:
+    """``exp_matrix`` of each row: per-row theta and coefficients, stacked skew, W @ W and V @ v."""
+    w = vec[:, -3:]
+    a, b, c = np.array([_so3_coeffs(math.sqrt(x @ x)) for x in w]).reshape(-1, 3).T[:, :, None, None]
+    x, y, z = w.T
+    W = np.zeros((len(w), 3, 3))
+    W[:, 0, 1], W[:, 0, 2], W[:, 1, 0], W[:, 1, 2], W[:, 2, 0], W[:, 2, 1] = -z, y, z, -x, -y, x
+    W2 = W @ W
+    R = _I3 + a * W + b * W2
+    if vec.shape[1] == 3:
+        return R
+    m = np.zeros((len(w), 4, 4))
+    m[:, :3, :3], m[:, 3, 3] = R, 1.0
+    m[:, :3, 3:] = (_I3 + b * W + c * W2) @ vec[:, :3, None]
     return m
 
 
@@ -380,13 +400,15 @@ def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
 
 def project_stack(ms: np.ndarray, kind: str) -> list[GroupElement]:
     """``project_to_group`` of each matrix of a stack (k, n, n): one SVD and one
-    U @ Vt for the whole stack, then the checks of each item, in order."""
+    U @ Vt for the whole stack, then the checks of each item, in order.  The
+    first non-finite matrix cuts the stack, as LAPACK's SVD may not return on it."""
     n = _SIZE_OF_GROUP.get(kind)
     if n is None:
         raise KindMismatchError(f"unknown group kind {kind!r}")
     if ms.shape[1:] != (n, n):
         raise DimensionError(f"{kind} projection expects {n}x{n}, got {ms.shape[1:]}")
-    blocks = ms[:, :3, :3]
+    n_ok = len(ms) if np.isfinite(ms).all() else int(np.isfinite(ms).all(axis=(1, 2)).argmin())
+    blocks = ms[:n_ok, :3, :3]
     U, _, Vt = np.linalg.svd(blocks)
     out = []
     for m, block, u, vt, R in zip(ms, blocks, U, Vt, U @ Vt):
@@ -403,4 +425,6 @@ def project_stack(ms: np.ndarray, kind: str) -> list[GroupElement]:
             g = np.eye(4)
             g[:3, :3], g[:3, 3] = R, m[:3, 3]
         out.append(GroupElement(kind, g))
+    if n_ok < len(ms):
+        raise NumericalBlowupError("matrix to project has non-finite entries")
     return out

@@ -9,17 +9,19 @@ under one rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in
 Each step's matrix goes once through the validating GroupElement constructor,
 whose defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift
 gate takes one Björck step, which squares it, instead of an SVD projection.
+An ``Input`` rate reads only the time and is stepped open-loop, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import groups
-from .errors import ConfigError, KindMismatchError, NumericalBlowupError
+from .errors import BundleobsError, ConfigError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement
 
 LIE_EULER = "lie_euler"
@@ -27,6 +29,20 @@ RK4_CG = "rk4_cg"
 
 # upper bound on round(t_final / h); the longest shipped scenario has 20,000 steps
 MAX_STEPS = 1_000_000
+_BLOCK = 128  # steps per open-loop block, which bounds its stacked rates and exponentials
+# h / divisor: the stage steps, then the composition weights (a lie_euler step has one weight)
+_STAGES = {LIE_EULER: ((), (1,)), RK4_CG: ((2, 2, 1), (6, 3, 3, 6))}
+
+
+@dataclass(frozen=True)
+class Input:
+    """A rate that reads only the time, u(t) -> rate dict, which ``integrate_system`` steps
+    open-loop; as ``rate(t, state)`` it is u(t), so a wrapped Input runs the general loop."""
+
+    u: Callable
+
+    def __call__(self, t, state):
+        return self.u(t)
 
 
 @dataclass(frozen=True)
@@ -97,13 +113,18 @@ def _step(g: GroupElement, steps) -> GroupElement:
             m = groups.exp_matrix(h * spatial) @ m
         if body is not None:
             m = m @ groups.exp_matrix(h * body)
-    g = GroupElement(g.kind, m)
+    return _settle(g.kind, m)
+
+
+def _settle(kind: str, m: np.ndarray) -> GroupElement:
+    """m through the validating constructor, then one Björck step if its rotation drifted."""
+    g = GroupElement(kind, m)
     if g.defect <= groups._DRIFT_TOL:
         return g
     R = g.rotation()
     m = g.matrix.copy()
     m[:3, :3] = 0.5 * (R @ (3.0 * np.eye(3) - R.T @ R))  # R (3I - R^T R) / 2, translation kept
-    return GroupElement(g.kind, m)
+    return GroupElement(kind, m)
 
 
 def lie_step(g: GroupElement, xi: AlgebraElement | np.ndarray, h: float, side: str = "left") -> GroupElement:
@@ -127,6 +148,11 @@ def _rates(rate, t, state, sides):
     return out
 
 
+def _increment(h, ks):
+    """The vector step h k1 (lie_euler) or (h / 6)(k1 + 2 k2 + 2 k3 + k4) (rk4_cg)."""
+    return h * ks[0] if len(ks) == 1 else (h / 6) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
+
+
 def _advance(state, rates, h):
     """One lie_euler step (or rk4_cg stage) of every component."""
     out = {}
@@ -141,19 +167,86 @@ def _advance(state, rates, h):
 def _rk4_cg_step(rate, t, state, h, sides):
     """Four frozen-algebra stages; group parts advance by composed
     exponentials (exact for constant rates, order >= 2 otherwise)."""
-    k1 = _rates(rate, t, state, sides)
-    k2 = _rates(rate, t + h / 2, _advance(state, k1, h / 2), sides)
-    k3 = _rates(rate, t + h / 2, _advance(state, k2, h / 2), sides)
-    k4 = _rates(rate, t + h, _advance(state, k3, h), sides)
-    weights = ((h / 6, k1), (h / 3, k2), (h / 3, k3), (h / 6, k4))
+    stages, weights = ([h / d for d in ds] for ds in _STAGES[RK4_CG])
+    ks = [_rates(rate, t, state, sides)]
+    for d in stages:  # rate j + 1 is read on the state stepped by d along rate j
+        ks.append(_rates(rate, t + d, _advance(state, ks[-1], d), sides))
     out = {}
     for name, value in state.items():
         if isinstance(value, GroupElement):
-            out[name] = _step(value, [(w, k[name]) for w, k in weights])
+            out[name] = _step(value, [(w, k[name]) for w, k in zip(weights, ks)])
         else:
-            a, b, c, d = (np.asarray(k[name]) for k in (k1, k2, k3, k4))
-            out[name] = np.asarray(value) + (h / 6) * (a + 2 * b + 2 * c + d)
+            out[name] = np.asarray(value) + _increment(h, [np.asarray(k[name]) for k in ks])
     return out
+
+
+def _open_loop(rate: Input, config: IntegratorConfig, state, sides, snapshot) -> None:
+    """The steps of ``integrate_system`` for an Input, ``_BLOCK`` at a time: rates read in the
+    general loop's order, one stacked ``exp_matrix`` per component side, factors chained as
+    ``_step`` chains them, and vectors stepped by one cumsum.  The rk4_cg stage states are
+    only checked, stacked after the block.  A rate check that fails raises once the steps
+    before it are through."""
+    h = config.h
+    stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
+    n, n_steps = len(weights), int(round(config.t_final / h))
+    for i0 in range(0, n_steps, _BLOCK):
+        ks, error = [], None
+        try:
+            for i in range(i0, min(i0 + _BLOCK, n_steps)):
+                for d in (0.0, *stages):
+                    ks.append(_rates(rate, i * h + d, state, sides))
+        except BundleobsError as exc:  # a rate check failed: raised below, after the steps before it
+            error = exc
+        done, paths, checks = len(ks) // n, {}, {}
+        for name, x0 in state.items():
+            reads = [k[name] for k in ks]
+            if isinstance(x0, GroupElement):
+                paths[name], stage = _open_loop_factors(reads, len(x0.matrix), stages, weights, done)
+                checks[name] = (stage, [])  # each read's stage factors, and the states they step from
+            elif done:
+                inc = _increment(h, [np.array(reads[j:done * n:n]) for j in range(n)])
+                paths[name] = np.cumsum(np.concatenate([np.asarray(x0)[None], inc]), axis=0)[1:]
+        for j in range(done):
+            new = {}
+            for name, x in state.items():
+                if isinstance(x, GroupElement):
+                    m = x.matrix
+                    checks[name][1].append(m)
+                    for E_s, E_b in paths[name][j * n:j * n + n]:  # as _step chains them
+                        m = m if E_s is None else E_s @ m
+                        m = m if E_b is None else m @ E_b
+                    new[name] = _settle(x.kind, m)
+                else:
+                    new[name] = paths[name][j]
+            state = new
+            snapshot(i0 + j + 1, (i0 + j + 1) * h, state)
+        if stages:  # rk4_cg: the stage states the general loop would build, checked as its constructor would
+            for name, ((S_s, S_b), starts) in checks.items():
+                P = np.array(starts + [state[name].matrix])[np.arange(len(ks)) // n]  # each read's start
+                if not np.isfinite(S_s @ P @ S_b).all():
+                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {name!r}")
+        if error is not None:
+            raise error
+
+
+def _open_loop_factors(reads, dim, stages, weights, done) -> tuple[list, np.ndarray]:
+    """(E_s, E_b) for each read of the first ``done`` steps (None for a missing part), and the
+    stacks (E_s, E_b) of each read's stage step (the identity where it has none), from one
+    stacked ``exp_matrix`` per side."""
+    n = len(weights)
+    factors = [[None, None] for _ in range(done * n)]
+    stage = np.tile(np.eye(dim), (2, len(reads), 1, 1))
+    for side in (0, 1):
+        jobs = [(e, weights[e % n]) for e in range(done * n) if reads[e][side] is not None]
+        n_final = len(jobs)
+        jobs += [(e, stages[e % n]) for e, r in enumerate(reads) if r[side] is not None and e % n < len(stages)]
+        if jobs:
+            w = np.array([w for _, w in jobs])[:, None]
+            E = groups.exp_matrix(w * np.array([reads[e][side] for e, _ in jobs]))
+            for (e, _), F in zip(jobs, E[:n_final]):
+                factors[e][side] = F
+            stage[side, [e for e, _ in jobs[n_final:]]] = E[n_final:]
+    return factors, stage
 
 
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
@@ -179,12 +272,15 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
 
     state = dict(state0)
     snapshot(0, 0.0, state)
-    for i in range(1, n_steps + 1):
-        t = (i - 1) * config.h
-        if config.method == LIE_EULER:
-            state = _advance(state, _rates(rate, t, state, sides), config.h)
-        else:
-            state = _rk4_cg_step(rate, t, state, config.h, sides)
-        snapshot(i, i * config.h, state)
+    if isinstance(rate, Input):
+        _open_loop(rate, config, state, sides, snapshot)
+    else:
+        for i in range(1, n_steps + 1):
+            t = (i - 1) * config.h
+            if config.method == LIE_EULER:
+                state = _advance(state, _rates(rate, t, state, sides), config.h)
+            else:
+                state = _rk4_cg_step(rate, t, state, config.h, sides)
+            snapshot(i, i * config.h, state)
 
     return Trajectory(times, states, {k: np.asarray(v) for k, v in extras.items()})

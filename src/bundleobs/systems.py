@@ -17,7 +17,7 @@ from . import groups, observer
 from .actions import Point
 from .errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from .groups import SE3, SO3, AlgebraElement, GroupElement, Metric
-from .integrate import IntegratorConfig, Trajectory, integrate_system
+from .integrate import Input, IntegratorConfig, Trajectory, integrate_system
 from .observer import ObserverProblem, zeta_e
 from .sampling import rng_from
 
@@ -243,11 +243,7 @@ def simulate_slam_poses(
     """Propagate S' = S V^ and collect measurement matrices M_k = S_k^-1 Lbar."""
     L = np.asarray(landmarks, dtype=float)
     config = IntegratorConfig(method="rk4_cg", h=h, t_final=n_steps * h)
-
-    def rate(t, state):
-        return {"S": twist(t)}
-
-    traj = integrate_system(rate, config, {"S": S0}, sides={"S": "left"})
+    traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0}, sides={"S": "left"})
     poses = [s["S"] for s in traj.states]
     measurements = [S_inv @ L for S_inv in groups.inverse_matrix(np.array([S.matrix for S in poses]))]
     return poses, measurements
@@ -293,7 +289,8 @@ def recover_pose_chain(measurements) -> list[GroupElement]:
         grams.append(M_k1 @ M_k1.T)
         crosses.append(M_k @ M_k1.T)
     gram, cross = np.array(grams).reshape(-1, 4, 4), np.array(crosses).reshape(-1, 4, 4)
-    bad = ~np.isfinite(gram).all(axis=(1, 2))  # LAPACK would print to stdout and call it rank deficient
+    # non-finite M_k or M_k+1: LAPACK would print to stdout and call it rank deficient, or fail to converge
+    bad = ~np.isfinite(np.concatenate([gram, cross], axis=2)).all(axis=(1, 2))
     if bad.any():
         k = bad.argmax()
         gram, cross, error = gram[:k], cross[:k], NumericalBlowupError("non-finite landmark measurements")

@@ -1,6 +1,7 @@
 """Cross-sections, fiber/base coordinates, splitting, system reduction."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,14 @@ class TestGivensSection:
     def test_origin_excluded(self):
         with pytest.raises(OriginError):
             bundle.givens_section([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("q", [(1.0, 5e-324, 5e-324), (1.0, 1e-320, -1e-320), (-3.0, 5e-324, -2e-310)])
+    def test_subnormal_pair_gives_a_frame(self, q):
+        # hypot(5e-324, 5e-324) rounds to 5e-324: the pair is scaled before the division
+        r, R = bundle.givens_section(q)
+        assert r == abs(q[0])
+        assert np.linalg.norm(R.matrix.T @ R.matrix - np.eye(3)) <= 1e-15
+        assert np.linalg.norm(np.asarray(q) - r * (R.matrix @ E1)) <= 1e-15
 
     def test_random_reconstruction(self):
         rng = rng_from(0)
@@ -89,6 +98,9 @@ def _split_row(q, v):
 
     def pair(a, b):
         h = math.hypot(a, b)
+        if 0.0 < h < sys.float_info.min:  # subnormal: divide by the larger magnitude first
+            a, b = a / max(abs(a), abs(b)), b / max(abs(a), abs(b))
+            h = math.hypot(a, b)
         return (1.0, 0.0) if h == 0.0 else (a / h, b / h)
 
     x, y, z = q.tolist()
@@ -114,8 +126,8 @@ def _first_failure(fn, items):
 
 _COORD = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5]), st.floats(-1e3, 1e3, allow_subnormal=False))
 _VEC = st.tuples(_COORD, _COORD, _COORD)
-# values the per-row code fails on: the origin, subnormal pairs whose hypot rounds
-# (not orthogonal), an overflowing hypot, and non-finite coordinates
+# values the per-row code fails on (the origin, an overflowing hypot, non-finite
+# coordinates) and subnormal pairs, whose rounded hypot the section scales around
 _SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1.7e308, -1.3e308, math.inf, -math.inf, math.nan])
 
 
@@ -127,6 +139,7 @@ class TestStackedSplit:
     @given(rows=st.lists(st.tuples(_VEC, _VEC), min_size=1, max_size=8))
     @example(rows=[((0.0, 0.0, -2.0), (1.0, 0.0, 0.0)), ((-0.0, 3.0, -0.0), (0.0, -1.0, 0.5)),
                    ((5.0, -0.0, 0.0), (-0.0, 0.0, -0.0))])
+    @example(rows=[((1.0, 5e-324, 5e-324), (0.0, 1.0, 0.0)), ((-2.0, 1e-320, -3e-321), (1.0, 0.5, 0.0))])
     def test_rows_match_per_row_code(self, rows):
         q = np.array([p for p, _ in rows])
         q[np.linalg.norm(q, axis=1) <= 1e-9, 0] = 1.0  # keep off the origin
@@ -144,7 +157,7 @@ class TestStackedSplit:
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(st.tuples(st.one_of(_COORD, _SPECIAL), _SPECIAL, st.one_of(_COORD, _SPECIAL)),
                          min_size=1, max_size=6))
-    @example(rows=[(1.0, 5e-324, 5e-324)])
+    @example(rows=[(1.0, 5e-324, 5e-324), (0.0, 0.0, 0.0)])
     @example(rows=[(1.0, 2.0, 3.0), (1.7e308, 1.0, 5.39e307), (math.inf, 0.0, 0.0)])
     def test_failing_rows_fail_in_order(self, rows):
         q = np.array(rows)

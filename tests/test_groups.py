@@ -21,9 +21,11 @@ from bundleobs.groups import (
     adjoint,
     bracket,
     exp,
+    exp_matrix,
     hat,
     inner,
     log,
+    project_stack,
     project_to_group,
     vee,
 )
@@ -122,6 +124,56 @@ class TestExp:
                 w = scale * rng.normal(size=3)
                 se3 = exp(AlgebraElement("se3", np.concatenate([rng.normal(size=3), w])))
                 np.testing.assert_array_equal(exp(AlgebraElement("so3", w)).matrix, se3.matrix[:3, :3])
+
+
+_UNIT_AXIS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda u: np.linalg.norm(u) > 0.1)
+_STACK_ANGLE = st.one_of(
+    st.floats(0.0, 0.99 * _SMALL_ANGLE),  # Taylor branch
+    st.floats(_SMALL_ANGLE, 3.0),  # generic
+    st.floats(-12.0, -2.0).map(lambda e: math.pi + math.copysign(10.0**e, e + 7.0)),  # near pi, both sides
+    st.floats(10.0, 1e6),  # many turns
+    st.none(),  # a zero row
+)
+
+
+class TestStackedExp:
+    """``exp_matrix`` of a (k, 3) or (k, 6) stack: every item has the bits of its own call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(dim=st.sampled_from([3, 6]),
+           rows=st.lists(st.tuples(_UNIT_AXIS, _STACK_ANGLE, st.floats(-5.0, 5.0)), min_size=1, max_size=10))
+    def test_items_match_single_calls(self, dim, rows):
+        vecs = []
+        for axis, angle, shift in rows:
+            w = np.zeros(3) if angle is None else np.array(axis) / np.linalg.norm(axis) * angle
+            rho = np.zeros(3) if angle is None else shift * np.array(axis[::-1])
+            vecs.append(w if dim == 3 else np.concatenate([rho, w]))
+        stack = np.array(vecs)
+        out = exp_matrix(stack)
+        assert out.shape == (len(vecs), 3, 3) if dim == 3 else (len(vecs), 4, 4)
+        for item, vec in zip(out, vecs):
+            assert item.tobytes() == exp_matrix(vec).tobytes()
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises(self, dim, bad):
+        stack = np.full((5, dim), 0.25)
+        stack[3, -1] = bad
+        with pytest.raises(NumericalBlowupError):
+            exp_matrix(stack)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_overflowing_angle_row_raises(self, dim):
+        stack = np.full((4, dim), 0.25)
+        stack[2, -3:] = 1e200
+        with pytest.raises(NumericalBlowupError):
+            exp_matrix(stack)
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3, 3), (0,), (4,)])
+    def test_other_shapes_rejected(self, shape):
+        with pytest.raises(DimensionError):
+            exp_matrix(np.zeros(shape))
 
 
 class TestLog:
@@ -254,6 +306,17 @@ class TestProjectToGroup:
             else:
                 with pytest.raises(ProjectionFailureError):
                     project_to_group(m, "SO3")
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_rejected(self, kind, value):
+        # LAPACK's SVD may not return on an infinite entry
+        m = np.eye(3 if kind == "SO3" else 4)
+        m[0, 0] = value
+        with pytest.raises(NumericalBlowupError):
+            project_to_group(m, kind)
+        with pytest.raises(NumericalBlowupError):  # after the finite items before it
+            project_stack(np.stack([np.eye(len(m)), m, np.diag([1.0, 1.0, -1.0] + [1.0] * (len(m) - 3))]), kind)
 
     def test_se3_bottom_row_reset(self):
         rng = rng_from(9)

@@ -1,13 +1,16 @@
 """Lie-group integrators: stepping, order, projection, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from bundleobs import integrate
 from bundleobs.errors import ConfigError, KindMismatchError, NumericalBlowupError, ProjectionFailureError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
-from bundleobs.integrate import MAX_STEPS, IntegratorConfig, SplitRate, integrate_system, lie_step
+from bundleobs.integrate import MAX_STEPS, Input, IntegratorConfig, SplitRate, integrate_system, lie_step
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
@@ -370,3 +373,162 @@ class TestStepLimit:
     def test_limit_accepted(self):
         config = IntegratorConfig(method="lie_euler", h=1.0, t_final=float(MAX_STEPS))
         assert round(config.t_final / config.h) == MAX_STEPS
+
+
+def _open_loop_case(seed, spec, fail, fail_at):
+    """Initial state, sides and u(t) for the components in ``spec``, each (kind, side,
+    rate as vectors): SO3, SE3, or vectors of length 1 or 3, whose side is ignored.
+    From t = fail_at on, the first component, a group one, turns bad as ``fail``
+    says: NaN coordinates, a wrong length or an angle whose exponential overflows."""
+    rng = rng_from(seed)
+    state0, sides, parts = {}, {}, {}
+    for i, (kind, side, vectors) in enumerate(spec):
+        name = f"c{i}"
+        dim = {"SO3": 3, "SE3": 6, "vec1": 1, "vec3": 3}[kind]
+        amp, freq, phase = rng.normal(size=(3, dim))
+        if kind.startswith("vec"):
+            state0[name] = rng.normal(size=dim)
+        else:
+            state0[name] = random_group(kind, rng)
+            sides[name] = "left" if side == "split" else side
+        parts[name] = (kind, side, vectors, amp, freq, phase)
+
+    def u(t):
+        out = {}
+        for name, (kind, side, vectors, amp, freq, phase) in parts.items():
+            x = amp * np.sin(freq * t + phase)
+            if name == "c0" and fail is not None and t >= fail_at:
+                x = {"nan": np.full(len(x), np.nan), "length": np.zeros(len(x) + 1),
+                     "angle": np.full(len(x), 1e200)}[fail]
+            if kind.startswith("vec"):
+                out[name] = np.cos(x)
+                continue
+            wrap = (lambda v: v) if vectors or fail == "length" else (lambda v, k=kind: AlgebraElement(k.lower(), v))
+            out[name] = SplitRate(body=wrap(x), spatial=wrap(0.5 * np.cos(x))) if side == "split" else wrap(x)
+        return out
+
+    return state0, sides, u
+
+
+def _run(rate, config, state0, sides):
+    """(trajectory or exception, record calls) of integrate_system with a counting record."""
+    calls = []
+
+    def record(t, state):
+        calls.append(t)
+        return {"sum": float(sum(np.sum(v.matrix if isinstance(v, GroupElement) else v) for v in state.values()))}
+
+    try:
+        return integrate_system(rate, config, state0, sides, record), calls
+    except Exception as exc:  # noqa: BLE001 -- the class is compared
+        return exc, calls
+
+
+_SIDES = st.sampled_from(["left", "right", "split"])
+_GROUP_COMPONENT = st.tuples(st.sampled_from(["SO3", "SE3"]), _SIDES, st.booleans())
+_COMPONENT = st.tuples(st.sampled_from(["SO3", "SE3", "vec1", "vec3"]), _SIDES, st.booleans())
+
+
+class TestOpenLoop:
+    """``Input(u)`` is stepped open-loop, from stacked exponentials; it must give the
+    bytes, record calls and errors of the general loop running ``lambda t, s: u(t)``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["lie_euler", "rk4_cg"]),
+        spec=st.tuples(_GROUP_COMPONENT, st.lists(_COMPONENT, max_size=2)).map(lambda c: [c[0], *c[1]]),
+        h=st.sampled_from([0.05, 0.1, 0.3]),
+        n_steps=st.integers(1, 9),
+        block=st.sampled_from([1, 2, 4, integrate._BLOCK]),
+        fail=st.sampled_from([None, None, "nan", "length", "angle"]),
+        fail_step=st.integers(0, 8),
+        fail_offset=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_same_bytes_and_errors_as_general_loop(
+        self, seed, method, spec, h, n_steps, block, fail, fail_step, fail_offset
+    ):
+        state0, sides, u = _open_loop_case(seed, spec, fail, (fail_step % n_steps + fail_offset) * h)
+        config = IntegratorConfig(method=method, h=h, t_final=n_steps * h)
+        with np.errstate(over="ignore"), mock.patch.object(integrate, "_BLOCK", block):
+            got, got_calls = _run(Input(u), config, state0, sides)
+            want, want_calls = _run(lambda t, s: u(t), config, state0, sides)
+        if isinstance(want, Exception):
+            assert type(got) is type(want), (got, want)
+            assert getattr(got, "t", None) == getattr(want, "t", None)
+            if fail != "angle":  # an overflowing exponential may stop the block before its records
+                assert got_calls == want_calls
+            return
+        assert not isinstance(got, Exception), got
+        assert got_calls == want_calls
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.extras["sum"].tobytes() == want.extras["sum"].tobytes()
+        for a, b in zip(got.states, want.states, strict=True):
+            for name in state0:
+                x, y = a[name], b[name]
+                if isinstance(y, GroupElement):
+                    assert x.kind == y.kind and x.matrix.tobytes() == y.matrix.tobytes()
+                else:
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("fail_at", [0.0, 0.25, 0.3, 0.35])
+    def test_non_finite_rate_reports_the_same_time(self, method, fail_at):
+        def u(t):
+            return {"S": AlgebraElement("se3", [0.1, 0.0, np.inf if t >= fail_at else 0.2, 0.3, 0.0, 0.1])}
+
+        config = IntegratorConfig(method=method, h=0.1, t_final=1.0)
+        errors = []
+        for rate in (Input(u), lambda t, s: u(t)):
+            with pytest.raises(NumericalBlowupError) as err:
+                integrate_system(rate, config, {"S": GroupElement.identity("SE3")})
+            errors.append(err.value.t)
+        assert errors[0] == errors[1] and errors[0] >= fail_at
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("side", ["left", "right", "split"])
+    @pytest.mark.parametrize("case", sorted(TestBlowup.CASES))
+    def test_blowup_cases_still_raise(self, method, side, case):
+        xi = AlgebraElement("se3", TestBlowup.CASES[case])
+        r = SplitRate(body=xi, spatial=xi) if side == "split" else xi
+        config = IntegratorConfig(method=method, h=2, t_final=8.0)
+        with pytest.raises(NumericalBlowupError):
+            integrate_system(Input(lambda t: {"S": r}), config, {"S": GroupElement.identity("SE3")}, {"S": side})
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("kind", ["so3", "se3"])
+    def test_overflowing_stage_exponential_raises(self, kind):
+        # h |w| = 1e103 overflows theta ** 3 only in the rk4_cg stage exponential exp(h k3);
+        # the largest exponent of the composition is h |w| / 3
+        w = [0.0, 0.0, 1e104] if kind == "so3" else [1.0, 0.0, 0.0, 0.0, 0.0, 1e104]
+        state0 = {"g": GroupElement.identity(kind.upper())}
+        config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.1)
+        for rate in (Input(lambda t: {"g": w}), lambda t, s: {"g": w}):
+            with pytest.raises(NumericalBlowupError, match="overflows"):
+                integrate_system(rate, config, state0)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("side", ["left", "split"])
+    def test_overflowing_stage_state_raises(self, side):
+        # only the stage state m exp(h k1 / 2) overflows: the composition's velocities cancel
+        m = np.eye(4)
+        m[0, 3] = 1.7e308
+
+        def u(t):
+            v = np.array([2e307 if t % 1.0 == 0.0 else -2e307, 0.0, 0.0, 0.0, 0.0, 0.0])
+            return {"S": SplitRate(body=v, spatial=np.zeros(6)) if side == "split" else v}
+
+        config = IntegratorConfig(method="rk4_cg", h=1.0, t_final=1.0)
+        for rate in (Input(u), lambda t, s: u(t)):
+            with pytest.raises(NumericalBlowupError):
+                integrate_system(rate, config, {"S": GroupElement("SE3", m)})
+
+    def test_input_is_a_rate(self):
+        u = lambda t: {"x": np.array([t])}  # noqa: E731
+        assert Input(u)(0.5, {"x": np.zeros(1)})["x"][0] == 0.5
+
+    def test_blocks_bound_the_stacks(self):
+        config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=2.0)
+        traj = integrate_system(Input(lambda t: {"x": np.ones(2)}), config, {"x": np.zeros(2)})
+        assert len(traj) == 2001 and traj.states[-1]["x"].base.shape[0] <= integrate._BLOCK + 1

@@ -112,11 +112,13 @@ def _recover_pair(M_k, M_k1):
     """``slam_discrete_recover`` of one pair written out with 2-D @ and an SVD per pair:
     the reference the stacked ``recover_pose_chain`` must match bit for bit."""
     gram = M_k1 @ M_k1.T
-    if not np.isfinite(gram).all():
+    if not (np.isfinite(gram).all() and np.isfinite(M_k @ M_k1.T).all()):
         raise NumericalBlowupError("non-finite")
     if np.linalg.cond(gram) >= 1e12:
         raise RankDeficiencyError("rank")
     S = M_k @ M_k1.T @ np.linalg.inv(gram)
+    if not np.isfinite(S).all():
+        raise NumericalBlowupError("non-finite")
     U, _, Vt = np.linalg.svd(S[:3, :3])
     R = U @ Vt
     if np.linalg.det(R) < 0:
@@ -216,6 +218,19 @@ class TestSlamDiscrete:
         with pytest.raises(expected):
             systems.recover_pose_chain(chain)
         assert capfd.readouterr().out == ""  # LAPACK never sees the non-finite Gram matrix
+
+    @pytest.mark.filterwarnings("error", "ignore:overflow")  # no LAPACK or invalid-value warning
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan, 1.7e308])
+    @pytest.mark.parametrize("where", [0, 4])
+    def test_bad_first_measurement_of_a_pair(self, capfd, value, where):
+        # M_k non-finite, or so large that S^k overflows, while M_k+1 M_k+1^T stays finite
+        chain = _chain(rng_from(13), 6, 6, 0.0)
+        chain[where][0, 0] = value
+        with pytest.raises(NumericalBlowupError):
+            systems.slam_discrete_recover(chain[where], chain[where + 1])
+        with pytest.raises(NumericalBlowupError):
+            systems.recover_pose_chain(chain)
+        assert capfd.readouterr().out == ""
 
     def test_earliest_bad_pair_decides_the_error(self):
         chain = _chain(rng_from(12), 4, 10, 0.0)
