@@ -4,7 +4,8 @@
 
 Each ``label=files`` becomes one entry: the commit and machine facts of its
 runs and, per benchmark, the median over runs of each run's median in us,
-with every run's median listed.  On a shared host one run's speed drifts,
+with every run's median listed, and as ``us_per_row`` that median over the
+benchmark's ``extra_info["rows"]`` (or ``["items"]``) where it gives one.  On a shared host one run's speed drifts,
 so alternate the labels' runs and give several per label.
 """
 
@@ -17,17 +18,23 @@ def entry(paths: list[str]) -> dict:
     runs = [json.loads(open(p).read()) for p in paths]
     machine = runs[0]["machine_info"]
     medians: dict[str, list[float]] = {}
+    per: dict[str, int] = {}
     for run in runs:
         for b in run["benchmarks"]:
-            medians.setdefault(b["name"].removeprefix("test_"), []).append(b["stats"]["median"] * 1e6)
+            name = b["name"].removeprefix("test_")
+            medians.setdefault(name, []).append(b["stats"]["median"] * 1e6)
+            extra = b.get("extra_info", {})
+            if extra.get("rows", extra.get("items")):
+                per[name] = extra.get("rows", extra.get("items"))
+    us = {name: {"median": round(statistics.median(ms), 3), "runs": [round(m, 3) for m in ms]}
+          for name, ms in medians.items()}
+    for name, n in per.items():
+        us[name]["us_per_row"] = round(us[name]["median"] / n, 4)
     return {
         "commit": runs[0].get("commit_info", {}).get("id"),
         "datetimes": [run["datetime"] for run in runs],
         "machine": {k: machine.get(k) for k in ("cpu_count", "python_version", "numpy_version")},
-        "us": {
-            name: {"median": round(statistics.median(ms), 3), "runs": [round(m, 3) for m in ms]}
-            for name, ms in medians.items()
-        },
+        "us": us,
     }
 
 

@@ -9,7 +9,8 @@ one ``BENCH_<n>.json``.  Only public names are used, so the same file times
 older commits too, except ``test_lie_euler_attitude_step``: it takes the
 step with vector rates, which the integrator accepts since ``BENCH_10.json``.
 Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
-(before ``BENCH_12.json``), their benchmarks time the work they replace.
+(before ``BENCH_12.json``), or ``observer.error_columns`` (before
+``BENCH_13.json``), their benchmarks time the work they replace.
 """
 
 import operator
@@ -153,6 +154,34 @@ def test_rk4_cg_se3_open_loop_200_steps(benchmark):
     config = IntegratorConfig(method="rk4_cg", h=0.02, t_final=4.0)
     S0 = random_group("SE3", rng_from(6))
     benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
+
+
+def _observer_samples(system: str, rows: int) -> tuple:
+    """(prob, times, g, g_est, measure) of ``rows`` random samples of the attitude or SLAM observer."""
+    rng = rng_from(12)
+    if system == "attitude":
+        prob, measure, kind = systems.attitude_problem(), systems.measure_attitude, "SO3"
+    else:
+        L = random_landmarks(rng, 24)
+        prob, kind = systems.slam_problem(L), "SE3"
+        measure = lambda S, amp, r: systems.measure_landmarks(S, L, amp, r)  # noqa: E731
+    g, g_est = ([random_group(kind, rng) for _ in range(rows)] for _ in range(2))
+    return prob, np.arange(rows) * 1e-3, g, g_est, measure
+
+
+def _per_sample_columns(prob, times, g, g_est, measure):
+    """The V^e and ||zeta_e|| calls the step loop made per sample before ``error_columns``."""
+    return [(prob.error_cost(observer.group_error(prob, a, b)), observer.zeta_e(prob, b, measure(a, 0.0, None)).norm())
+            for a, b in zip(g, g_est)]
+
+
+@pytest.mark.parametrize("system, rows", [("attitude", 10_001), ("slam24", 201)])
+def test_error_columns(benchmark, system, rows):
+    """``observer.error_columns`` over a run's rows (24 landmarks for SLAM), ``us_per_row`` per
+    row; a checkout without it times the per-sample calls its step loop made instead."""
+    args = _observer_samples(system, rows)
+    benchmark(getattr(observer, "error_columns", _per_sample_columns), *args)
+    benchmark.extra_info["rows"] = rows
 
 
 def test_write_csv_100_rows(benchmark, tmp_path):

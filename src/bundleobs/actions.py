@@ -78,6 +78,18 @@ class Point:
         object.__setattr__(self, "value", v)
 
 
+def check_point_stack(kind: str, value):
+    """The Point constructor's check of each point of a stack, returning ``value``: a direction
+    pair as two (k, 3) stacks of unit vectors (norms by ``groups.row_dot``, within 1e-12), else
+    landmarks as (k, 4, N) with a homogeneous last row."""
+    if kind == DIRECTION_PAIR:
+        if any((abs(np.sqrt(groups.row_dot(x)) - 1.0) > 1e-12).any() for x in value):
+            raise KindMismatchError("direction pair entries must be unit 3-vectors")
+    elif not (value[:, 3] == 1.0).all():
+        raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
+    return value
+
+
 @dataclass(frozen=True)
 class ActionSpec:
     """A left or right action of SO(3)/SE(3) on one point kind.

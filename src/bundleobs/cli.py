@@ -9,6 +9,7 @@ byte-identical for identical scenario + seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -234,6 +235,7 @@ def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str]]:
     config = _integrator_config(scen)
     q0 = ac.Point(ac.R3, np.array([2.0, 1.0, -0.5]) + scen["initial_error"]).value
 
+    @functools.cache  # the Input reads each sample's velocity but the last; the split reuses them
     def velocity(t):
         return np.array([np.cos(t), -0.5 * np.sin(2.0 * t), 0.3])
 

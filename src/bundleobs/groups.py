@@ -51,6 +51,19 @@ def _det3(rows) -> float:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
+def _defect_sq(rows):
+    """||R^T R - I||_F^2 of a 3x3 block given as rows of floats, or of arrays over a stack."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    # R^T R - I is symmetric: three diagonal and three off-diagonal entries
+    d00 = a * a + d * d + g * g - 1.0
+    d11 = b * b + e * e + h * h - 1.0
+    d22 = c * c + f * f + i * i - 1.0
+    d01 = a * b + d * e + g * h
+    d02 = a * c + d * f + g * i
+    d12 = b * c + e * f + h * i
+    return d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
+
+
 def _check_rotation(rows) -> float:
     """Reject a 3x3 block, given as rows of floats, that is not a rotation; return its defect.
 
@@ -60,17 +73,7 @@ def _check_rotation(rows) -> float:
     the generic numpy routines on a 3x3 block.  The defect must not exceed
     ``_ORTHO_TOL`` and the determinant must be positive.
     """
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    # R^T R - I is symmetric: three diagonal and three off-diagonal entries
-    d00 = a * a + d * d + g * g - 1.0
-    d11 = b * b + e * e + h * h - 1.0
-    d22 = c * c + f * f + i * i - 1.0
-    d01 = a * b + d * e + g * h
-    d02 = a * c + d * f + g * i
-    d12 = b * c + e * f + h * i
-    defect = math.sqrt(
-        d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
-    )
+    defect = math.sqrt(_defect_sq(rows))
     if defect > _ORTHO_TOL:
         raise ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect:.3e}")
     if _det3(rows) <= 0:
@@ -133,6 +136,32 @@ class GroupElement:
 
     def is_close(self, other: "GroupElement", tol: float = 1e-9) -> bool:
         return self.kind == other.kind and np.linalg.norm(self.matrix - other.matrix) <= tol
+
+
+def check_stack(ms: np.ndarray) -> np.ndarray:
+    """The GroupElement constructor's checks on each matrix of a stack (k, 3, 3) or (k, 4, 4), in
+    whole-array arithmetic: finite entries, the defect (``_defect_sq``) and determinant of each
+    rotation block, and an SE(3) bottom row within 1e-12 of (0, 0, 0, 1), set exactly where it is
+    not.  Raises the constructor's error for the first of these checks that some item fails."""
+    if not np.isfinite(ms).all():
+        raise NumericalBlowupError("group matrix has non-finite entries")
+    rows = np.moveaxis(ms[:, :3, :3], 0, -1)  # each entry as an array over the stack
+    defect = np.sqrt(_defect_sq(rows))
+    if (defect > _ORTHO_TOL).any():
+        raise ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect.max():.3e}")
+    if (_det3(rows) <= 0).any():
+        raise ProjectionFailureError("rotation block has non-positive determinant")
+    if ms.shape[-1] == 4:
+        d = ms[:, 3] - (0.0, 0.0, 0.0, 1.0)
+        if (np.sqrt(row_dot(d)) > 1e-12).any():
+            raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
+        ms[(d != 0.0).any(axis=1), 3] = (0.0, 0.0, 0.0, 1.0)
+    return ms
+
+
+def row_dot(x: np.ndarray) -> np.ndarray:
+    """x_i @ x_i for each row of a stack (k, n), by stacked @: each has the bits of the 1-D x @ x."""
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -245,7 +274,7 @@ def vee(zeta) -> np.ndarray:
 
 def inverse_matrix(m: np.ndarray) -> np.ndarray:
     """Inverse of an SO(3) or SE(3) matrix: R^T, or the block form (R^T, -R^T p).
-    A stack (k, 4, 4) takes the same operations through stacked @: each item has the 2-D bits."""
+    A stack (k, 3, 3) or (k, 4, 4) takes the same operations through stacked @: each item has the 2-D bits."""
     if m.shape == (3, 3):
         return m.T
     if m.shape == (4, 4):
@@ -253,6 +282,8 @@ def inverse_matrix(m: np.ndarray) -> np.ndarray:
         out[:3, :3] = m[:3, :3].T
         out[:3, 3] = -m[:3, :3].T @ m[:3, 3]
         return out
+    if m.shape[-1] == 3:
+        return np.swapaxes(m, -1, -2)
     Rt = np.swapaxes(m[..., :3, :3], -1, -2)
     out = np.zeros(m.shape)
     out[..., :3, :3], out[..., 3, 3] = Rt, 1.0

@@ -6,10 +6,13 @@ differential of the error cost; it depends only on the estimate and the
 measurement, which is what makes the error dynamics autonomous.  An analytic
 differential can be registered and is dualized through the metric like the
 central-difference gradient over the algebra basis, which is used otherwise.
+Nothing the run reports feeds back into it, so ``error_columns`` computes the
+V^e and ||zeta_e|| columns after the run, from stacked passes.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,11 +22,12 @@ import numpy as np
 
 from . import groups
 from .actions import ActionSpec, Point, act
-from .errors import KindMismatchError
+from .errors import BundleobsError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, Metric
 from .integrate import SplitRate
 
 FD_STEP = 1e-6
+_CHUNK = 128  # samples per stacked pass of ``error_columns``, which bounds its temporaries
 
 LEFT = "left"
 RIGHT = "right"
@@ -45,6 +49,11 @@ class ObserverProblem:
     cost: Callable[[Point, Point], float]
     metric: Metric = Metric()
     zeta_e_analytic: Optional[Callable[[GroupElement, Point], AlgebraElement]] = None
+    # stacked forms for ``error_columns``, each row with the bits of the per-sample call: the
+    # error_cost of group errors (k, n, n), and zeta_e_analytic's coordinates, before the metric,
+    # at the noiseless measurements, from the stacks (g~, g)
+    error_cost_stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    zeta_e_stack: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.handedness not in (LEFT, RIGHT):
@@ -92,8 +101,12 @@ class ObserverProblem:
                 break
 
 
-def group_error(prob: ObserverProblem, g: GroupElement, g_est: GroupElement) -> GroupElement:
-    """e_g: g g~^-1 for left-observed systems, g~^-1 g for right-observed."""
+def group_error(prob: ObserverProblem, g, g_est):
+    """e_g: g g~^-1 for left-observed systems, g~^-1 g for right-observed.  Stacks (k, n, n) of
+    matrices give the stack of e_g, each item with its own call's bits, by ``groups.check_stack``."""
+    if isinstance(g, np.ndarray):
+        inv = groups.inverse_matrix(g_est)
+        return groups.check_stack(g @ inv if prob.handedness == LEFT else inv @ g)
     if g.kind != g_est.kind:
         raise KindMismatchError(f"group error between {g.kind} and {g_est.kind}")
     inv = groups.inverse_matrix(g_est.matrix)  # one validated element: the product
@@ -154,7 +167,6 @@ def preobserver_split_rate(
     y: Point,
     zeta: AlgebraElement | np.ndarray,
     gain: float = 1.0,
-    ze: Optional[AlgebraElement] = None,
 ):
     """The pre-observer rate with the correction kept on the spatial side.
 
@@ -163,13 +175,10 @@ def preobserver_split_rate(
     observed d/dt g~ = zeta^ g~ + g~ k zeta_e^.  Stepping the two parts by
     separate exponentials makes the discrete error map a function of the
     group error alone, so simulated error trajectories stay autonomous to
-    machine precision.  ``ze``, when given, is zeta_e(prob, g_est, y) as the
-    caller already evaluated it.  ``zeta`` may be an AlgebraElement or its
-    coordinate vector; the correction part is the vector gain * zeta_e.
+    machine precision.  ``zeta`` may be an AlgebraElement or its coordinate
+    vector; the correction part is the vector gain * zeta_e.
     """
-    if ze is None:
-        ze = zeta_e(prob, g_est, y)
-    correction = gain * ze.vec
+    correction = gain * zeta_e(prob, g_est, y).vec
     if prob.handedness == LEFT:
         return SplitRate(body=zeta, spatial=correction)
     return SplitRate(body=correction, spatial=zeta)
@@ -183,3 +192,47 @@ def error_rate(prob: ObserverProblem, e_g: GroupElement, gain: float = 1.0) -> A
     """
     ident = GroupElement.identity(prob.group_kind)
     return -gain * zeta_e(prob, ident, prob.output(e_g))
+
+
+def error_columns(prob: ObserverProblem, times, g, g_est, measure=None) -> dict[str, np.ndarray]:
+    """The ``Ve`` column of a run and, given ``measure``, its ``zeta_e_norm`` column, after the run.
+
+    ``g`` and ``g_est`` list each sample's true and estimate GroupElements.  ``_CHUNK`` samples at
+    a time, ``prob``'s stacked forms take ``group_error`` of the stacked matrices.  A problem
+    without them, or a chunk where they raise or give a non-finite value, takes the per-sample
+    reference instead, which raises the error of the first bad sample.
+    """
+    chunks = []
+    for i in range(0, len(times), _CHUNK):
+        t, x, x_est = times[i:i + _CHUNK], g[i:i + _CHUNK], g_est[i:i + _CHUNK]
+        cols = _stacked_columns(prob, x, x_est, measure)
+        if cols is None:
+            cols = np.array([_sample_row(prob, *r, measure) for r in zip(t, x, x_est)]).T
+        chunks.append(cols)
+    return dict(zip(["Ve", "zeta_e_norm"], np.concatenate(chunks, axis=1)))
+
+
+def _stacked_columns(prob: ObserverProblem, g, g_est, measure) -> Optional[np.ndarray]:
+    """``error_columns``' stacked pass over one chunk, or None where it cannot stand for the reference."""
+    if prob.error_cost_stack is None or (measure is not None and prob.zeta_e_stack is None):
+        return None
+    G, G_est = (np.array([x.matrix for x in xs]) for xs in (g, g_est))
+    try:
+        with np.errstate(all="ignore"):  # the reference reports what goes wrong
+            cols = [prob.error_cost_stack(group_error(prob, G, G_est))]
+            if measure is not None:
+                z, scale = prob.zeta_e_stack(G_est, G), prob.metric.scale
+                cols.append(np.sqrt(groups.row_dot(z if scale == 1.0 else z / scale)))
+    except BundleobsError:
+        return None
+    return np.array(cols) if np.isfinite(cols).all() else None
+
+
+def _sample_row(prob: ObserverProblem, t, g, g_est, measure) -> list[float]:
+    """One sample of the reference: error_cost of group_error, and zeta_e at measure(g, 0.0, None)."""
+    row = [prob.error_cost(group_error(prob, g, g_est))]
+    if measure is not None:
+        row.append(zeta_e(prob, g_est, measure(g, 0.0, None)).norm())
+    if not all(map(math.isfinite, row)):
+        raise NumericalBlowupError(f"non-finite recorded value at t={t:.6g}", t=t)
+    return row

@@ -18,7 +18,7 @@ from .actions import Point
 from .errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from .groups import SE3, SO3, AlgebraElement, GroupElement, Metric
 from .integrate import Input, IntegratorConfig, Trajectory, integrate_system
-from .observer import ObserverProblem, zeta_e
+from .observer import ObserverProblem
 from .sampling import rng_from
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -45,38 +45,28 @@ def simulate_observer(
     ``state0`` maps the true state's name, then the estimate's, to their
     initial group elements; ``measure(g, noise_amp, rng)`` gives the output.
     The observer sees the (possibly noisy) input and output; noise on the
-    input is drawn before noise on the output.  The recorded V^e and
-    ||zeta_e|| use the noiseless ones.  ``record`` and a noiseless ``rate``
-    ask for them at the same state one after the other, so the answer for
-    the last state is kept, keyed on the identity of its (immutable) group
-    elements: each state costs one measurement and one zeta_e.
+    input is drawn before noise on the output.  The step loop computes only
+    what feeds back into the run; the V^e and ||zeta_e|| columns come after
+    it from ``observer.error_columns``, at the noiseless output
+    ``measure(g, 0.0, None)``, which a problem's stacked forms take as
+    phi_{g^-1}(y0).
     """
     true, est = state0
     rng = rng_from(seed)
-    last = [None, None, None]
-
-    def clean(state):
-        g, g_est = state[true], state[est]
-        if last[0] is not g or last[1] is not g_est:
-            y = measure(g, 0.0, None)
-            last[:] = [g, g_est, (y, zeta_e(prob, g_est, y))]
-        return last[2]
 
     def rate(t, state):
         v = u(t).vec
         if noise_amp > 0.0:
             v_meas = v + rng.uniform(-noise_amp, noise_amp, size=len(v))
-            y, ze = measure(state[true], noise_amp, rng), None
+            y = measure(state[true], noise_amp, rng)
         else:
-            v_meas = v
-            y, ze = clean(state)
-        return {true: v, est: observer.preobserver_split_rate(prob, state[est], y, v_meas, gain, ze)}
+            v_meas, y = v, measure(state[true], 0.0, None)
+        return {true: v, est: observer.preobserver_split_rate(prob, state[est], y, v_meas, gain)}
 
-    def record(t, state):
-        e_g = observer.group_error(prob, state[true], state[est])
-        return {"Ve": prob.error_cost(e_g), "zeta_e_norm": clean(state)[1].norm()}
-
-    return integrate_system(rate, config, state0, record=record)
+    traj = integrate_system(rate, config, state0)
+    g, g_est = ([s[name] for s in traj.states] for name in (true, est))
+    traj.extras.update(observer.error_columns(prob, traj.times, g, g_est, measure))
+    return traj
 
 
 # -- attitude --
@@ -87,18 +77,34 @@ def attitude_cost(y: Point, y_est: Point) -> float:
     return float(np.dot(a2 - b2, a2 - b2) + np.dot(a3 - b3, a3 - b3))
 
 
-def attitude_zeta_e(R_est: GroupElement, y: Point) -> AlgebraElement:
+def attitude_zeta_e(R_est, y):
     """Analytic gradient direction: sum over k of -2 e_k^ (R~ y_k).
 
     The cross products with the fixed axes are written out by hand:
     e2 x u = (u3, 0, -u1) and e3 x v = (-v2, v1, 0), for u = R~ y2, v = R~ y3.
+    A stack R_est (k, 3, 3), with y the pair of (k, 3) stacks, gives the (k, 3)
+    coordinates, each row with the bits of its own call.
     """
+    if isinstance(R_est, np.ndarray):
+        u, v = (R_est @ x[:, :, None] for x in y)
+        return -2.0 * np.concatenate([u[:, 2] - v[:, 1], v[:, 0], -u[:, 0]], axis=1)
     y2, y3 = y.value
     R = R_est.matrix
     u1, _, u3 = (R @ y2).tolist()
     v1, v2, _ = (R @ y3).tolist()
     ze = -2.0 * np.array([u3 - v2, v1, -u1])
     return AlgebraElement("so3", ze)
+
+
+def _directions(M: np.ndarray) -> tuple:
+    """(M e2, M e3) for a stack M (k, 3, 3), checked as a direction pair."""
+    return ac.check_point_stack(ac.DIRECTION_PAIR, (M @ E2, M @ E3))
+
+
+def _attitude_cost_stack(E: np.ndarray) -> np.ndarray:
+    """``attitude_cost`` of phi_{e_g}(y0) = (E e2, E e3) against y0 for a stack of group errors."""
+    y2, y3 = _directions(E)
+    return groups.row_dot(y2 - E2) + groups.row_dot(y3 - E3)
 
 
 def attitude_problem(metric: Metric = Metric(), analytic: bool = True) -> ObserverProblem:
@@ -111,6 +117,9 @@ def attitude_problem(metric: Metric = Metric(), analytic: bool = True) -> Observ
         cost=attitude_cost,
         metric=metric,
         zeta_e_analytic=attitude_zeta_e if analytic else None,
+        error_cost_stack=_attitude_cost_stack,
+        zeta_e_stack=(lambda R_est, R: attitude_zeta_e(R_est, _directions(groups.inverse_matrix(R))))
+        if analytic else None,
     )
 
 
@@ -157,15 +166,15 @@ def simulate_attitude_observer(
 def simulate_error_dynamics(
     prob: ObserverProblem, e0: GroupElement, gain: float, config: IntegratorConfig
 ) -> Trajectory:
-    """Integrate the autonomous error flow e' = e (-k zeta_e)^ directly."""
+    """Integrate the autonomous error flow e' = e (-k zeta_e)^ directly; V^e comes after the run."""
 
     def rate(t, state):
         return {"e": observer.error_rate(prob, state["e"], gain)}
 
-    def record(t, state):
-        return {"Ve": prob.error_cost(state["e"])}
-
-    return integrate_system(rate, config, {"e": e0}, sides={"e": prob.handedness}, record=record)
+    traj = integrate_system(rate, config, {"e": e0}, sides={"e": prob.handedness})
+    ident = [GroupElement.identity(prob.group_kind)] * len(traj)  # e_g at g~ = I, g = e
+    traj.extras.update(observer.error_columns(prob, traj.times, [s["e"] for s in traj.states], ident))
+    return traj
 
 
 # -- sphere kinematics --
@@ -196,9 +205,17 @@ def slam_landmark_cost(y: Point, y_est: Point) -> float:
     return float((d * d).sum())
 
 
-def slam_zeta_e(landmarks: np.ndarray, S_est: GroupElement, y: Point) -> AlgebraElement:
+def slam_zeta_e(landmarks: np.ndarray, S_est, y):
     """Landmark gradient 2 (sum_i a_i, sum_i lbar_i x a_i), twist order (linear, angular), for
-    a_i = R~ (S~^-1 Lbar_i - y_i)_{1..3} = lbar_i - p~ - R~ y_i; sum_i lbar_i x a_i is read off A lbar^T."""
+    a_i = R~ (S~^-1 Lbar_i - y_i)_{1..3} = lbar_i - p~ - R~ y_i; sum_i lbar_i x a_i is read off A lbar^T.
+    A stack S_est (k, 4, 4), with y the (k, 4, N) measurements, gives the (k, 6) coordinates,
+    each row with the bits of its own call."""
+    if isinstance(S_est, np.ndarray):
+        lbar = landmarks[:3]
+        A = lbar - S_est[:, :3, 3:] - S_est[:, :3, :3] @ y[:, :3]
+        M = A @ lbar.T
+        W = M - np.swapaxes(M, 1, 2)
+        return 2.0 * np.concatenate([A.sum(axis=2), W[:, [2, 0, 1], [1, 2, 0]]], axis=1)
     if y.value.shape != landmarks.shape:
         raise DimensionError(f"landmark count mismatch: {y.value.shape} vs {landmarks.shape}")
     lbar, m = landmarks[:3], S_est.matrix
@@ -214,6 +231,11 @@ def slam_problem(landmarks) -> ObserverProblem:
     measurements; zeta_e is ``slam_zeta_e`` (Vasconcelos et al., Systems & Control Letters 2010).
     """
     L = np.asarray(landmarks, dtype=float)
+
+    def cost_stack(E):  # slam_landmark_cost of phi_{e_g}(y0) against y0
+        d = ac.check_point_stack(ac.LANDMARKS, E @ L)[:, :3] - L[:3]
+        return (d * d).reshape(len(d), -1).sum(axis=1)
+
     return ObserverProblem(
         group_kind=SE3,
         handedness="left",
@@ -221,6 +243,9 @@ def slam_problem(landmarks) -> ObserverProblem:
         y0=Point(ac.LANDMARKS, L),
         cost=slam_landmark_cost,
         zeta_e_analytic=lambda S_est, y: slam_zeta_e(L, S_est, y),
+        error_cost_stack=cost_stack,
+        zeta_e_stack=lambda S_est, S: slam_zeta_e(
+            L, S_est, ac.check_point_stack(ac.LANDMARKS, groups.inverse_matrix(S) @ L)),
     )
 
 

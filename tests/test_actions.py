@@ -273,3 +273,28 @@ class TestPointValidation:
     def test_landmark_homogeneous_row(self):
         with pytest.raises(Exception):
             Point(ac.LANDMARKS, np.vstack([np.zeros((3, 4)), 2.0 * np.ones((1, 4))]))
+
+
+class TestPointStackCheck:
+    """``check_point_stack`` raises the class the Point constructor raises for a bad point."""
+
+    def test_direction_pairs(self):
+        rng = rng_from(16)
+        pairs = [random_rotation(rng).matrix[:, 1:].T for _ in range(5)]
+        y2, y3 = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        assert ac.check_point_stack(ac.DIRECTION_PAIR, (y2, y3))[0] is y2
+        y3[2] *= 1.0 + 1e-11
+        with pytest.raises(KindMismatchError):
+            Point(ac.DIRECTION_PAIR, (y2[2], y3[2]))
+        with pytest.raises(KindMismatchError):
+            ac.check_point_stack(ac.DIRECTION_PAIR, (y2, y3))
+
+    def test_landmarks(self):
+        rng = rng_from(17)
+        Y = np.array([random_landmarks(rng, 6) for _ in range(4)])
+        assert ac.check_point_stack(ac.LANDMARKS, Y) is Y
+        Y[1, 3, 4] = 1.0 + 1e-15
+        with pytest.raises(KindMismatchError):
+            Point(ac.LANDMARKS, Y[1])
+        with pytest.raises(KindMismatchError):
+            ac.check_point_stack(ac.LANDMARKS, Y)

@@ -98,6 +98,26 @@ class TestRun:
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
         assert (tmp_path / "sph_trajectory.csv").exists()
 
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_sphere_demo_evaluates_each_velocity_once(self, tmp_path, monkeypatch, method):
+        # the split reuses the velocities the integrator read; only the last sample's is new
+        scen = cli.parse_scenario(write_scenario(tmp_path / "a.scn", name="sph", system="sphere_split_demo",
+                                                 method=method, h="0.01", t_final="0.5"))
+        times = []
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def cos(self, t):
+                times.append(t)
+                return np.cos(t)
+
+        monkeypatch.setattr(cli, "np", CountingNumpy())
+        rows, _ = cli._run_sphere_split_demo(scen)
+        assert len(rows) == 51 and len(set(times)) == len(times)  # no time twice
+        assert len(times) == 51 if method == "lie_euler" else {r["t"] for r in rows} <= set(times)
+
     def test_scenarios_run_one_after_another(self, tmp_path):
         f1 = write_scenario(tmp_path / "a.scn", name="j1")
         f2 = write_scenario(tmp_path / "b.scn", name="j2", system="sphere_split_demo")

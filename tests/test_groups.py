@@ -20,13 +20,16 @@ from bundleobs.groups import (
     Metric,
     adjoint,
     bracket,
+    check_stack,
     exp,
     exp_matrix,
     hat,
     inner,
+    inverse_matrix,
     log,
     project_stack,
     project_to_group,
+    row_dot,
     vee,
 )
 from bundleobs.groups import _PI_EXCLUSION, _SMALL_ANGLE
@@ -380,6 +383,77 @@ class TestInvariants:
         h = random_rotation(rng)
         gh = g @ h
         assert np.linalg.norm(gh.matrix.T @ gh.matrix - np.eye(3)) <= 1e-9
+
+
+def _bad_matrix(kind, name):
+    """A group matrix failing the one constructor check ``name``, or with a bottom row off by 1e-13."""
+    m = random_group(kind, rng_from(12)).matrix.copy()
+    if name == "non_finite":
+        m[1, 2] = np.inf
+    elif name == "defect":
+        m[:3, :3] *= 1.0 + 2e-9
+    elif name == "det":
+        m[:3, :3] = -m[:3, :3]
+    else:
+        m[3, 1] = 1e-6 if name == "bottom_row" else 1e-13
+    return m
+
+
+_BAD = [(kind, name) for kind in ("SO3", "SE3") for name in ("non_finite", "defect", "det")] + [
+    ("SE3", "bottom_row"), ("SE3", "bottom_row_close")]
+
+
+class TestCheckStack:
+    """``check_stack``: the constructor's checks on a stack, whole-array, with its error classes."""
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    def test_valid_stack_passes_unchanged(self, kind):
+        rng = rng_from(13)
+        ms = np.array([random_group(kind, rng).matrix for _ in range(6)])
+        before = ms.copy()
+        assert check_stack(ms) is ms
+        assert ms.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind, name", _BAD)
+    def test_bad_item_as_the_constructor(self, kind, name):
+        bad = _bad_matrix(kind, name)
+        rng = rng_from(14)
+        ms = np.array([random_group(kind, rng).matrix for _ in range(3)] + [bad])
+        try:
+            want = GroupElement(kind, bad).matrix
+        except Exception as exc:  # the class the constructor raises
+            with pytest.raises(type(exc)):
+                check_stack(ms)
+        else:  # a bottom row within 1e-12: accepted and set exactly, as the constructor sets it
+            assert check_stack(ms)[-1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    def test_defect_threshold_as_the_constructor(self, kind):
+        Q, seen = random_group(kind, rng_from(11)).matrix, set()
+        for target in np.linspace(0.9e-9, 1.1e-9, 41):
+            m = Q.copy()
+            m[:3, :3] *= np.sqrt(1.0 + target / np.sqrt(3.0))
+            try:
+                GroupElement(kind, m)
+                accepted = True
+            except ProjectionFailureError:
+                accepted = False
+            seen.add(accepted)
+            if accepted:
+                check_stack(m[None].copy())
+            else:
+                with pytest.raises(ProjectionFailureError):
+                    check_stack(m[None].copy())
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    def test_stacked_inverse_and_row_dot_match_single_calls(self, kind):
+        rng = rng_from(15)
+        ms = np.array([random_group(kind, rng).matrix for _ in range(50)])
+        for m, inv in zip(ms, inverse_matrix(ms)):
+            assert inv.tobytes() == np.ascontiguousarray(inverse_matrix(m)).tobytes()
+        x = rng.normal(size=(50, 6))
+        assert row_dot(x).tobytes() == np.array([v @ v for v in x]).tobytes()
 
 
 # rotation angles of each branch of exp and log: the small-angle Taylor series,

@@ -1,0 +1,19 @@
+"""Smoke test of the benchmark harness in ``perfbench/``: one short traced run."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_traced_slam_track_run_is_correct():
+    # StepClock and Tracer wrap library functions by name and call signature, so a change of
+    # a library signature can break them without any other test noticing
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "slam_track", "--seed", "1",
+           "--seconds", "0.1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout

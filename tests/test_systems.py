@@ -1,5 +1,8 @@
 """Concrete systems: attitude, sphere, SLAM (continuous and discrete)."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -427,10 +430,8 @@ class TestAttitudeConvergence:
 
 
 class TestSharedNoiselessZetaE:
-    """record and a noiseless rate share one zeta_e per state.
-
-    The reference loops below measure and evaluate zeta_e afresh in every
-    call; the simulators must give the same bits.
+    """The observer's states and its zeta_e_norm column, computed after the run, have the bits
+    of loops that measure and evaluate zeta_e afresh in every call, as the reference loops below do.
     """
 
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
@@ -485,9 +486,9 @@ class TestSharedNoiselessZetaE:
 
 class TestValidationPerStep:
     """A lie_euler attitude step validates each new matrix once: the stepped
-    R and Rhat, and the recorded group error (its inverse is not validated)."""
+    R and Rhat.  The group errors of the V^e column are checked as a stack after the run."""
 
-    def test_attitude_checks_and_builds_at_most_three_per_step(self, monkeypatch):
+    def test_attitude_checks_and_builds_at_most_two_per_step(self, monkeypatch):
         prob = systems.attitude_problem()
         state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=0.1)
@@ -508,6 +509,152 @@ class TestValidationPerStep:
         traj = systems.simulate_observer(prob, systems.measure_attitude, omega, state0, 1.0, config)
         n_steps = len(traj) - 1
         assert n_steps == 100
-        # the initial sample records one group error before the first step
+        # the observer problem's construction checks a few elements before the run
         for name, count in counts.items():
-            assert count <= 3 * n_steps + 1, (name, count)
+            assert count <= 2 * n_steps + 10, (name, count)
+
+
+def _reference_columns(prob, traj, true, est, measure):
+    """The V^e and ||zeta_e|| columns, one sample at a time."""
+    ve = [prob.error_cost(observer.group_error(prob, s[true], s[est])) for s in traj.states]
+    zn = [observer.zeta_e(prob, s[est], measure(s[true], 0.0, None)).norm() for s in traj.states]
+    return np.array(ve), np.array(zn)
+
+
+def _no_reference(*args):
+    raise AssertionError("the per-sample reference ran where the stacked pass should")
+
+
+class TestStackedKernels:
+    """Each row of a stacked kernel has the bits of the kernel's call on that item."""
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    @pytest.mark.parametrize("handedness", ["left", "right"])
+    def test_group_error(self, kind, handedness):
+        rng, prob = rng_from(40), types.SimpleNamespace(handedness=handedness)
+        g, g_est = ([random_group(kind, rng) for _ in range(300)] for _ in range(2))
+        E = observer.group_error(prob, *(np.array([x.matrix for x in xs]) for xs in (g, g_est)))
+        want = np.array([observer.group_error(prob, a, b).matrix for a, b in zip(g, g_est)])
+        assert E.tobytes() == want.tobytes()
+
+    def test_attitude_zeta_e(self):
+        rng = rng_from(41)
+        R_est, R = ([random_rotation(rng) for _ in range(500)] for _ in range(2))
+        ys = [systems.measure_attitude(x) for x in R]
+        Z = systems.attitude_zeta_e(np.array([x.matrix for x in R_est]), tuple(np.array(y) for y in zip(*(y.value for y in ys))))
+        want = np.array([systems.attitude_zeta_e(a, y).vec for a, y in zip(R_est, ys)])
+        assert Z.tobytes() == want.tobytes()
+
+    def test_slam_zeta_e(self):
+        rng = rng_from(42)
+        L = random_landmarks(rng, 24)
+        S_est, S = ([random_group("SE3", rng) for _ in range(300)] for _ in range(2))
+        ys = [systems.measure_landmarks(x, L, 0.01, rng) for x in S]
+        Z = systems.slam_zeta_e(L, np.array([x.matrix for x in S_est]), np.array([y.value for y in ys]))
+        want = np.array([systems.slam_zeta_e(L, a, y).vec for a, y in zip(S_est, ys)])
+        assert Z.tobytes() == want.tobytes()
+
+
+class TestErrorColumns:
+    """``observer.error_columns``: the V^e and ||zeta_e|| columns from stacked passes after the run,
+    with the bits of the per-sample calls."""
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    @pytest.mark.parametrize("scale", [1.0, 2.5])
+    @pytest.mark.parametrize("system", ["attitude", "slam"])
+    def test_columns_match_per_sample_calls(self, monkeypatch, system, method, noise, scale):
+        monkeypatch.setattr(observer, "_CHUNK", 7)  # several chunks, the last one short
+        monkeypatch.setattr(observer, "_sample_row", _no_reference)
+        config = IntegratorConfig(method=method, h=0.05, t_final=1.2)
+        if system == "attitude":
+            prob, measure, kind, names = systems.attitude_problem(groups.Metric(scale)), systems.measure_attitude, "so3", ("R", "Rhat")
+            xi0 = np.array([1.0, -0.5, 0.7])
+        else:
+            L = random_landmarks(rng_from(5), 24)
+            prob = dataclasses.replace(systems.slam_problem(L), metric=groups.Metric(scale))
+            measure = lambda S, amp, rng: systems.measure_landmarks(S, L, amp, rng)  # noqa: E731
+            kind, names, xi0 = "se3", ("S", "Shat"), np.array([0.3, 0.2, -0.1, 1.0, -0.5, 0.7])
+        u = lambda t: AlgebraElement(kind, np.r_[[0.2, 0.0, 0.1][:len(xi0) - 3], np.sin(t), np.cos(2 * t), 0.5])  # noqa: E731
+        state0 = {names[0]: exp(AlgebraElement(kind, xi0)), names[1]: GroupElement.identity(prob.group_kind)}
+        traj = systems.simulate_observer(prob, measure, u, state0, 1.5, config, noise, 3)
+        assert len(traj) == 25
+        ve, zn = _reference_columns(prob, traj, *names, measure)
+        assert traj.extras["Ve"].tobytes() == ve.tobytes()
+        assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
+
+    def test_run_longer_than_a_chunk(self, monkeypatch):
+        monkeypatch.setattr(observer, "_sample_row", _no_reference)
+        config = IntegratorConfig(method="lie_euler", h=1e-2, t_final=3.0)
+        scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), noise_amp=0.01)
+        traj = systems.simulate_attitude_observer(exp(hat([0.9, 0.2, -0.4])), GroupElement.identity("SO3"), scen, config)
+        assert len(traj) > 2 * observer._CHUNK
+        ve, zn = _reference_columns(systems.attitude_problem(), traj, "R", "Rhat", systems.measure_attitude)
+        assert traj.extras["Ve"].tobytes() == ve.tobytes()
+        assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
+
+    @pytest.mark.parametrize("problem", ["numeric", "custom"])
+    def test_problem_without_stacked_forms_loops_per_sample(self, problem):
+        base = systems.attitude_problem()
+        prob = systems.attitude_problem(analytic=False) if problem == "numeric" else observer.ObserverProblem(
+            group_kind="SO3", handedness="left", output_action=base.output_action, y0=base.y0,
+            cost=lambda a, b: 3.0 * systems.attitude_cost(a, b))
+        assert prob.zeta_e_stack is None
+        config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
+        u = lambda t: AlgebraElement("so3", [0.3, -0.2, 0.1])  # noqa: E731
+        state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
+        traj = systems.simulate_observer(prob, systems.measure_attitude, u, state0, 1.0, config)
+        ve, zn = _reference_columns(prob, traj, "R", "Rhat", systems.measure_attitude)
+        assert traj.extras["Ve"].tobytes() == ve.tobytes()
+        assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_error_dynamics_column(self, monkeypatch, method):
+        monkeypatch.setattr(observer, "_CHUNK", 4)
+        monkeypatch.setattr(observer, "_sample_row", _no_reference)
+        prob = systems.attitude_problem()
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        traj = systems.simulate_error_dynamics(prob, exp(hat([0.3, -0.5, 0.2])), 1.0, config)
+        ve = np.array([prob.error_cost(s["e"]) for s in traj.states])
+        assert traj.extras["Ve"].tobytes() == ve.tobytes() and "zeta_e_norm" not in traj.extras
+
+    @pytest.mark.parametrize("chunk", [2, 128])
+    def test_non_finite_ve_raises_at_first_bad_sample(self, monkeypatch, chunk):
+        # V^e of a translation of 1e200 overflows; the group elements themselves are valid
+        monkeypatch.setattr(observer, "_CHUNK", chunk)
+        prob = systems.slam_problem(random_landmarks(rng_from(5), 6))
+        far = GroupElement("SE3", np.block([[np.eye(3), np.full((3, 1), 1e200)], [np.zeros((1, 3)), 1.0]]))
+        ident = GroupElement.identity("SE3")
+        g = [ident, ident, ident, far, far]
+        with np.errstate(over="ignore"), pytest.raises(NumericalBlowupError) as err:
+            observer.error_columns(prob, np.arange(5) * 0.1, g, [ident] * 5)
+        assert err.value.t == pytest.approx(0.3)
+
+    def test_no_error_cost_or_group_error_inside_the_step_loop(self, monkeypatch):
+        in_loop = [False]
+        real_integrate, real_group_error, real_cost = systems.integrate_system, observer.group_error, observer.ObserverProblem.error_cost
+
+        def integrate(*args, **kwargs):
+            in_loop[0] = True
+            try:
+                return real_integrate(*args, **kwargs)
+            finally:
+                in_loop[0] = False
+
+        def guarded(fn):
+            def call(*args):
+                assert not in_loop[0], f"{fn.__name__} inside the step loop"
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(systems, "integrate_system", integrate)
+        monkeypatch.setattr(observer, "group_error", guarded(real_group_error))
+        monkeypatch.setattr(observer.ObserverProblem, "error_cost", guarded(real_cost))
+        config = IntegratorConfig(method="rk4_cg", h=0.05, t_final=0.3)
+        for noise in (0.0, 0.01):
+            scen = systems.AttitudeScenario(omega=lambda t: np.array([0.3, -0.2, 0.1]), noise_amp=noise)
+            traj = systems.simulate_attitude_observer(exp(hat([0.3, -0.4, 0.5])), GroupElement.identity("SO3"), scen, config)
+            assert len(traj.extras["Ve"]) == len(traj) == 7
+        for prob in (systems.attitude_problem(), dataclasses.replace(systems.attitude_problem(), error_cost_stack=None)):
+            traj = systems.simulate_error_dynamics(prob, exp(hat([0.3, -0.5, 0.2])), 1.0, config)
+            assert len(traj.extras["Ve"]) == 7
