@@ -10,9 +10,11 @@ older commits too, except ``test_lie_euler_attitude_step``: it takes the
 step with vector rates, which the integrator accepts since ``BENCH_10.json``.
 Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
 (before ``BENCH_12.json``), or ``observer.error_columns`` (before
-``BENCH_13.json``), their benchmarks time the work they replace.
+``BENCH_13.json``), their benchmarks time the work they replace; ``write_csv``
+is called with row dicts or columns, whichever its signature takes.
 """
 
+import inspect
 import operator
 from pathlib import Path
 
@@ -185,7 +187,8 @@ def test_error_columns(benchmark, system, rows):
 
 
 def test_write_csv_100_rows(benchmark, tmp_path):
-    """``write_csv`` of 100 attitude rows; divide by 100 for the per-row cost."""
+    """``write_csv`` of 100 attitude rows; divide by 100 for the per-row cost.  A checkout whose
+    ``write_csv`` takes a list of row dicts (before ``BENCH_14.json``) gets the same rows that way."""
     rng = rng_from(7)
     rows = [
         {"t": 1e-3 * i, "state": random_rotation(rng).matrix.ravel(),
@@ -193,7 +196,11 @@ def test_write_csv_100_rows(benchmark, tmp_path):
         for i in range(100)
     ]
     benchmark.extra_info["rows"] = len(rows)
-    benchmark(cli.write_csv, tmp_path / "rows.csv", rows)
+    if "rows" in inspect.signature(cli.write_csv).parameters:
+        benchmark(cli.write_csv, tmp_path / "rows.csv", rows)
+    else:
+        columns = [np.array([r[key] for r in rows]) for key in ("t", "state", "estimate", "Ve", "zeta_e_norm")]
+        benchmark(cli.write_csv, tmp_path / "rows.csv", *columns)
 
 
 def test_run_slam_discrete_demo(benchmark, tmp_path):

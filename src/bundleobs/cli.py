@@ -25,8 +25,11 @@ from .sampling import random_algebra, random_group, random_landmarks, random_rot
 
 SYSTEMS = ("attitude", "slam_continuous", "slam_discrete", "sphere_split_demo")
 AUDIT_MODES = ("equivariance", "gradient", "autonomy")
-# upper bound on n_landmarks, so a scenario cannot ask for unbounded memory
+# upper bounds on n_landmarks and on slam_discrete's (n_steps + 1) * n_landmarks measurement
+# columns (32 B each), so a scenario cannot ask for unbounded memory
 MAX_LANDMARKS = 10_000
+MAX_MEASUREMENTS = 10_000_000
+_CSV_BLOCK = 64  # CSV rows turned into Python floats at a time, so memory does not grow with the run
 # initial_error lengths each system can use (a 3-vector twist is angular only)
 _ERROR_LENGTHS = {"attitude": (3,), "slam_continuous": (3, 6), "slam_discrete": (3, 6),
                   "sphere_split_demo": (3,)}
@@ -115,8 +118,9 @@ def parse_scenario(path: Path) -> dict:
     least = {"slam_continuous": 1, "slam_discrete": 4}.get(scen["system"], 0)
     if not least <= scen["n_landmarks"] <= MAX_LANDMARKS:
         raise ConfigError(f"{path}: {scen['system']} needs {least} <= n_landmarks <= {MAX_LANDMARKS}")
-    if scen["system"] == "slam_discrete" and scen["n_steps"] < 1:
-        raise ConfigError(f"{path}: slam_discrete needs n_steps >= 1")
+    if scen["system"] == "slam_discrete" and not 0 < scen["n_steps"] < MAX_MEASUREMENTS // scen["n_landmarks"]:
+        raise ConfigError(f"{path}: slam_discrete needs n_steps >= 1 and "
+                          f"(n_steps + 1) * n_landmarks <= {MAX_MEASUREMENTS}")
     return scen
 
 
@@ -143,34 +147,29 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_values(row: dict) -> tuple:
-    return (row["t"], *row["state"].tolist(), *row["estimate"].tolist(), row["Ve"], row["zeta_e_norm"])
-
-
-def write_csv(path: Path, rows: list[dict]) -> None:
-    """Write rows of t, state, estimate (arrays), Ve and zeta_e_norm; the first row sets the widths.
-    All values are checked finite before the directory is made, then streamed line by line."""
-    header = (
-        ["t"]
-        + [f"state_{i}" for i in range(len(rows[0]["state"]))]
-        + [f"estimate_{i}" for i in range(len(rows[0]["estimate"]))]
-        + ["Ve", "zeta_e_norm"]
-    )
-    for row in rows:
-        if not all(map(math.isfinite, _csv_values(row))):
-            raise NumericalBlowupError("non-finite value in trajectory output", t=row["t"])
+def write_csv(path: Path, t, state, estimate, ve, zeta_e_norm) -> None:
+    """Write the columns t, state (n, a), estimate (n, b), Ve and zeta_e_norm as one table.
+    The table is checked finite before the directory is made, then streamed in row blocks."""
+    table = np.column_stack([t, state, estimate, ve, zeta_e_norm])
+    bad = ~np.isfinite(table).all(axis=1)
+    if bad.any():
+        raise NumericalBlowupError("non-finite value in trajectory output", t=table[bad.argmax(), 0])
+    header = (["t"] + [f"state_{i}" for i in range(state.shape[1])]
+              + [f"estimate_{i}" for i in range(estimate.shape[1])] + ["Ve", "zeta_e_norm"])
     line = ", ".join(["%.17g"] * len(header)) + "\n"  # %.17g prints as format(float(v), ".17g")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         f.write(", ".join(header) + "\n")
-        f.writelines(line % _csv_values(row) for row in rows)
+        for k in range(0, len(table), _CSV_BLOCK):
+            f.writelines(line % tuple(row) for row in table[k:k + _CSV_BLOCK].tolist())
 
 
-def _monotone_verdict(ve: np.ndarray, slack: float = 1e-9) -> str:
-    return "yes" if np.all(np.diff(ve) <= slack) else "no"
+def _report(ve, label: str, value: float, slack: float) -> list[str]:
+    return [f"final_Ve: {_fmt(ve[-1])}", f"{label}: {_fmt(value)}",
+            f"Ve_monotone_nonincreasing: {'yes' if np.all(np.diff(ve) <= slack) else 'no'}"]
 
 
-def _run_observer(scen: dict) -> tuple[list[dict], list[str]]:
+def _run_observer(scen: dict) -> tuple[tuple, list[str]]:
     """The gradient observer run of the attitude and slam_continuous systems."""
     config = _integrator_config(scen)
     if scen["system"] == "attitude":
@@ -186,21 +185,14 @@ def _run_observer(scen: dict) -> tuple[list[dict], list[str]]:
         xi0, (true, est), label = _initial_twist(scen["initial_error"]), ("S", "Shat"), "final_error_twist_norm"
     state0 = {true: exp(AlgebraElement(prob.algebra_kind, xi0)), est: GroupElement.identity(prob.group_kind)}
     traj = systems.simulate_observer(prob, measure, u, state0, scen["gain"], config, scen["noise"], scen["seed"])
-    ve = traj.extras["Ve"]
-    rows = [
-        {"t": t, "state": s[true].matrix.ravel(), "estimate": s[est].matrix.ravel(), "Ve": v, "zeta_e_norm": z}
-        for t, s, v, z in zip(traj.times, traj.states, ve, traj.extras["zeta_e_norm"])
-    ]
+    n, ve = len(traj), traj.extras["Ve"]
+    state, estimate = (np.array([s[name].matrix for s in traj.states]).reshape(n, -1) for name in (true, est))
     final = traj.states[-1]
-    report = [
-        f"final_Ve: {_fmt(ve[-1])}",
-        f"{label}: {_fmt(log(observer.group_error(prob, final[true], final[est])).norm())}",
-        f"Ve_monotone_nonincreasing: {_monotone_verdict(ve)}",
-    ]
-    return rows, report
+    error = log(observer.group_error(prob, final[true], final[est])).norm()
+    return (traj.times, state, estimate, ve, traj.extras["zeta_e_norm"]), _report(ve, label, error, 1e-9)
 
 
-def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str]]:
+def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
     rng = rng_from(scen["seed"])
     L = random_landmarks(rng, scen["n_landmarks"])
     S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
@@ -209,29 +201,19 @@ def _run_slam_discrete(scen: dict) -> tuple[list[dict], list[str]]:
         return AlgebraElement("se3", np.array([0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5]))
 
     poses, measurements = systems.simulate_slam_poses(S0, L, twist, scen["n_steps"], scen["h"])
-    if scen["noise"] > 0.0:
-        measurements = [
-            np.vstack([M[:3] + rng.uniform(-scen["noise"], scen["noise"], size=M[:3].shape), M[3:]])
-            for M in measurements
-        ]
+    if scen["noise"] > 0.0:  # one draw; C order gives each M_k its (3, N) block of the stream in turn
+        measurements[:, :3] += rng.uniform(-scen["noise"], scen["noise"], size=measurements[:, :3].shape)
     recovered = np.array([S.matrix for S in systems.recover_pose_chain(measurements)])
     P = np.array([S.matrix for S in poses])
     true_rel = inverse_matrix(P[:-1]) @ P[1:]
     D = (recovered - true_rel).reshape(-1, 1, 16)
     err = np.sqrt(D @ np.swapaxes(D, 1, 2))[:, 0, 0].tolist()  # np.linalg.norm of each difference
-    rows = [
-        {"t": k * scen["h"], "state": S_true.ravel(), "estimate": S.ravel(), "Ve": e**2, "zeta_e_norm": e}
-        for k, (S_true, S, e) in enumerate(zip(true_rel, recovered, err))
-    ]
-    report = [
-        f"final_Ve: {_fmt(rows[-1]['Ve'])}",
-        f"max_recovery_error: {_fmt(max(err))}",
-        f"Ve_monotone_nonincreasing: {_monotone_verdict(np.array([r['Ve'] for r in rows]), 1e-12)}",
-    ]
-    return rows, report
+    ve = [e**2 for e in err]  # C pow; np.square differs in the last bit of some values
+    columns = (np.arange(len(err)) * scen["h"], true_rel.reshape(-1, 16), recovered.reshape(-1, 16), ve, err)
+    return columns, _report(ve, "max_recovery_error", max(err), 1e-12)
 
 
-def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str]]:
+def _run_sphere_split_demo(scen: dict) -> tuple[tuple, list[str]]:
     config = _integrator_config(scen)
     q0 = ac.Point(ac.R3, np.array([2.0, 1.0, -0.5]) + scen["initial_error"]).value
 
@@ -241,22 +223,14 @@ def _run_sphere_split_demo(scen: dict) -> tuple[list[dict], list[str]]:
 
     traj = integrate_system(Input(lambda t: {"q": velocity(t)}), config, {"q": q0})
     v = np.array([velocity(t) for t in traj.times])
-    r, R, hor, ver = bundle.sphere_splits(np.array([state["q"] for state in traj.states]), v)
+    q = np.array([state["q"] for state in traj.states])
+    r, R, hor, ver = bundle.sphere_splits(q, v)
     col = np.stack([np.zeros(len(r)), ver[:, 2], -ver[:, 1]], axis=1)  # hat(ver) e1
     rec = hor[:, None] * R[:, :, 0] + r[:, None] * (R @ col[:, :, None])[:, :, 0]
     d = rec - v
     ve = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
     norms = np.sqrt(ver[:, None, :] @ ver[:, :, None])[:, 0, 0]
-    rows = [
-        {"t": t, "state": state["q"], "estimate": e, "Ve": x, "zeta_e_norm": z}
-        for t, state, e, x, z in zip(traj.times, traj.states, rec, ve.tolist(), norms.tolist())
-    ]
-    report = [
-        f"final_Ve: {_fmt(ve[-1])}",
-        f"max_split_residual: {_fmt(np.sqrt(ve).max())}",
-        f"Ve_monotone_nonincreasing: {_monotone_verdict(ve, 1e-12)}",
-    ]
-    return rows, report
+    return (traj.times, q, rec, ve, norms), _report(ve, "max_split_residual", np.sqrt(ve).max(), 1e-12)
 
 
 _RUNNERS = {
@@ -273,10 +247,10 @@ def run_scenario(path: Path, out_dir: Path | None = None) -> int:
         scen = parse_scenario(path)
         target = Path(out_dir) if out_dir is not None else Path(scen["out_dir"])
         with np.errstate(over="ignore"):  # an overflow ends as NumericalBlowupError, not a warning
-            rows, report = _RUNNERS[scen["system"]](scen)
+            columns, report = _RUNNERS[scen["system"]](scen)
         header = [f"scenario: {scen['name']}", f"system: {scen['system']}"]
         try:
-            write_csv(target / f"{scen['name']}_trajectory.csv", rows)
+            write_csv(target / f"{scen['name']}_trajectory.csv", *columns)
             (target / f"{scen['name']}_report.txt").write_text("\n".join(header + report) + "\n")
         except OSError as exc:  # e.g. a directory in the way, a name too long, no permission
             raise ConfigError(f"cannot write outputs to {target}: {exc}") from exc

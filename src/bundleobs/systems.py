@@ -264,14 +264,13 @@ def simulate_slam_poses(
     twist: Callable[[float], AlgebraElement],
     n_steps: int,
     h: float,
-) -> tuple[list[GroupElement], list[np.ndarray]]:
-    """Propagate S' = S V^ and collect measurement matrices M_k = S_k^-1 Lbar."""
+) -> tuple[list[GroupElement], np.ndarray]:
+    """Propagate S' = S V^ and stack the measurement matrices M_k = S_k^-1 Lbar, (n_steps+1, 4, N)."""
     L = np.asarray(landmarks, dtype=float)
     config = IntegratorConfig(method="rk4_cg", h=h, t_final=n_steps * h)
-    traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0}, sides={"S": "left"})
+    traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0})
     poses = [s["S"] for s in traj.states]
-    measurements = [S_inv @ L for S_inv in groups.inverse_matrix(np.array([S.matrix for S in poses]))]
-    return poses, measurements
+    return poses, groups.inverse_matrix(np.array([S.matrix for S in poses])) @ L
 
 
 def measure_landmarks(S: GroupElement, landmarks, noise_amp: float = 0.0, rng=None) -> Point:

@@ -114,9 +114,9 @@ class TestRun:
                 return np.cos(t)
 
         monkeypatch.setattr(cli, "np", CountingNumpy())
-        rows, _ = cli._run_sphere_split_demo(scen)
-        assert len(rows) == 51 and len(set(times)) == len(times)  # no time twice
-        assert len(times) == 51 if method == "lie_euler" else {r["t"] for r in rows} <= set(times)
+        (t, *_), _ = cli._run_sphere_split_demo(scen)
+        assert len(t) == 51 and len(set(times)) == len(times)  # no time twice
+        assert len(times) == 51 if method == "lie_euler" else set(t.tolist()) <= set(times)
 
     def test_scenarios_run_one_after_another(self, tmp_path):
         f1 = write_scenario(tmp_path / "a.scn", name="j1")
@@ -235,6 +235,17 @@ class TestInputContract:
     def test_fewest_landmarks_run(self, tmp_path, system, n):
         f = write_scenario(tmp_path / "a.scn", system=system, n_landmarks=n, t_final="0.2")
         assert cli.main(["--out-dir", str(tmp_path), "run", str(f)]) == 0
+
+    @pytest.mark.parametrize("n_landmarks", [10, 4096, cli.MAX_LANDMARKS])
+    def test_measurement_bound_parse_only(self, tmp_path, n_landmarks):
+        # parsed, never run: at the bound the measurement stack alone takes 320 MB
+        most = cli.MAX_MEASUREMENTS // n_landmarks - 1  # most n_steps with (n_steps + 1) * n_landmarks in bound
+        at = write_scenario(tmp_path / "a.scn", system="slam_discrete", n_landmarks=n_landmarks, n_steps=most)
+        assert cli.parse_scenario(at)["n_steps"] == most
+        for n_steps in (most + 1, 1_000_000):
+            over = write_scenario(tmp_path / "b.scn", system="slam_discrete", n_landmarks=n_landmarks, n_steps=n_steps)
+            with pytest.raises(ConfigError, match=r"\(n_steps \+ 1\) \* n_landmarks <= 10000000"):
+                cli.parse_scenario(over)
 
     @pytest.mark.parametrize(
         "overrides, message",
@@ -456,33 +467,53 @@ class TestWriteCsv:
     EDGE = [-0.0, 5e-324, 1.7976931348623157e308, 1e-17, 1.0]
 
     @staticmethod
-    def _rows(values):
-        return [
-            {"t": np.float64(v), "state": np.array(values), "estimate": np.array(values[::-1]),
-             "Ve": v, "zeta_e_norm": values[i - 1]}
-            for i, v in enumerate(values)
-        ]
+    def _columns(values):
+        """The write_csv arguments by CSV column: row i has t = Ve = values[i], state = values,
+        estimate = values reversed and zeta_e_norm = values[i - 1]."""
+        v = np.array(values)
+        n = len(v)
+        return {"t": v.copy(), "state": np.tile(v, (n, 1)), "estimate": np.tile(v[::-1], (n, 1)),
+                "Ve": v.copy(), "zeta_e_norm": np.roll(v, 1)}
 
     def test_bytes_match_17_significant_digits(self, tmp_path):
-        rows = self._rows(self.EDGE)
-        cli.write_csv(tmp_path / "edge.csv", rows)
+        cols = self._columns(self.EDGE)
+        cli.write_csv(tmp_path / "edge.csv", *cols.values())
         n = len(self.EDGE)
         header = ["t", *(f"state_{i}" for i in range(n)), *(f"estimate_{i}" for i in range(n)), "Ve", "zeta_e_norm"]
         lines = [", ".join(header)] + [
-            ", ".join(format(float(v), ".17g")
-                      for v in [r["t"], *r["state"], *r["estimate"], r["Ve"], r["zeta_e_norm"]])
-            for r in rows
+            ", ".join(format(float(v), ".17g") for v in [cols["t"][i], *cols["state"][i], *cols["estimate"][i],
+                                                         cols["Ve"][i], cols["zeta_e_norm"][i]])
+            for i in range(n)
         ]
         assert (tmp_path / "edge.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
         assert "-0, 4.9406564584124654e-324, 1.7976931348623157e+308, 1.0000000000000001e-17, 1, " in lines[1]
 
+    def test_rows_stream_across_blocks(self, tmp_path):
+        t = np.arange(2 * cli._CSV_BLOCK + 3) * 0.5
+        cli.write_csv(tmp_path / "long.csv", t, np.stack([t, -t], axis=1), t[:, None], t, t)
+        lines = (tmp_path / "long.csv").read_text().splitlines()
+        assert lines[0] == "t, state_0, state_1, estimate_0, Ve, zeta_e_norm"
+        assert lines[1:] == [", ".join(format(v, ".17g") for v in (x, x, -x, x, x, x)) for x in t.tolist()]
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("key", ["t", "state", "Ve", "zeta_e_norm"])
+    @pytest.mark.parametrize("key", ["t", "state", "Ve", "zeta_e_norm", "estimate"])
     def test_non_finite_row_writes_nothing(self, tmp_path, bad, key):
-        rows = self._rows(self.EDGE)
-        last = rows[-1]
-        last[key] = np.array([1.0, bad, 0.0, 0.0, 0.0]) if key == "state" else bad
+        cols = self._columns(self.EDGE)
+        if cols[key].ndim == 2:
+            cols[key][-1, 1] = bad
+        else:
+            cols[key][-1] = bad
         target = tmp_path / "out" / "edge.csv"
         with pytest.raises(NumericalBlowupError):
-            cli.write_csv(target, rows)
+            cli.write_csv(target, *cols.values())
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", ["state", "estimate", "Ve", "zeta_e_norm"])
+    def test_error_names_first_bad_row(self, tmp_path, key):
+        cols = self._columns(self.EDGE)
+        cols[key][2] = np.nan  # a middle row; a later row is bad too
+        cols["zeta_e_norm"][4] = np.inf
+        with pytest.raises(NumericalBlowupError) as err:
+            cli.write_csv(tmp_path / "edge.csv", *cols.values())
+        assert err.value.t == self.EDGE[2]
+        assert not (tmp_path / "edge.csv").exists()

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness in ``perfbench/``: one short traced run."""
+"""Smoke test of the benchmark harness in ``perfbench/``: short traced runs."""
 
 import json
 import subprocess
@@ -8,12 +8,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_traced_slam_track_run_is_correct():
+def _traced_run(workload):
     # StepClock and Tracer wrap library functions by name and call signature, so a change of
     # a library signature can break them without any other test noticing
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "slam_track", "--seed", "1",
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
            "--seconds", "0.1", "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=300, check=False)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True and result["failed"] == 0, proc.stdout
+
+
+def test_traced_slam_track_run_is_correct():
+    _traced_run("slam_track")  # the observer
+
+
+def test_traced_recover_split_run_is_correct():
+    _traced_run("recover_split")  # slam_discrete and the sphere split
