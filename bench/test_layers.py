@@ -11,7 +11,8 @@ step with vector rates, which the integrator accepts since ``BENCH_10.json``.
 Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
 (before ``BENCH_12.json``), or ``observer.error_columns`` (before
 ``BENCH_13.json``), their benchmarks time the work they replace; ``write_csv``
-is called with row dicts or columns, whichever its signature takes.
+is called with row dicts or columns, whichever its signature takes.  The two
+observer runs (since ``BENCH_15.json``) use only the public simulators.
 """
 
 import inspect
@@ -156,6 +157,31 @@ def test_rk4_cg_se3_open_loop_200_steps(benchmark):
     config = IntegratorConfig(method="rk4_cg", h=0.02, t_final=4.0)
     S0 = random_group("SE3", rng_from(6))
     benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
+
+
+def test_attitude_observer_1000_steps(benchmark):
+    """``simulate_attitude_observer``: 1,000 noiseless ``lie_euler`` steps, its V^e and ||zeta_e||
+    columns included; ``us_per_row`` is per step."""
+    scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2.0 * t), 0.5]))
+    config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=1.0)
+    R0 = random_rotation(rng_from(13))
+    benchmark(systems.simulate_attitude_observer, R0, GroupElement.identity("SO3"), scen, config)
+    benchmark.extra_info["items"] = 1000
+
+
+def test_slam_observer_24_landmarks_200_steps(benchmark):
+    """``simulate_slam_observer`` on 24 landmarks: 200 ``lie_euler`` steps with noise 0.005, as the
+    noisy runs of ``slam_track`` take them; ``us_per_row`` is per step."""
+    rng = rng_from(14)
+    L = random_landmarks(rng, 24)
+    S0, S_est0 = random_group("SE3", rng), random_group("SE3", rng)
+
+    def twist(t):
+        return AlgebraElement("se3", [0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5])
+
+    config = IntegratorConfig(method="lie_euler", h=5e-3, t_final=1.0)
+    benchmark(systems.simulate_slam_observer, S0, S_est0, L, twist, 0.375, config, 0.005, 7)
+    benchmark.extra_info["items"] = 200
 
 
 def _observer_samples(system: str, rows: int) -> tuple:

@@ -49,7 +49,7 @@ class Point:
             v = np.asarray(v, dtype=float)
             if v.shape != (3,):
                 raise KindMismatchError(f"{k} point must be a 3-vector")
-            if k == S2 and abs(math.sqrt(v @ v) - 1.0) > 1e-12:
+            if k == S2 and not abs(math.sqrt(v @ v) - 1.0) <= 1e-12:  # fails closed on NaN
                 raise KindMismatchError("s2 point must have unit norm")
         elif k == GROUP:
             if not isinstance(v, GroupElement):
@@ -70,7 +70,7 @@ class Point:
         elif k == DIRECTION_PAIR:
             a, b = (np.asarray(x, dtype=float) for x in v)
             for x in (a, b):
-                if x.shape != (3,) or abs(math.sqrt(x @ x) - 1.0) > 1e-12:
+                if x.shape != (3,) or not abs(math.sqrt(x @ x) - 1.0) <= 1e-12:
                     raise KindMismatchError("direction pair entries must be unit 3-vectors")
             v = (a, b)
         else:
@@ -83,7 +83,7 @@ def check_point_stack(kind: str, value):
     pair as two (k, 3) stacks of unit vectors (norms by ``groups.row_dot``, within 1e-12), else
     landmarks as (k, 4, N) with a homogeneous last row."""
     if kind == DIRECTION_PAIR:
-        if any((abs(np.sqrt(groups.row_dot(x)) - 1.0) > 1e-12).any() for x in value):
+        if not all((abs(np.sqrt(groups.row_dot(x)) - 1.0) <= 1e-12).all() for x in value):
             raise KindMismatchError("direction pair entries must be unit 3-vectors")
     elif not (value[:, 3] == 1.0).all():
         raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")

@@ -81,7 +81,7 @@ def _check_rotation(rows) -> float:
     return defect
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # no per-element __dict__: a run keeps one element per component and sample
 class GroupElement:
     """An element of SO(3) or SE(3) as a (homogeneous) matrix; ``defect`` is the
     ||R^T R - I||_F of its rotation block, which the integrators' drift gate reads."""
@@ -340,7 +340,7 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
 def _exp_matrix_stack(vec: np.ndarray) -> np.ndarray:
     """``exp_matrix`` of each row: per-row theta and coefficients, stacked skew, W @ W and V @ v."""
     w = vec[:, -3:]
-    a, b, c = np.array([_so3_coeffs(math.sqrt(x @ x)) for x in w]).reshape(-1, 3).T[:, :, None, None]
+    a, b, c = np.array([_so3_coeffs(math.sqrt(s)) for s in row_dot(w).tolist()]).reshape(-1, 3).T[:, :, None, None]
     x, y, z = w.T
     W = np.zeros((len(w), 3, 3))
     W[:, 0, 1], W[:, 0, 2], W[:, 1, 0], W[:, 1, 2], W[:, 2, 0], W[:, 2, 1] = -z, y, z, -x, -y, x

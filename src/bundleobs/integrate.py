@@ -9,7 +9,7 @@ under one rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in
 Each step's matrix goes once through the validating GroupElement constructor,
 whose defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift
 gate takes one Björck step, which squares it, instead of an SVD projection.
-An ``Input`` rate reads only the time and is stepped open-loop, with the same bits.
+``Input`` and ``Cascade`` rates step what reads only the time in blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from . import groups
-from .errors import BundleobsError, ConfigError, KindMismatchError, NumericalBlowupError
+from .errors import ConfigError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement
 
 LIE_EULER = "lie_euler"
@@ -29,7 +29,7 @@ RK4_CG = "rk4_cg"
 
 # upper bound on round(t_final / h); the longest shipped scenario has 20,000 steps
 MAX_STEPS = 1_000_000
-_BLOCK = 128  # steps per open-loop block, which bounds its stacked rates and exponentials
+_BLOCK = 64  # steps per block: bounds its stacked exponentials, and the temporaries new states land among
 # h / divisor: the stage steps, then the composition weights (a lie_euler step has one weight)
 _STAGES = {LIE_EULER: ((), (1,)), RK4_CG: ((2, 2, 1), (6, 3, 3, 6))}
 
@@ -43,6 +43,23 @@ class Input:
 
     def __call__(self, t, state):
         return self.u(t)
+
+
+@dataclass(frozen=True)
+class Cascade(Input):
+    """An Input u(t) of some components, which the others follow: ``sense(t, rates, state)`` -> (feed, y), their
+    feed-forward SplitRates, and ``follow(t, state, y)`` -> their feedback ones; as a rate, the merge."""
+
+    sense: Callable
+    follow: Callable
+
+    def __call__(self, t, state):
+        rates = self.u(t)
+        feed, y = self.sense(t, rates, state)
+        back = self.follow(t, state, y)
+        return {**rates, **{k: SplitRate(back[k].body if f.body is None else f.body,
+                                         back[k].spatial if f.spatial is None else f.spatial)
+                            for k, f in feed.items() if k in state and k not in rates}}
 
 
 @dataclass(frozen=True)
@@ -105,15 +122,20 @@ def _coords(x, g: GroupElement) -> np.ndarray | None:
 
 
 def _step(g: GroupElement, steps) -> GroupElement:
-    """Apply the stepping rule to g's matrix for each (h, (spatial, body)) in ``steps``;
-    validate the result, then take one Björck step if its rotation drifted."""
+    """The stepping rule on g's matrix for each (h, (spatial, body)) in ``steps``, then ``_settle``."""
     m = g.matrix
     for h, (spatial, body) in steps:
-        if spatial is not None:
-            m = groups.exp_matrix(h * spatial) @ m
-        if body is not None:
-            m = m @ groups.exp_matrix(h * body)
+        m = m if spatial is None else groups.exp_matrix(h * spatial) @ m
+        m = m if body is None else m @ groups.exp_matrix(h * body)
     return _settle(g.kind, m)
+
+
+def _chain(m: np.ndarray, factors) -> np.ndarray:
+    """m stepped by each (E_s, E_b) in turn, E_s @ m @ E_b, as ``_step`` steps; a None factor is skipped."""
+    for E_s, E_b in factors:
+        m = m if E_s is None else E_s @ m
+        m = m if E_b is None else m @ E_b
+    return m
 
 
 def _settle(kind: str, m: np.ndarray) -> GroupElement:
@@ -153,100 +175,122 @@ def _increment(h, ks):
     return h * ks[0] if len(ks) == 1 else (h / 6) * (ks[0] + 2 * ks[1] + 2 * ks[2] + ks[3])
 
 
-def _advance(state, rates, h):
-    """One lie_euler step (or rk4_cg stage) of every component."""
-    out = {}
-    for name, value in state.items():
-        if isinstance(value, GroupElement):
-            out[name] = _step(value, ((h, rates[name]),))
-        else:
-            out[name] = np.asarray(value) + h * np.asarray(rates[name])
-    return out
+def _advance(state, ks, weights, h):
+    """Each component stepped along the rates ``ks``: by weighted exponentials, composed, or ``_increment``."""
+    return {name: _step(x, [(w, k[name]) for w, k in zip(weights, ks)]) if isinstance(x, GroupElement)
+            else np.asarray(x) + _increment(h, [np.asarray(k[name]) for k in ks]) for name, x in state.items()}
 
 
-def _rk4_cg_step(rate, t, state, h, sides):
-    """Four frozen-algebra stages; group parts advance by composed
-    exponentials (exact for constant rates, order >= 2 otherwise)."""
-    stages, weights = ([h / d for d in ds] for ds in _STAGES[RK4_CG])
+def _general_step(rate, method, t, state, h, sides):
+    """A general-loop step: lie_euler, or rk4_cg's frozen-algebra stages (exact for constant rates, order >= 2)."""
+    stages, weights = ([h / d for d in ds] for ds in _STAGES[method])
     ks = [_rates(rate, t, state, sides)]
     for d in stages:  # rate j + 1 is read on the state stepped by d along rate j
-        ks.append(_rates(rate, t + d, _advance(state, ks[-1], d), sides))
-    out = {}
-    for name, value in state.items():
-        if isinstance(value, GroupElement):
-            out[name] = _step(value, [(w, k[name]) for w, k in zip(weights, ks)])
-        else:
-            out[name] = np.asarray(value) + _increment(h, [np.asarray(k[name]) for k in ks])
-    return out
+        ks.append(_rates(rate, t + d, _advance(state, ks[-1:], [d], d), sides))
+    return _advance(state, ks, weights, h)
 
 
-def _open_loop(rate: Input, config: IntegratorConfig, state, sides, snapshot) -> None:
-    """The steps of ``integrate_system`` for an Input, ``_BLOCK`` at a time: rates read in the
-    general loop's order, one stacked ``exp_matrix`` per component side, factors chained as
-    ``_step`` chains them, and vectors stepped by one cumsum.  The rk4_cg stage states are
-    only checked, stacked after the block.  A rate check that fails raises once the steps
-    before it are through."""
-    h = config.h
+def _blocks(rate: Input, config: IntegratorConfig, state, sides, snapshot) -> None:
+    """``integrate_system`` for an Input or a Cascade, ``_BLOCK`` steps at a time: stacked exponentials, driven
+    states chained, then serial steps of ``follow`` alone; where anything fails, the general loop takes over."""
+    h, cascade = config.h, isinstance(rate, Cascade)
     stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
     n, n_steps = len(weights), int(round(config.t_final / h))
     for i0 in range(0, n_steps, _BLOCK):
-        ks, error = [], None
-        try:
-            for i in range(i0, min(i0 + _BLOCK, n_steps)):
-                for d in (0.0, *stages):
-                    ks.append(_rates(rate, i * h + d, state, sides))
-        except BundleobsError as exc:  # a rate check failed: raised below, after the steps before it
-            error = exc
-        done, paths, checks = len(ks) // n, {}, {}
-        for name, x0 in state.items():
-            reads = [k[name] for k in ks]
-            if isinstance(x0, GroupElement):
-                paths[name], stage = _open_loop_factors(reads, len(x0.matrix), stages, weights, done)
-                checks[name] = (stage, [])  # each read's stage factors, and the states they step from
-            elif done:
-                inc = _increment(h, [np.array(reads[j:done * n:n]) for j in range(n)])
-                paths[name] = np.cumsum(np.concatenate([np.asarray(x0)[None], inc]), axis=0)[1:]
-        for j in range(done):
-            new = {}
-            for name, x in state.items():
+        times = [i * h + d for i in range(i0, min(i0 + _BLOCK, n_steps)) for d in (0.0, *stages)]
+        W, S, F, sensed, at, ends = {}, {}, {}, [], [], []  # free the last block's before building this one's
+        try:  # the block pass
+            raw = [rate.u(t) for t in times]
+            driven = cur = {k: x for k, x in state.items() if not cascade or k in raw[0]}
+            for k, x in driven.items():
                 if isinstance(x, GroupElement):
-                    m = x.matrix
-                    checks[name][1].append(m)
-                    for E_s, E_b in paths[name][j * n:j * n + n]:  # as _step chains them
-                        m = m if E_s is None else E_s @ m
-                        m = m if E_b is None else m @ E_b
-                    new[name] = _settle(x.kind, m)
+                    W[k], S[k] = _factors([_as_split(r[k], sides.get(k, "left"), x) for r in raw], stages, weights)
                 else:
-                    new[name] = paths[name][j]
-            state = new
-            snapshot(i0 + j + 1, (i0 + j + 1) * h, state)
-        if stages:  # rk4_cg: the stage states the general loop would build, checked as its constructor would
-            for name, ((S_s, S_b), starts) in checks.items():
-                P = np.array(starts + [state[name].matrix])[np.arange(len(ks)) // n]  # each read's start
+                    ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
+                    if not all(np.isfinite(q).all() for q in ks):
+                        raise NumericalBlowupError(f"non-finite rate for component {k!r}")
+                    W[k] = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
+            for e, r in enumerate(raw):
+                i, j = divmod(e, n)
+                if cascade:
+                    at.append(cur if j == 0 else
+                              {k: _settle(x.kind, _chain(x.matrix, [S[k][e - 1]])) for k, x in cur.items()})
+                if j == n - 1:
+                    cur = {k: _settle(x.kind, _chain(x.matrix, W[k][e + 1 - n:e + 1])) if k in S else W[k][i]
+                           for k, x in cur.items()}
+                    ends.append(cur)
+            for t, r, a in zip(times, raw, at):
+                try:
+                    sensed.append(rate.sense(t, r, a))
+                except Exception as exc:
+                    sensed.append(exc)  # raised in its place by the general loop, not called again
+                    raise
+            for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
+                P = np.array([(ends[e // n - 1] if e >= n else driven)[k].matrix for e in stage])
+                eye = np.eye(P.shape[-1])
+                S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
                 if not np.isfinite(S_s @ P @ S_b).all():
-                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {name!r}")
-        if error is not None:
-            raise error
+                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
+            F = {k: _factors([(_coords(y[0][k].spatial, x), _coords(y[0][k].body, x)) for y in sensed],
+                             stages, weights) for k, x in state.items() if k not in driven}
+        except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
+            ends = []
+        raw = W = S = None  # not needed by the serial steps, whose new states should not land among them
+        for b in range(len(times) // n):
+            try:
+                new = ends and (_follow(rate, state, b * n, ends[b], at, sensed, times, F, stages, weights)
+                                if cascade else ends[b])
+            except Exception:  # noqa: BLE001 -- as above, for this step
+                new = None
+            state = new or _general_step(_replay(rate, sensed[b * n:]) if cascade else rate,
+                                         config.method, (i0 + b) * h, state, h, sides)
+            snapshot(i0 + b + 1, (i0 + b + 1) * h, state)
 
 
-def _open_loop_factors(reads, dim, stages, weights, done) -> tuple[list, np.ndarray]:
-    """(E_s, E_b) for each read of the first ``done`` steps (None for a missing part), and the
-    stacks (E_s, E_b) of each read's stage step (the identity where it has none), from one
-    stacked ``exp_matrix`` per side."""
-    n = len(weights)
-    factors = [[None, None] for _ in range(done * n)]
-    stage = np.tile(np.eye(dim), (2, len(reads), 1, 1))
+def _factors(reads, stages, weights) -> tuple[list, dict]:
+    """[E_s, E_b] of each read's final and (by read) stage step from one stacked ``exp_matrix`` per side."""
+    n, m = len(weights), len(reads)
+    jobs = [(e, weights[e % n]) for e in range(m)] + [(e, stages[e % n]) for e in range(m) if e % n < len(stages)]
+    out = [[None, None] for _ in jobs]
     for side in (0, 1):
-        jobs = [(e, weights[e % n]) for e in range(done * n) if reads[e][side] is not None]
-        n_final = len(jobs)
-        jobs += [(e, stages[e % n]) for e, r in enumerate(reads) if r[side] is not None and e % n < len(stages)]
-        if jobs:
-            w = np.array([w for _, w in jobs])[:, None]
-            E = groups.exp_matrix(w * np.array([reads[e][side] for e, _ in jobs]))
-            for (e, _), F in zip(jobs, E[:n_final]):
-                factors[e][side] = F
-            stage[side, [e for e, _ in jobs[n_final:]]] = E[n_final:]
-    return factors, stage
+        idx = [k for k, (e, _) in enumerate(jobs) if reads[e][side] is not None]
+        if idx:
+            w = np.array([jobs[k][1] for k in idx])[:, None]
+            for k, E in zip(idx, groups.exp_matrix(w * np.array([reads[jobs[k][0]][side] for k in idx]))):
+                out[k][side] = E
+    return out[:m], {e: E for (e, _), E in zip(jobs[m:], out[m:])}
+
+
+def _follow(rate, state, e0, ends, at, sensed, times, F, stages, weights) -> dict:
+    """A Cascade's step from read e0: ``follow``'s parts fill the followers' feed factors ``F``, then chained."""
+    cur, factors = state, {k: [] for k in F}
+    for j, w in enumerate(weights):
+        back = rate.follow(times[e0 + j], cur, sensed[e0 + j][1])
+        for k, (W, S) in F.items():
+            factors[k].append(_fill(W[e0 + j], back[k], state[k], w))
+        if j < len(stages):
+            cur = {k: _settle(x.kind, _chain(x.matrix, [_fill(F[k][1][e0 + j], back[k], x, stages[j])])) if k in F
+                   else at[e0 + j + 1][k] for k, x in state.items()}
+    return {k: _settle(x.kind, _chain(x.matrix, factors[k])) if k in F else ends[k] for k, x in state.items()}
+
+
+def _fill(F, part: SplitRate, g: GroupElement, w: float) -> list:
+    """A follower's stacked feed factors F at a read, with exp(w x) of ``part``'s x on each side F leaves empty."""
+    return [E if E is not None or x is None else groups.exp_matrix(w * _coords(x, g))
+            for E, x in zip(F, (part.spatial, part.body))]
+
+
+def _replay(rate: Cascade, sensed) -> Cascade:
+    """``rate`` on the stored senses in order, a stored exception raised in its place, then on live ones."""
+    stored = iter(sensed)
+
+    def sense(t, rates, state):
+        x = next(stored, None)
+        if isinstance(x, Exception):
+            raise x
+        return rate.sense(t, rates, state) if x is None else x
+
+    return Cascade(rate.u, sense, rate.follow)
 
 
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
@@ -273,14 +317,10 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
     state = dict(state0)
     snapshot(0, 0.0, state)
     if isinstance(rate, Input):
-        _open_loop(rate, config, state, sides, snapshot)
+        _blocks(rate, config, state, sides, snapshot)
     else:
         for i in range(1, n_steps + 1):
-            t = (i - 1) * config.h
-            if config.method == LIE_EULER:
-                state = _advance(state, _rates(rate, t, state, sides), config.h)
-            else:
-                state = _rk4_cg_step(rate, t, state, config.h, sides)
+            state = _general_step(rate, config.method, (i - 1) * config.h, state, config.h, sides)
             snapshot(i, i * config.h, state)
 
     return Trajectory(times, states, {k: np.asarray(v) for k, v in extras.items()})

@@ -165,7 +165,7 @@ def preobserver_split_rate(
     prob: ObserverProblem,
     g_est: GroupElement,
     y: Point,
-    zeta: AlgebraElement | np.ndarray,
+    zeta: AlgebraElement | np.ndarray | None,
     gain: float = 1.0,
 ):
     """The pre-observer rate with the correction kept on the spatial side.
@@ -175,8 +175,8 @@ def preobserver_split_rate(
     observed d/dt g~ = zeta^ g~ + g~ k zeta_e^.  Stepping the two parts by
     separate exponentials makes the discrete error map a function of the
     group error alone, so simulated error trajectories stay autonomous to
-    machine precision.  ``zeta`` may be an AlgebraElement or its coordinate
-    vector; the correction part is the vector gain * zeta_e.
+    machine precision.  ``zeta`` may be an AlgebraElement, its coordinate
+    vector, or None for the correction part alone, the vector gain * zeta_e.
     """
     correction = gain * zeta_e(prob, g_est, y).vec
     if prob.handedness == LEFT:

@@ -17,7 +17,7 @@ from . import groups, observer
 from .actions import Point
 from .errors import DimensionError, NumericalBlowupError, RankDeficiencyError
 from .groups import SE3, SO3, AlgebraElement, GroupElement, Metric
-from .integrate import Input, IntegratorConfig, Trajectory, integrate_system
+from .integrate import Cascade, Input, IntegratorConfig, SplitRate, Trajectory, integrate_system
 from .observer import ObserverProblem
 from .sampling import rng_from
 
@@ -45,25 +45,25 @@ def simulate_observer(
     ``state0`` maps the true state's name, then the estimate's, to their
     initial group elements; ``measure(g, noise_amp, rng)`` gives the output.
     The observer sees the (possibly noisy) input and output; noise on the
-    input is drawn before noise on the output.  The step loop computes only
-    what feeds back into the run; the V^e and ||zeta_e|| columns come after
-    it from ``observer.error_columns``, at the noiseless output
+    input is drawn before noise on the output.  The run is a ``Cascade``: only
+    the correction, at the stored measurement, is stepped serially; the V^e
+    and ||zeta_e|| columns come after it from ``observer.error_columns``, at the noiseless output
     ``measure(g, 0.0, None)``, which a problem's stacked forms take as
     phi_{g^-1}(y0).
     """
     true, est = state0
-    rng = rng_from(seed)
+    rng, side = rng_from(seed), "body" if prob.handedness == observer.LEFT else "spatial"
 
-    def rate(t, state):
-        v = u(t).vec
+    def sense(t, rates, state):  # the measured input is the estimate's feed-forward
+        v = rates[true]
         if noise_amp > 0.0:
-            v_meas = v + rng.uniform(-noise_amp, noise_amp, size=len(v))
-            y = measure(state[true], noise_amp, rng)
+            v, y = v + rng.uniform(-noise_amp, noise_amp, size=len(v)), measure(state[true], noise_amp, rng)
         else:
-            v_meas, y = v, measure(state[true], 0.0, None)
-        return {true: v, est: observer.preobserver_split_rate(prob, state[est], y, v_meas, gain)}
+            y = measure(state[true], 0.0, None)
+        return {est: SplitRate(**{side: v})}, y
 
-    traj = integrate_system(rate, config, state0)
+    follow = lambda t, s, y: {est: observer.preobserver_split_rate(prob, s[est], y, None, gain)}  # noqa: E731
+    traj = integrate_system(Cascade(lambda t: {true: u(t).vec}, sense, follow), config, state0)
     g, g_est = ([s[name] for s in traj.states] for name in (true, est))
     traj.extras.update(observer.error_columns(prob, traj.times, g, g_est, measure))
     return traj

@@ -274,6 +274,21 @@ class TestPointValidation:
         with pytest.raises(Exception):
             Point(ac.LANDMARKS, np.vstack([np.zeros((3, 4)), 2.0 * np.ones((1, 4))]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_s2_rejects_non_finite(self, bad):
+        # abs(nan - 1) > 1e-12 is False, so the unit-norm check must fail closed
+        with pytest.raises(KindMismatchError, match="unit norm"):
+            Point(ac.S2, np.full(3, bad))
+        with pytest.raises(KindMismatchError, match="unit norm"):
+            Point(ac.S2, np.array([1.0, 0.0, bad]))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_direction_pair_rejects_nan(self, slot):
+        pair = [np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])]
+        pair[slot] = np.full(3, np.nan)
+        with pytest.raises(KindMismatchError, match="unit 3-vectors"):
+            Point(ac.DIRECTION_PAIR, tuple(pair))
+
 
 class TestPointStackCheck:
     """``check_point_stack`` raises the class the Point constructor raises for a bad point."""
@@ -288,6 +303,15 @@ class TestPointStackCheck:
             Point(ac.DIRECTION_PAIR, (y2[2], y3[2]))
         with pytest.raises(KindMismatchError):
             ac.check_point_stack(ac.DIRECTION_PAIR, (y2, y3))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_direction_pairs_reject_nan(self, slot):
+        rng = rng_from(18)
+        pairs = [random_rotation(rng).matrix[:, 1:].T for _ in range(5)]
+        y = [np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])]
+        y[slot][3, 1] = np.nan
+        with pytest.raises(KindMismatchError, match="unit 3-vectors"):
+            ac.check_point_stack(ac.DIRECTION_PAIR, tuple(y))
 
     def test_landmarks(self):
         rng = rng_from(17)

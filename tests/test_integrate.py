@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bundleobs import integrate
+from bundleobs import groups, integrate
 from bundleobs.errors import ConfigError, KindMismatchError, NumericalBlowupError, ProjectionFailureError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
 from bundleobs.integrate import MAX_STEPS, Input, IntegratorConfig, SplitRate, integrate_system, lie_step
@@ -532,3 +532,135 @@ class TestOpenLoop:
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=2.0)
         traj = integrate_system(Input(lambda t: {"x": np.ones(2)}), config, {"x": np.zeros(2)})
         assert len(traj) == 2001 and traj.states[-1]["x"].base.shape[0] <= integrate._BLOCK + 1
+
+
+_EXP_MATRIX = groups.exp_matrix
+
+
+def _drifting_exp_matrix(vec):
+    """``exp_matrix`` with entry (0, 0) of each result moved by 1e-8 where its vector is marked
+    (x[0] == 2 x[1] != 0, which scaling by a step weight keeps): a drift the constructor rejects."""
+    out = _EXP_MATRIX(vec)
+    rows, ms = np.reshape(vec, (-1, np.shape(vec)[-1])), out.reshape(-1, *out.shape[-2:])
+    ms[(rows[:, 0] == 2.0 * rows[:, 1]) & (rows[:, 1] != 0.0), 0, 0] += 1e-8
+    return out
+
+
+def _marked(v):
+    v = np.array(v, dtype=float)
+    v[1] = v[1] or 0.5
+    v[0] = 2.0 * v[1]
+    return v
+
+
+def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
+    """A Cascade whose u drives ``g`` and whose follower ``x`` (of the same kind) takes a noisy
+    feed-forward and a correction towards the sensed direction of g; the correction is on the
+    spatial side, or on the body side when ``hand`` is right, as for a right-observed system.
+    From t = fail_at on, ``fail`` makes u NaN, the measurement NaN, or marks the rate of g
+    (``drift_g``) or the correction of x (``drift_x``) for ``_drifting_exp_matrix``."""
+    rng = rng_from(seed)
+    dim = 3 if kind == "SO3" else 6
+    amp, freq, phase = rng.normal(size=(3, dim))
+    g0, x0 = random_group(kind, rng), random_group(kind, rng)
+    state0 = {"x": x0, "g": g0} if follower_first else {"g": g0, "x": x0}
+    axis = np.array([0.0, 0.6, 0.8])
+
+    def u(t):
+        v = amp * np.sin(freq * t + phase)
+        if t >= fail_at and fail in ("nan_u", "drift_g"):
+            v = np.full(dim, np.nan) if fail == "nan_u" else _marked(v)
+        return {"g": v}
+
+    def sense(t, rates, state):
+        feed, y = np.cos(rates["g"]), state["g"].matrix[:3, :3].T @ axis
+        if noise > 0.0:
+            feed = feed + rng.uniform(-noise, noise, size=dim)
+            y = y + rng.uniform(-noise, noise, size=3)
+        if fail == "nan_y" and t >= fail_at:
+            y = np.full(3, np.nan)
+        return {"x": SplitRate(body=feed) if hand == "left" else SplitRate(spatial=feed)}, y
+
+    def follow(t, state, y):
+        c = 0.8 * np.resize(np.cross(state["x"].matrix[:3, :3].T @ axis, y), dim)
+        c = _marked(c) if fail == "drift_x" and t >= fail_at else c
+        return {"x": SplitRate(spatial=c) if hand == "left" else SplitRate(body=AlgebraElement(kind.lower(), c))}
+
+    return state0, integrate.Cascade(u, sense, follow)
+
+
+class TestCascade:
+    """A ``Cascade`` steps its driven components and its followers' feed-forward in stacked blocks
+    and only the feedback serially; it must give the bytes, record calls and errors of the general
+    loop running it wrapped, ``lambda t, s: cascade(t, s)``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["lie_euler", "rk4_cg"]),
+        kind=st.sampled_from(["SO3", "SE3"]),
+        hand=st.sampled_from(["left", "right"]),
+        noise=st.sampled_from([0.0, 0.01]),
+        follower_first=st.booleans(),
+        n_steps=st.integers(1, 9),
+        block=st.sampled_from([1, 2, 4, integrate._BLOCK]),
+        fail=st.sampled_from([None, None, "nan_u", "nan_y", "drift_g", "drift_x"]),
+        fail_at=st.sampled_from([0.0, 0.05, 0.125, 0.2, 0.35]),
+    )
+    def test_same_bytes_records_and_errors_as_general_loop(
+        self, seed, method, kind, hand, noise, follower_first, n_steps, block, fail, fail_at
+    ):
+        config = IntegratorConfig(method=method, h=0.05, t_final=n_steps * 0.05)
+        with mock.patch.object(integrate, "_BLOCK", block), mock.patch.object(groups, "exp_matrix", _drifting_exp_matrix):
+            state0, cascade = _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at)
+            got, got_calls = _run(cascade, config, state0, {})
+            state0, cascade = _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at)
+            want, want_calls = _run(lambda t, s: cascade(t, s), config, state0, {})
+        assert got_calls == want_calls
+        if isinstance(want, Exception):
+            assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
+            return
+        assert not isinstance(got, Exception), got
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.extras["sum"].tobytes() == want.extras["sum"].tobytes()
+        for a, b in zip(got.states, want.states, strict=True):
+            assert list(a) == list(b) == list(state0)
+            assert [x.matrix.tobytes() for x in a.values()] == [x.matrix.tobytes() for x in b.values()]
+
+    @pytest.mark.parametrize("fail, cls", [("nan_u", NumericalBlowupError), ("nan_y", NumericalBlowupError),
+                                           ("drift_g", ProjectionFailureError), ("drift_x", ProjectionFailureError)])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_each_failure_stops_the_run_where_injected(self, fail, cls, method):
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        with mock.patch.object(integrate, "_BLOCK", 4), mock.patch.object(groups, "exp_matrix", _drifting_exp_matrix):
+            got, calls = _run(_cascade_case(3, "SE3", "left", 0.01, False, fail, 0.2)[1], config,
+                              _cascade_case(3, "SE3", "left", 0.01, False, fail, 0.2)[0], {})
+        assert isinstance(got, cls) and len(calls) in (4, 5), (got, calls)
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("hand", ["left", "right"])
+    def test_clean_runs_take_no_general_step(self, method, hand):
+        # a failing block falls back to the general loop with its bytes, so equal bytes alone do not
+        # show that the block path ran
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        state0, cascade = _cascade_case(4, "SE3", hand, 0.01, True, None, 1.0)
+        with mock.patch.object(integrate, "_BLOCK", 3), \
+                mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+            integrate_system(cascade, config, state0)
+            integrate_system(Input(lambda t: {"g": np.ones(6), "v": np.ones(2)}), config,
+                             {"g": GroupElement.identity("SE3"), "v": np.zeros(2)})
+
+    def test_call_merges_feed_and_feedback(self):
+        state0, cascade = _cascade_case(5, "SO3", "right", 0.0, False, None, 1.0)
+        rates = cascade(0.1, state0)
+        assert list(rates) == ["g", "x"] and rates["g"] is not None
+        assert rates["x"].spatial is not None and isinstance(rates["x"].body, AlgebraElement)
+
+    def test_array_components_take_the_general_loop(self):
+        cascade = integrate.Cascade(lambda t: {"v": np.ones(2)}, lambda t, r, s: ({"x": SplitRate(body=[0.1, 0, 0])}, None),
+                                    lambda t, s, y: {"x": SplitRate(spatial=[0, 0, 0.2])})
+        config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.3)
+        traj = integrate_system(cascade, config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
+        want = integrate_system(lambda t, s: cascade(t, s), config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
+        assert traj.states[-1]["v"].tobytes() == want.states[-1]["v"].tobytes()
+        assert traj.states[-1]["x"].matrix.tobytes() == want.states[-1]["x"].matrix.tobytes()

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from bundleobs import actions as ac
 from bundleobs import bundle, groups, observer, systems
+from bundleobs import integrate as integrate_module
 from bundleobs.actions import Point, act
 from bundleobs.errors import (
     BundleobsError,
     DimensionError,
+    KindMismatchError,
     NumericalBlowupError,
     ProjectionFailureError,
     RankDeficiencyError,
@@ -658,3 +660,120 @@ class TestErrorColumns:
         for prob in (systems.attitude_problem(), dataclasses.replace(systems.attitude_problem(), error_cost_stack=None)):
             traj = systems.simulate_error_dynamics(prob, exp(hat([0.3, -0.5, 0.2])), 1.0, config)
             assert len(traj.extras["Ve"]) == 7
+
+
+def _observer_case(system, seed, fail, fail_at):
+    """(prob, measure, u, state0, calls) of an attitude, SLAM or right-observed attitude run, where
+    ``calls`` counts the measurements.  From t = fail_at on, u turns NaN (``nan_u``); from the
+    ``fail_at``-th measurement on, it is NaN (``nan_y``)."""
+    rng = rng_from(seed)
+    kind = "se3" if system == "slam" else "so3"
+    if system == "slam":
+        L = random_landmarks(rng, 6)
+        prob, base = systems.slam_problem(L), lambda S, amp, r: systems.measure_landmarks(S, L, amp, r)
+    elif system == "attitude":
+        prob, base = systems.attitude_problem(), systems.measure_attitude
+    else:
+        prob = observer.ObserverProblem(
+            group_kind="SO3", handedness="right", output_action=ac.so3_on_direction_pair("right"),
+            y0=Point(ac.DIRECTION_PAIR, (E2, E3)), cost=systems.attitude_cost)
+
+        def base(R, amp, r):
+            y = [x + r.uniform(-amp, amp, size=3) if amp > 0.0 else x for x in prob.output(R).value]
+            return Point(ac.DIRECTION_PAIR, tuple(x / np.linalg.norm(x) for x in y))
+
+    calls = []
+
+    def measure(g, amp, r):
+        calls.append(None)
+        y = base(g, amp, r)
+        if fail == "nan_y" and len(calls) > fail_at:
+            if system == "slam":
+                return Point(ac.LANDMARKS, np.vstack([np.full((3, y.value.shape[1]), np.nan), y.value[3:]]))
+            return Point(ac.DIRECTION_PAIR, (np.full(3, np.nan), y.value[1]))  # Point rejects it
+        return y
+
+    amp, freq, phase = rng.normal(size=(3, 6 if kind == "se3" else 3))
+
+    def u(t):
+        v = np.full(len(amp), np.nan) if fail == "nan_u" and t >= fail_at * 0.05 else amp * np.sin(freq * t + phase)
+        return AlgebraElement(kind, v)
+
+    state0 = {"g": random_group(prob.group_kind, rng), "ghat": random_group(prob.group_kind, rng)}
+    return prob, measure, u, state0, calls
+
+
+def _run_observer(wrap, case, config, noise):
+    """(trajectory or exception, per-sample state bytes and the number of measurements) of
+    ``simulate_observer`` on a fresh ``case()``, with its Cascade as it is, or wrapped so that the
+    general loop takes it."""
+    real, samples = integrate_system, []
+
+    def record(t, state):
+        samples.append((t, *(x.matrix.tobytes() for x in state.values())))
+        return {}
+
+    def integrate(rate, config, state0, sides=None, _=None):
+        assert isinstance(rate, integrate_module.Cascade)
+        return real((lambda t, s: rate(t, s)) if wrap else rate, config, state0, sides, record)
+
+    prob, measure, u, state0, calls = case()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "integrate_system", integrate)
+        try:
+            return systems.simulate_observer(prob, measure, u, state0, 1.5, config, noise, 11), (samples, len(calls))
+        except Exception as exc:  # noqa: BLE001 -- compared below
+            return exc, (samples, len(calls))
+
+
+class TestCascadeObserverRun:
+    """``simulate_observer`` steps a ``Cascade``: the driven true state and the estimate's feed-forward
+    in stacked blocks, only the correction serially.  It must give the bytes, samples and errors of
+    the general loop running the same Cascade wrapped."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=st.sampled_from(["attitude", "slam", "right"]),
+        seed=st.integers(0, 2**16),
+        method=st.sampled_from(["lie_euler", "rk4_cg"]),
+        noise=st.sampled_from([0.0, 0.01]),
+        n_steps=st.integers(1, 11),
+        block=st.sampled_from([1, 3, 4, 128]),
+        fail=st.sampled_from([None, None, "nan_u", "nan_y"]),
+        fail_at=st.integers(0, 30),
+    )
+    def test_same_bytes_samples_and_errors_as_general_loop(self, system, seed, method, noise, n_steps, block, fail, fail_at):
+        config = IntegratorConfig(method=method, h=0.05, t_final=n_steps * 0.05)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrate_module, "_BLOCK", block)
+            (got, (got_samples, got_calls)), (want, (want_samples, want_calls)) = (
+                _run_observer(wrap, lambda: _observer_case(system, seed, fail, fail_at), config, noise) for wrap in (False, True))
+        assert got_samples == want_samples
+        # the block pass measures up to its block's end, but a failed measurement is not taken again
+        sensed_ahead = isinstance(want, Exception) and not isinstance(want, KindMismatchError)
+        assert got_calls >= want_calls if sensed_ahead else got_calls == want_calls
+        if isinstance(want, Exception):
+            assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
+            return
+        assert not isinstance(got, Exception), got
+        assert got.times.tobytes() == want.times.tobytes()
+        for key in ("Ve", "zeta_e_norm"):
+            assert got.extras[key].tobytes() == want.extras[key].tobytes()
+        for a, b in zip(got.states, want.states, strict=True):
+            assert [x.matrix.tobytes() for x in a.values()] == [x.matrix.tobytes() for x in b.values()]
+
+    @pytest.mark.parametrize("system", ["attitude", "slam", "right"])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_clean_runs_take_no_general_step(self, monkeypatch, system, method):
+        # the general loop's fallback gives the same bytes, so only this shows that the blocks ran
+        monkeypatch.setattr(integrate_module, "_general_step", _no_reference)
+        prob, measure, u, state0, _ = _observer_case(system, 2, None, 0)
+        traj = systems.simulate_observer(prob, measure, u, state0, 1.5, IntegratorConfig(method, 0.05, 0.5), 0.01, 11)
+        assert len(traj) == 11
+
+    def test_failures_are_reached(self):
+        # the strategies above do produce each failure, not only clean runs
+        config = IntegratorConfig(method="rk4_cg", h=0.05, t_final=0.5)
+        for fail, cls in (("nan_u", NumericalBlowupError), ("nan_y", KindMismatchError)):
+            got, (samples, _) = _run_observer(False, lambda: _observer_case("attitude", 1, fail, 9), config, 0.01)
+            assert isinstance(got, cls) and 1 < len(samples) < 11, (fail, got)
