@@ -143,7 +143,8 @@ def test_exp_matrix_stack(benchmark, kind):
         fn = lambda v: [groups.exp_matrix(x) for x in v]  # noqa: E731
     benchmark(fn, vecs)
     benchmark.extra_info["items"] = len(vecs)
-    benchmark.extra_info["us_per_item"] = benchmark.stats.stats.median * 1e6 / len(vecs)
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_item"] = benchmark.stats.stats.median * 1e6 / len(vecs)
 
 
 def test_rk4_cg_se3_open_loop_200_steps(benchmark):

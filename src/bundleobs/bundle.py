@@ -304,11 +304,10 @@ def reduce_system(
     # generic path: finite differences along the flow of X
     eps = 1e-6
     raw = ac.point_raw(p)
-    p_fwd = _point_from_raw(p.kind, ac.tangent_add(raw, ac.tangent_scale(eps, v)))
-    p_back = _point_from_raw(p.kind, ac.tangent_add(raw, ac.tangent_scale(-eps, v)))
-    base_rate = ac.tangent_scale(
-        1.0 / (2.0 * eps),
-        ac.tangent_sub(_base_raw(sec.base_of(p_fwd)), _base_raw(sec.base_of(p_back))),
+    p_fwd = _point_from_raw(p.kind, ac.tangent_map(lambda r, x: r + eps * x, raw, v))
+    p_back = _point_from_raw(p.kind, ac.tangent_map(lambda r, x: r - eps * x, raw, v))
+    base_rate = ac.tangent_map(
+        lambda f, b: 1.0 / (2.0 * eps) * (f - b), _base_raw(sec.base_of(p_fwd)), _base_raw(sec.base_of(p_back))
     )
     F = sec.fiber_of(p).matrix
     dF = (sec.fiber_of(p_fwd).matrix - sec.fiber_of(p_back).matrix) / (2.0 * eps)

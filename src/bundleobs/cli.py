@@ -272,18 +272,17 @@ def _audit_equivariance(samples: int, seed: int) -> list[tuple[str, float, float
         return inverse_matrix(g.matrix) @ om
 
     att_out = ac.so3_on_direction_pair("right")
-    prob_att = systems.attitude_problem()
 
     def att_vf(p, u):
         return systems.attitude_vector_field(p, AlgebraElement("so3", u))
 
     slam_act = ac.slam_action(6)
-    slam_out = ac.trivial_action("SE3", ac.LANDMARKS, "right", _slam_y_sample)
+    slam_out = ac.trivial_action("SE3", ac.LANDMARKS, "right")
 
     def _sample_omega(rng):
         return rng.normal(size=3)
 
-    results = [
+    return [
         (
             "attitude vector field",
             ac.check_equivariance_vf(
@@ -295,7 +294,7 @@ def _audit_equivariance(samples: int, seed: int) -> list[tuple[str, float, float
         (
             "attitude output",
             ac.check_equivariance_output(
-                lambda p: prob_att.output(p.value), att_state, att_out,
+                lambda p: systems.measure_attitude(p.value), att_state, att_out,
                 samples=samples, seed=seed,
             ),
             1e-10,
@@ -311,21 +310,11 @@ def _audit_equivariance(samples: int, seed: int) -> list[tuple[str, float, float
         (
             "slam output",
             ac.check_equivariance_output(
-                _slam_output, slam_act, slam_out, samples=samples, seed=seed
+                lambda p: systems.measure_landmarks(*p.value), slam_act, slam_out, samples=samples, seed=seed
             ),
             1e-10,
         ),
     ]
-    return results
-
-
-def _slam_output(p: ac.Point) -> ac.Point:
-    S, L = p.value
-    return ac.Point(ac.LANDMARKS, inverse_matrix(S.matrix) @ L)
-
-
-def _slam_y_sample(rng):
-    return ac.Point(ac.LANDMARKS, random_landmarks(rng, 6))
 
 
 def _sample_slam_input(rng):
@@ -375,8 +364,8 @@ _AUDITS = {
 
 
 def run_audit(mode: str, samples: int, seed: int) -> int:
-    if samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
+    if samples < 1 or seed < 0:
+        print("error: --samples must be >= 1 and --seed >= 0", file=sys.stderr)
         return 2
     if mode not in _AUDITS:
         print(f"error: unknown audit mode {mode!r}; options: {AUDIT_MODES}", file=sys.stderr)

@@ -2,8 +2,8 @@
 
 Elements are stored as plain numpy matrices (3x3 rotations, 4x4 homogeneous
 transforms) with membership checked at construction.  Algebra elements carry
-their coordinate vector; the matrix form is derived by ``hat``.  se(3)
-coordinates are ordered (linear, angular) to match the homogeneous block
+their coordinate vector, and ``AlgebraElement.matrix`` gives the matrix form.
+se(3) coordinates are ordered (linear, angular) to match the homogeneous block
 layout.
 """
 
@@ -197,7 +197,12 @@ class AlgebraElement:
 
     @property
     def matrix(self) -> np.ndarray:
-        return hat_matrix(self.vec)
+        if self.kind == "so3":
+            return skew(self.vec)
+        m = np.zeros((4, 4))
+        m[:3, :3] = skew(self.vec[3:])
+        m[:3, 3] = self.vec[:3]
+        return m
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.kind != other.kind:
@@ -236,18 +241,6 @@ def skew(w: np.ndarray) -> np.ndarray:
     """3x3 antisymmetric matrix with skew(w) @ x == cross(w, x)."""
     x, y, z = w
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-
-
-def hat_matrix(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape == (3,):
-        return skew(v)
-    if v.shape == (6,):
-        m = np.zeros((4, 4))
-        m[:3, :3] = skew(v[3:])
-        m[:3, 3] = v[:3]
-        return m
-    raise DimensionError(f"hat expects a length-3 or length-6 vector, got shape {v.shape}")
 
 
 def hat(v) -> AlgebraElement:

@@ -121,17 +121,18 @@ def _coords(x, g: GroupElement) -> np.ndarray | None:
     return v
 
 
+def _exp(w: float, x: np.ndarray | None) -> np.ndarray | None:
+    """exp_matrix(w x), None for a missing part x."""
+    return None if x is None else groups.exp_matrix(w * x)
+
+
 def _step(g: GroupElement, steps) -> GroupElement:
-    """The stepping rule on g's matrix for each (h, (spatial, body)) in ``steps``, then ``_settle``."""
-    m = g.matrix
-    for h, (spatial, body) in steps:
-        m = m if spatial is None else groups.exp_matrix(h * spatial) @ m
-        m = m if body is None else m @ groups.exp_matrix(h * body)
-    return _settle(g.kind, m)
+    """g's matrix chained by (exp(h spatial), exp(h body)) per (h, (spatial, body)) in ``steps``, then settled."""
+    return _settle(g.kind, _chain(g.matrix, [(_exp(h, spatial), _exp(h, body)) for h, (spatial, body) in steps]))
 
 
 def _chain(m: np.ndarray, factors) -> np.ndarray:
-    """m stepped by each (E_s, E_b) in turn, E_s @ m @ E_b, as ``_step`` steps; a None factor is skipped."""
+    """The stepping rule: m stepped by each (E_s, E_b) in turn, E_s @ m @ E_b; a None factor is skipped."""
     for E_s, E_b in factors:
         m = m if E_s is None else E_s @ m
         m = m if E_b is None else m @ E_b
@@ -276,8 +277,7 @@ def _follow(rate, state, e0, ends, at, sensed, times, F, stages, weights) -> dic
 
 def _fill(F, part: SplitRate, g: GroupElement, w: float) -> list:
     """A follower's stacked feed factors F at a read, with exp(w x) of ``part``'s x on each side F leaves empty."""
-    return [E if E is not None or x is None else groups.exp_matrix(w * _coords(x, g))
-            for E, x in zip(F, (part.spatial, part.body))]
+    return [E if E is not None else _exp(w, _coords(x, g)) for E, x in zip(F, (part.spatial, part.body))]
 
 
 def _replay(rate: Cascade, sensed) -> Cascade:
@@ -297,7 +297,7 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
     """Integrate d/dt state = rate(t, state) with fixed steps.
 
     ``record(t, state)``, when given, returns a dict of scalar extras stored
-    per sample (e.g. error cost, innovation norm).
+    per sample (a step clock, say); a non-finite value raises NumericalBlowupError.
     """
     sides = sides or {}
     n_steps = int(round(config.t_final / config.h))

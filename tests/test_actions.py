@@ -164,6 +164,20 @@ class TestGenerator:
         )
         np.testing.assert_allclose(lhs, rhs, atol=1e-8)
 
+    @pytest.mark.parametrize("a", SHIPPED_ACTIONS, ids=lambda a: a.name + "_" + a.group_kind)
+    def test_closed_form_matches_central_difference(self, a):
+        """Each closed-form generator against (act(exp(eps zeta), p) - act(exp(-eps zeta), p)) / (2 eps)
+        at eps = 1e-6, whose truncation (eps^2) and rounding (1e-16 / eps) errors stay below the
+        1e-7 relative tolerance; a wrong sign or factor misses it by about the generator's norm."""
+        rng, eps = rng_from(17), 1e-6
+        for _ in range(20):
+            p = a.sample_point(rng)
+            zeta = random_algebra(a.group_kind.lower(), rng)
+            fwd, back = (ac.point_raw(act(a, exp(s * zeta), p)) for s in (eps, -eps))
+            fd = ac.tangent_map(lambda f, b: (f - b) / (2.0 * eps), fwd, back)
+            gen = ac.infinitesimal_generator(a, zeta, p)
+            assert ac.tangent_norm(ac.tangent_map(np.subtract, gen, fd)) <= 1e-7 * max(1.0, ac.tangent_norm(gen))
+
 
 class TestEquivarianceVF:
     def test_attitude_right_translation(self):
@@ -248,7 +262,8 @@ class TestEquivarianceOutput:
 class TestAdEquivariance:
     @pytest.mark.parametrize(
         "action",
-        [ac.so3_on_r3(), ac.so3_on_s2(), ac.group_translation("SO3", "left"), ac.slam_action(5)],
+        [ac.so3_on_r3(), ac.so3_on_s2(), ac.group_translation("SO3", "left"), ac.slam_action(5),
+         ac.so3_on_direction_pair("left"), ac.so3_on_direction_pair("right")],
         ids=lambda a: a.name,
     )
     def test_generators(self, action):

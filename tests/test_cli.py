@@ -206,6 +206,12 @@ class TestAudit:
     def test_zero_samples_exit_2(self):
         assert cli.main(["audit", "gradient", "--samples", "0"]) == 2
 
+    @pytest.mark.parametrize("mode", cli.AUDIT_MODES)
+    def test_negative_seed_exit_2(self, mode, capsys):
+        assert cli.main(["audit", mode, "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestInputContract:
     @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundleobs import actions as ac
 from bundleobs import groups, observer
@@ -14,6 +16,8 @@ from bundleobs.integrate import IntegratorConfig
 from bundleobs.observer import ObserverProblem
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import (
+    E2,
+    E3,
     AttitudeScenario,
     attitude_cost,
     attitude_problem,
@@ -114,6 +118,22 @@ class TestZetaE:
             # conjugation-free matching of the cost level; compare V-levels
             assert abs(prob.error_cost(e) - attitude_cost(measure_attitude(g), prob.output(g_est))) <= 1e-10
             assert abs(z.norm() - z2.norm()) <= 1e-8
+
+
+_ROTATION = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3).map(lambda w: exp(AlgebraElement("so3", w)))
+
+
+class TestComplementaryFilter:
+    """The attitude observer's body-frame correction R~^T k zeta_e is the explicit complementary
+    filter of Mahony, Hamel & Pflimlin (IEEE TAC 2008): sum_i 2k v_i x v~_i over the measured
+    v_i = R^T e_i and the estimated v~_i = R~^T e_i, i in {2, 3}."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(R=_ROTATION, R_est=_ROTATION, k=st.floats(0.1, 5.0))
+    def test_correction_is_sum_of_cross_products(self, prob, R, R_est, k):
+        ze = observer.zeta_e(prob, R_est, measure_attitude(R))
+        mahony = sum(2.0 * k * np.cross(R.matrix.T @ e, R_est.matrix.T @ e) for e in (E2, E3))
+        assert np.linalg.norm(R_est.matrix.T @ (k * ze.vec) - mahony) <= 1e-13 * max(1.0, k)
 
 
 class TestInnovation:
