@@ -280,26 +280,31 @@ def infinitesimal_generator(a: ActionSpec, zeta: AlgebraElement, p: Point):
     return a.generator(zeta, p)
 
 
-def _default_sampler(a: ActionSpec):
+def _worst(a: ActionSpec, samples: int, seed, residual) -> float:
+    """Max over ``samples`` draws (a point p from ``a``'s sampler, then a group element g)
+    of the residuals that ``residual(rng, p, g)`` returns, folded in their order."""
+    if samples < 1:
+        raise ValueError("need at least one sample")
     if a.sample_point is None:
         raise ValueError(f"action {a.name} has no registered point sampler")
-    return a.sample_point
+    rng = rng_from(seed)
+    worst = 0.0
+    for _ in range(samples):
+        p = a.sample_point(rng)
+        worst = max(worst, *residual(rng, p, random_group(a.group_kind, rng)))
+    return worst
 
 
 def check_action_laws(a: ActionSpec, samples: int = 20, seed=42) -> float:
     """Max residual of the identity and composition laws on random samples."""
-    rng = rng_from(seed)
-    sampler = _default_sampler(a)
     e = GroupElement.identity(a.group_kind)
-    worst = 0.0
-    for _ in range(samples):
-        p = sampler(rng)
-        g = random_group(a.group_kind, rng)
+
+    def residual(rng, p, g):
         h = random_group(a.group_kind, rng)
-        worst = max(worst, point_distance(act(a, e, p), p))
         composed = g @ h if a.handedness == "left" else h @ g
-        worst = max(worst, point_distance(act(a, g, act(a, h, p)), act(a, composed, p)))
-    return worst
+        return point_distance(act(a, e, p), p), point_distance(act(a, g, act(a, h, p)), act(a, composed, p))
+
+    return _worst(a, samples, seed, residual)
 
 
 def check_equivariance_vf(
@@ -315,20 +320,14 @@ def check_equivariance_vf(
     X maps (Point, input) to a tangent.  input_action is a (g, u) -> u map
     (None means the identity input action psi = id).
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = rng_from(seed)
-    sampler = _default_sampler(state_action)
-    worst = 0.0
-    for _ in range(samples):
-        p = sampler(rng)
-        g = random_group(state_action.group_kind, rng)
+
+    def residual(rng, p, g):
         u = sample_input(rng) if sample_input is not None else None
         lifted = state_action.lift(g, X(p, u))
-        gu = u if input_action is None else input_action(g, u)
-        direct = X(act(state_action, g, p), gu)
-        worst = max(worst, tangent_norm(tangent_map(np.subtract, lifted, direct)))
-    return worst
+        direct = X(act(state_action, g, p), u if input_action is None else input_action(g, u))
+        return (tangent_norm(tangent_map(np.subtract, lifted, direct)),)
+
+    return _worst(state_action, samples, seed, residual)
 
 
 def check_equivariance_output(
@@ -339,30 +338,22 @@ def check_equivariance_output(
     seed=42,
 ) -> float:
     """Max residual of varphi_g(H(p)) = H(phi_g(p)) over random samples."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = rng_from(seed)
-    sampler = _default_sampler(state_action)
-    worst = 0.0
-    for _ in range(samples):
-        p = sampler(rng)
-        g = random_group(state_action.group_kind, rng)
-        worst = max(worst, point_distance(act(output_action, g, H(p)), H(act(state_action, g, p))))
-    return worst
+
+    def residual(rng, p, g):
+        return (point_distance(act(output_action, g, H(p)), H(act(state_action, g, p))),)
+
+    return _worst(state_action, samples, seed, residual)
 
 
 def check_ad_equivariance(a: ActionSpec, samples: int = 100, seed=42) -> float:
     """Residual of T_p(phi_g) zeta_P(p) = (Ad_g zeta)_P(phi_g p) (left actions)
     or the Ad_{g^-1} version (right actions)."""
-    rng = rng_from(seed)
-    sampler = _default_sampler(a)
-    worst = 0.0
-    for _ in range(samples):
-        p = sampler(rng)
-        g = random_group(a.group_kind, rng)
+
+    def residual(rng, p, g):
         zeta = random_algebra("so3" if a.group_kind == SO3 else "se3", rng)
         lifted = a.lift(g, infinitesimal_generator(a, zeta, p))
         conj = g if a.handedness == "left" else g.inverse()
         direct = infinitesimal_generator(a, groups.adjoint(conj, zeta), act(a, g, p))
-        worst = max(worst, tangent_norm(tangent_map(np.subtract, lifted, direct)))
-    return worst
+        return (tangent_norm(tangent_map(np.subtract, lifted, direct)),)
+
+    return _worst(a, samples, seed, residual)

@@ -224,8 +224,18 @@ class TestEquivarianceVF:
         assert res == 0.0
 
     def test_bad_sample_count(self):
-        with pytest.raises(ValueError):
-            ac.check_equivariance_vf(lambda p, u: 0, ac.so3_on_r3(), samples=0)
+        # every certifier refuses to pass on no sample, not only this one
+        a = ac.so3_on_r3()
+        certifiers = [
+            lambda n: ac.check_action_laws(a, samples=n),
+            lambda n: ac.check_equivariance_vf(lambda p, u: 0, a, samples=n),
+            lambda n: ac.check_equivariance_output(lambda p: p, a, a, samples=n),
+            lambda n: ac.check_ad_equivariance(a, samples=n),
+        ]
+        for certify in certifiers:
+            for n in (0, -5):
+                with pytest.raises(ValueError, match="need at least one sample"):
+                    certify(n)
 
 
 class TestEquivarianceOutput:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bundleobs import actions as ac
 from bundleobs import bundle
 from bundleobs.actions import Point, act
-from bundleobs.errors import BundleobsError, NotFiberInjectiveError, OriginError
+from bundleobs.errors import BundleobsError, KindMismatchError, NotFiberInjectiveError, OriginError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import slam_vector_field, sphere_vector_field
@@ -262,6 +262,19 @@ class TestReduceSystem:
         )
         assert abs(base_rate) <= 1e-12
         assert fiber_rate.norm() <= 1e-12
+
+
+    @pytest.mark.parametrize("make, X, u", [
+        (bundle.sphere_bundle, sphere_vector_field, np.ones(3)),
+        (bundle.slam_bundle, slam_vector_field, (AlgebraElement("se3", np.ones(6)), np.zeros((4, 6)))),
+    ], ids=["sphere", "slam"])
+    def test_other_section_refused(self, make, X, u):
+        # only the two built-in sections have a split; a generic finite difference on an
+        # associated SLAM section gave the spatial rate Ad_S V where the closed form gives V
+        sb = make()
+        derived = bundle.associated_section_from_output(lambda p: p, sb, sb.action)
+        with pytest.raises(KindMismatchError, match="associated_"):
+            bundle.reduce_system(X, derived, sb.action.sample_point(rng_from(14)), u)
 
 
 class TestBundleProperties:

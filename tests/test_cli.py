@@ -1,6 +1,9 @@
 """Scenario CLI: parsing, runs, reports, audits, exit codes, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -206,6 +209,11 @@ class TestAudit:
     def test_zero_samples_exit_2(self):
         assert cli.main(["audit", "gradient", "--samples", "0"]) == 2
 
+    def test_unknown_mode_exit_2(self, capsys):
+        # argparse refuses it first on the command line; run_audit refuses it for direct callers
+        assert cli.run_audit("nope", 10, 42) == 2
+        assert capsys.readouterr().err.startswith("error: unknown audit mode 'nope'; options: ")
+
     @pytest.mark.parametrize("mode", cli.AUDIT_MODES)
     def test_negative_seed_exit_2(self, mode, capsys):
         assert cli.main(["audit", mode, "--seed", "-1"]) == 2
@@ -401,7 +409,8 @@ def test_fuzzed_scenarios_exit_0_2_or_3(fields):
         assert rc in (2, 3) or (rc == 0 and len(list(out.iterdir())) == 2)
 
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "demos" / "scenarios"
+REPO = Path(__file__).resolve().parents[1]
+SCENARIOS = REPO / "demos" / "scenarios"
 
 # sha256 of the demo outputs; sphere_split has no group state, so the stepping rule
 # of the group integrators cannot move its bytes.  slam_continuous changed when its
@@ -422,6 +431,22 @@ def test_demo_outputs_byte_identical(tmp_path, demo):
     for suffix in ("_report.txt", "_trajectory.csv"):
         digest = hashlib.sha256((tmp_path / f"{demo}{suffix}").read_bytes()).hexdigest()
         assert digest == GOLDEN_SHA256[demo + suffix], demo + suffix
+
+
+# sha256 of the stdout of each demo script, run as its own process on this checkout's src/
+GOLDEN_SHA256_DEMO_STDOUT = {
+    "01_lie_group_basics.py": "3a8a296526aa567d24977c65f067b013556ff7332e03d5619e18066030287081",
+    "02_sphere_bundle.py": "a5a0b38c58dc66d160cdd89436fd3e73e7a85d6f9b6662afaf3a7f6e7d6b0814",
+    "03_attitude_observer.py": "08c77856cc586059a3a814a71b19ae5575c5a1f54bf4042c681d7ca3a76c9c1c",
+    "04_slam.py": "c459ef64a1b979a06c108cd9d7c4d091e1b96ab79a6bd120f5ae7f7bdb5a59b9",
+}
+
+
+@pytest.mark.parametrize("script", sorted(GOLDEN_SHA256_DEMO_STDOUT))
+def test_demo_script_stdout_byte_identical(script):
+    run = subprocess.run([sys.executable, str(REPO / "demos" / script)], cwd=REPO, capture_output=True,
+                         env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True)
+    assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_SHA256_DEMO_STDOUT[script]
 
 
 # sha256 of two longer row passes, taken before recovery and split ran stacked: a noisy

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bundleobs import groups, integrate
@@ -379,7 +379,8 @@ def _open_loop_case(seed, spec, fail, fail_at):
     """Initial state, sides and u(t) for the components in ``spec``, each (kind, side,
     rate as vectors): SO3, SE3, or vectors of length 1 or 3, whose side is ignored.
     From t = fail_at on, the first component, a group one, turns bad as ``fail``
-    says: NaN coordinates, a wrong length or an angle whose exponential overflows."""
+    says: NaN coordinates, a wrong length or an angle whose exponential overflows;
+    "vector_nan" turns the first vector component, if there is one, NaN instead."""
     rng = rng_from(seed)
     state0, sides, parts = {}, {}, {}
     for i, (kind, side, vectors) in enumerate(spec):
@@ -392,14 +393,15 @@ def _open_loop_case(seed, spec, fail, fail_at):
             state0[name] = random_group(kind, rng)
             sides[name] = "left" if side == "split" else side
         parts[name] = (kind, side, vectors, amp, freq, phase)
+    target = next((n for n, part in parts.items() if part[0].startswith("vec")), None) if fail == "vector_nan" else "c0"
 
     def u(t):
         out = {}
         for name, (kind, side, vectors, amp, freq, phase) in parts.items():
             x = amp * np.sin(freq * t + phase)
-            if name == "c0" and fail is not None and t >= fail_at:
-                x = {"nan": np.full(len(x), np.nan), "length": np.zeros(len(x) + 1),
-                     "angle": np.full(len(x), 1e200)}[fail]
+            if name == target and fail is not None and t >= fail_at:
+                x = {"nan": np.full(len(x), np.nan), "vector_nan": np.full(len(x), np.nan),
+                     "length": np.zeros(len(x) + 1), "angle": np.full(len(x), 1e200)}[fail]
             if kind.startswith("vec"):
                 out[name] = np.cos(x)
                 continue
@@ -441,10 +443,12 @@ class TestOpenLoop:
         h=st.sampled_from([0.05, 0.1, 0.3]),
         n_steps=st.integers(1, 9),
         block=st.sampled_from([1, 2, 4, integrate._BLOCK]),
-        fail=st.sampled_from([None, None, "nan", "length", "angle"]),
+        fail=st.sampled_from([None, None, "nan", "length", "angle", "vector_nan"]),
         fail_step=st.integers(0, 8),
         fail_offset=st.sampled_from([0.0, 0.5, 1.0]),
     )
+    @example(seed=0, method="rk4_cg", spec=[("SO3", "left", False), ("vec3", "left", False)], h=0.1,
+             n_steps=5, block=integrate._BLOCK, fail="vector_nan", fail_step=2, fail_offset=0.5)
     def test_same_bytes_and_errors_as_general_loop(
         self, seed, method, spec, h, n_steps, block, fail, fail_step, fail_offset
     ):
