@@ -11,7 +11,8 @@ step with vector rates, which the integrator accepts since ``BENCH_10.json``.
 Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
 (before ``BENCH_12.json``), or ``observer.error_columns`` (before
 ``BENCH_13.json``), their benchmarks time the work they replace; ``write_csv``
-is called with row dicts or columns, whichever its signature takes.  The two
+is called with row dicts or columns, and ``error_columns`` with matrix stacks
+or element lists, whichever its signature takes.  The two
 observer runs (since ``BENCH_15.json``) use only the public simulators.
 """
 
@@ -186,7 +187,8 @@ def test_slam_observer_24_landmarks_200_steps(benchmark):
 
 
 def _observer_samples(system: str, rows: int) -> tuple:
-    """(prob, times, g, g_est, measure) of ``rows`` random samples of the attitude or SLAM observer."""
+    """(prob, times, G, G_est, measure) of ``rows`` random samples of the attitude or SLAM observer,
+    G and G_est their (rows, k, k) stacks of true and estimate matrices."""
     rng = rng_from(12)
     if system == "attitude":
         prob, measure, kind = systems.attitude_problem(), systems.measure_attitude, "SO3"
@@ -194,8 +196,8 @@ def _observer_samples(system: str, rows: int) -> tuple:
         L = random_landmarks(rng, 24)
         prob, kind = systems.slam_problem(L), "SE3"
         measure = lambda S, amp, r: systems.measure_landmarks(S, L, amp, r)  # noqa: E731
-    g, g_est = ([random_group(kind, rng) for _ in range(rows)] for _ in range(2))
-    return prob, np.arange(rows) * 1e-3, g, g_est, measure
+    G, G_est = (np.array([random_group(kind, rng).matrix for _ in range(rows)]) for _ in range(2))
+    return prob, np.arange(rows) * 1e-3, G, G_est, measure
 
 
 def _per_sample_columns(prob, times, g, g_est, measure):
@@ -208,8 +210,11 @@ def _per_sample_columns(prob, times, g, g_est, measure):
 def test_error_columns(benchmark, system, rows):
     """``observer.error_columns`` over a run's rows (24 landmarks for SLAM), ``us_per_row`` per
     row; a checkout without it times the per-sample calls its step loop made instead."""
-    args = _observer_samples(system, rows)
-    benchmark(getattr(observer, "error_columns", _per_sample_columns), *args)
+    prob, times, G, G_est, measure = _observer_samples(system, rows)
+    fn = getattr(observer, "error_columns", _per_sample_columns)
+    if "G" not in inspect.signature(fn).parameters:  # it takes lists of elements
+        G, G_est = ([GroupElement(prob.group_kind, m) for m in ms] for ms in (G, G_est))
+    benchmark(fn, prob, times, G, G_est, measure)
     benchmark.extra_info["rows"] = rows
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import actions as ac
 from . import bundle, observer, systems
 from .errors import BundleobsError, ConfigError, NumericalBlowupError
-from .groups import AlgebraElement, GroupElement, exp, inverse_matrix, log
+from .groups import AlgebraElement, GroupElement, exp, inverse_matrix, log, row_dot
 from .integrate import Input, IntegratorConfig, integrate_system
 from .sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 
@@ -186,7 +186,7 @@ def _run_observer(scen: dict) -> tuple[tuple, list[str]]:
     state0 = {true: exp(AlgebraElement(prob.algebra_kind, xi0)), est: GroupElement.identity(prob.group_kind)}
     traj = systems.simulate_observer(prob, measure, u, state0, scen["gain"], config, scen["noise"], scen["seed"])
     n, ve = len(traj), traj.extras["Ve"]
-    state, estimate = (np.array([s[name].matrix for s in traj.states]).reshape(n, -1) for name in (true, est))
+    state, estimate = (traj.arrays[name].reshape(n, -1) for name in (true, est))
     final = traj.states[-1]
     error = log(observer.group_error(prob, final[true], final[est])).norm()
     return (traj.times, state, estimate, ve, traj.extras["zeta_e_norm"]), _report(ve, label, error, 1e-9)
@@ -223,7 +223,7 @@ def _run_sphere_split_demo(scen: dict) -> tuple[tuple, list[str]]:
 
     traj = integrate_system(Input(lambda t: {"q": velocity(t)}), config, {"q": q0})
     v = np.array([velocity(t) for t in traj.times])
-    q = np.array([state["q"] for state in traj.states])
+    q = traj.arrays["q"]
     r, R, hor, ver = bundle.sphere_splits(q, v)
     col = np.stack([np.zeros(len(r)), ver[:, 2], -ver[:, 1]], axis=1)  # hat(ver) e1
     rec = hor[:, None] * R[:, :, 0] + r[:, None] * (R @ col[:, :, None])[:, :, 0]
@@ -345,14 +345,10 @@ def _audit_autonomy(samples: int, seed: int) -> list[tuple[str, float, float]]:
     prob = systems.attitude_problem()
     worst = 0.0
     for _ in range(max(1, min(samples, 3))):
-        R_a = random_rotation(rng)
-        R_b = random_rotation(rng)
-        traj_a = systems.simulate_attitude_observer(e0.inverse() @ R_a, R_a, att, config)
-        traj_b = systems.simulate_attitude_observer(e0.inverse() @ R_b, R_b, att, config)
-        for sa, sb in zip(traj_a.states, traj_b.states):
-            ea = observer.group_error(prob, sa["R"], sa["Rhat"])
-            eb = observer.group_error(prob, sb["R"], sb["Rhat"])
-            worst = max(worst, float(np.linalg.norm(ea.matrix - eb.matrix)))
+        runs = [systems.simulate_attitude_observer(e0.inverse() @ R, R, att, config).arrays
+                for R in (random_rotation(rng), random_rotation(rng))]
+        ea, eb = (observer.group_error(prob, run["R"], run["Rhat"]) for run in runs)  # one stack per run
+        worst = max(worst, float(np.sqrt(row_dot((ea - eb).reshape(len(ea), -1))).max()))  # np.linalg.norm bits
     return [("attitude error-dynamics autonomy (Frobenius)", worst, 1e-6)]
 
 

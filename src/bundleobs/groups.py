@@ -81,7 +81,7 @@ def _check_rotation(rows) -> float:
     return defect
 
 
-@dataclass(frozen=True, slots=True)  # no per-element __dict__: a run keeps one element per component and sample
+@dataclass(frozen=True, slots=True)  # no per-element __dict__: a block keeps one element per component and step
 class GroupElement:
     """An element of SO(3) or SE(3) as a (homogeneous) matrix; ``defect`` is the
     ||R^T R - I||_F of its rotation block, which the integrators' drift gate reads."""
@@ -157,6 +157,23 @@ def check_stack(ms: np.ndarray) -> np.ndarray:
             raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
         ms[(d != 0.0).any(axis=1), 3] = (0.0, 0.0, 0.0, 1.0)
     return ms
+
+
+def _checked_elements(kind: str, ms: np.ndarray) -> list[GroupElement]:
+    """``check_stack`` of ms, then its rows as GroupElements that carry their defects, not checked again one
+    by one; a defect above ``_DRIFT_TOL``, which an integrator settles by a Björck step, raises.  Products of
+    matrices with exact SE(3) bottom rows keep them exact, so below the gate a chain of raw products is the
+    settled chain."""
+    ms = check_stack(ms)
+    defects = np.sqrt(_defect_sq(np.moveaxis(ms[:, :3, :3], 0, -1))).tolist()
+    if max(defects) > _DRIFT_TOL:
+        raise ProjectionFailureError(f"defect {max(defects):.3e} above the drift gate")
+    ms.setflags(write=False)
+    out = [object.__new__(GroupElement) for _ in ms]
+    for g, m, defect in zip(out, ms, defects):
+        for name, value in (("kind", kind), ("matrix", m), ("defect", defect)):
+            object.__setattr__(g, name, value)
+    return out
 
 
 def row_dot(x: np.ndarray) -> np.ndarray:

@@ -6,16 +6,18 @@ coordinate vector is its body part on side "left" and its spatial part on
 side "right".  Its parts, length-checked once, step group states as vectors
 under one rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in
 ``lie_euler``, each ``rk4_cg`` stage and final composition, and ``lie_step``.
-Each step's matrix goes once through the validating GroupElement constructor,
-whose defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift
-gate takes one Björck step, which squares it, instead of an SVD projection.
-``Input`` and ``Cascade`` rates step what reads only the time in blocks, with the same bits.
+Each step's matrix gets the validating GroupElement constructor's checks once (a block's driven
+chain at once), and its defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift gate
+takes one Björck step, which squares it, instead of an SVD projection.  ``Input`` and ``Cascade``
+rates step what reads only the time in blocks, with the same bits.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
@@ -29,7 +31,7 @@ RK4_CG = "rk4_cg"
 
 # upper bound on round(t_final / h); the longest shipped scenario has 20,000 steps
 MAX_STEPS = 1_000_000
-_BLOCK = 64  # steps per block: bounds its stacked exponentials, and the temporaries new states land among
+_BLOCK = 64  # steps per block: bounds its stacked exponentials and the sample dicts kept until they are stacked
 # h / divisor: the stage steps, then the composition weights (a lie_euler step has one weight)
 _STAGES = {LIE_EULER: ((), (1,)), RK4_CG: ((2, 2, 1), (6, 3, 3, 6))}
 
@@ -94,15 +96,24 @@ class IntegratorConfig:
 
 
 @dataclass
-class Trajectory:
-    """Time-indexed samples of the integrated state plus recorded extras."""
+class Trajectory(Sequence):
+    """Time-indexed samples, each component's stacked in ``arrays``: (n + 1, k, k) matrices of group kind
+    ``kinds[name]`` or (n + 1, d) vectors; plus recorded extras.  As a sequence (also as ``states``), the
+    samples' state dicts, each built on access from validated GroupElements and vector rows."""
 
     times: np.ndarray
-    states: list
+    arrays: dict
+    kinds: dict
     extras: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.times)
+
+    def __getitem__(self, i) -> dict:
+        i = range(len(self))[i]  # IndexError past either end
+        return {k: GroupElement(self.kinds[k], A[i]) if k in self.kinds else A[i] for k, A in self.arrays.items()}
+
+    states = property(lambda self: self)
 
 
 def _as_split(r, side: str, g: GroupElement) -> tuple:
@@ -191,63 +202,6 @@ def _general_step(rate, method, t, state, h, sides):
     return _advance(state, ks, weights, h)
 
 
-def _blocks(rate: Input, config: IntegratorConfig, state, sides, snapshot) -> None:
-    """``integrate_system`` for an Input or a Cascade, ``_BLOCK`` steps at a time: stacked exponentials, driven
-    states chained, then serial steps of ``follow`` alone; where anything fails, the general loop takes over."""
-    h, cascade = config.h, isinstance(rate, Cascade)
-    stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
-    n, n_steps = len(weights), int(round(config.t_final / h))
-    for i0 in range(0, n_steps, _BLOCK):
-        times = [i * h + d for i in range(i0, min(i0 + _BLOCK, n_steps)) for d in (0.0, *stages)]
-        W, S, F, sensed, at, ends = {}, {}, {}, [], [], []  # free the last block's before building this one's
-        try:  # the block pass
-            raw = [rate.u(t) for t in times]
-            driven = cur = {k: x for k, x in state.items() if not cascade or k in raw[0]}
-            for k, x in driven.items():
-                if isinstance(x, GroupElement):
-                    W[k], S[k] = _factors([_as_split(r[k], sides.get(k, "left"), x) for r in raw], stages, weights)
-                else:
-                    ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
-                    if not all(np.isfinite(q).all() for q in ks):
-                        raise NumericalBlowupError(f"non-finite rate for component {k!r}")
-                    W[k] = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
-            for e, r in enumerate(raw):
-                i, j = divmod(e, n)
-                if cascade:
-                    at.append(cur if j == 0 else
-                              {k: _settle(x.kind, _chain(x.matrix, [S[k][e - 1]])) for k, x in cur.items()})
-                if j == n - 1:
-                    cur = {k: _settle(x.kind, _chain(x.matrix, W[k][e + 1 - n:e + 1])) if k in S else W[k][i]
-                           for k, x in cur.items()}
-                    ends.append(cur)
-            for t, r, a in zip(times, raw, at):
-                try:
-                    sensed.append(rate.sense(t, r, a))
-                except Exception as exc:
-                    sensed.append(exc)  # raised in its place by the general loop, not called again
-                    raise
-            for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
-                P = np.array([(ends[e // n - 1] if e >= n else driven)[k].matrix for e in stage])
-                eye = np.eye(P.shape[-1])
-                S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
-                if not np.isfinite(S_s @ P @ S_b).all():
-                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
-            F = {k: _factors([(_coords(y[0][k].spatial, x), _coords(y[0][k].body, x)) for y in sensed],
-                             stages, weights) for k, x in state.items() if k not in driven}
-        except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
-            ends = []
-        raw = W = S = None  # not needed by the serial steps, whose new states should not land among them
-        for b in range(len(times) // n):
-            try:
-                new = ends and (_follow(rate, state, b * n, ends[b], at, sensed, times, F, stages, weights)
-                                if cascade else ends[b])
-            except Exception:  # noqa: BLE001 -- as above, for this step
-                new = None
-            state = new or _general_step(_replay(rate, sensed[b * n:]) if cascade else rate,
-                                         config.method, (i0 + b) * h, state, h, sides)
-            snapshot(i0 + b + 1, (i0 + b + 1) * h, state)
-
-
 def _factors(reads, stages, weights) -> tuple[list, dict]:
     """[E_s, E_b] of each read's final and (by read) stage step from one stacked ``exp_matrix`` per side."""
     n, m = len(weights), len(reads)
@@ -294,33 +248,88 @@ def _replay(rate: Cascade, sensed) -> Cascade:
 
 
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
-    """Integrate d/dt state = rate(t, state) with fixed steps.
+    """Integrate d/dt state = rate(t, state) with fixed steps, ``_BLOCK`` at a time.
 
-    ``record(t, state)``, when given, returns a dict of scalar extras stored
-    per sample (a step clock, say); a non-finite value raises NumericalBlowupError.
+    For an Input or a Cascade, a block pass takes stacked exponentials and chains the driven states, and the
+    serial steps take ``follow`` alone; for any other rate, and where anything fails, the general loop takes
+    the steps.  ``record(t, state)``, when given, returns a dict of scalar extras stored per sample (a step
+    clock, say); a non-finite value raises NumericalBlowupError.  Each sample's state dict is kept until
+    ``stack``, before the next block's serial steps, writes it into the arrays.
     """
-    sides = sides or {}
-    n_steps = int(round(config.t_final / config.h))
-    times = np.empty(n_steps + 1)
-    states = [None] * (n_steps + 1)
-    extras: dict[str, list] = {}
+    sides, h, cascade = sides or {}, config.h, isinstance(rate, Cascade)
+    stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
+    n, n_steps = len(weights), int(round(config.t_final / h))
+    ts = np.empty(n_steps + 1)
+    kinds = {k: x.kind for k, x in state0.items() if isinstance(x, GroupElement)}
+    arrays = {k: np.empty((n_steps + 1, *np.shape(x.matrix if k in kinds else x))) for k, x in state0.items()}
+    pending, extras = [], {}  # pending: the samples' state dicts, one reference each, until stack()
 
     def snapshot(i, t, state):
-        times[i] = t
-        states[i] = state
+        ts[i] = t
+        pending.append(state)
         if record is not None:
             for key, val in record(t, state).items():
                 if not math.isfinite(val):
                     raise NumericalBlowupError(f"non-finite recorded value at t={t:.6g}", t=t)
                 extras.setdefault(key, []).append(float(val))
 
+    def stack(i):  # the pending samples, the last of them sample i - 1, into the arrays
+        for k, A in arrays.items():
+            A[i - len(pending):i] = [s[k].matrix if k in kinds else s[k] for s in pending]
+        pending.clear()
+
     state = dict(state0)
     snapshot(0, 0.0, state)
-    if isinstance(rate, Input):
-        _blocks(rate, config, state, sides, snapshot)
-    else:
-        for i in range(1, n_steps + 1):
-            state = _general_step(rate, config.method, (i - 1) * config.h, state, config.h, sides)
-            snapshot(i, i * config.h, state)
-
-    return Trajectory(times, states, {k: np.asarray(v) for k, v in extras.items()})
+    for i0 in range(0, n_steps, _BLOCK):
+        times = [i * h + d for i in range(i0, min(i0 + _BLOCK, n_steps)) for d in (0.0, *stages)]
+        W, S, F, sensed, at, ends = {}, {}, {}, [], [], []  # free the last block's before building this one's
+        try:  # the block pass
+            if not isinstance(rate, Input):
+                raise TypeError("not an Input")
+            raw = [rate.u(t) for t in times]
+            driven = {k: x for k, x in state.items() if not cascade or k in raw[0]}
+            for k, x in driven.items():
+                if isinstance(x, GroupElement):
+                    W[k], S[k] = _factors([_as_split(r[k], sides.get(k, "left"), x) for r in raw], stages, weights)
+                    ms = accumulate([W[k][e:e + n] for e in range(0, len(raw), n)], _chain, initial=x.matrix)
+                    W[k] = groups._checked_elements(x.kind, np.array(list(ms)[1:]))
+                else:
+                    ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
+                    if not all(np.isfinite(q).all() for q in ks):
+                        raise NumericalBlowupError(f"non-finite rate for component {k!r}")
+                    W[k] = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
+            ends = [{k: W[k][i] for k in driven} for i in range(len(raw) // n)]
+            for e in range(len(raw)) if cascade else ():
+                i, j = divmod(e, n)
+                cur = ends[i - 1] if i else driven
+                at.append(cur if j == 0 else
+                          {k: _settle(x.kind, _chain(x.matrix, [S[k][e - 1]])) for k, x in cur.items()})
+            for t, r, a in zip(times, raw, at):
+                try:
+                    sensed.append(rate.sense(t, r, a))
+                except Exception as exc:
+                    sensed.append(exc)  # raised in its place by the general loop, not called again
+                    raise
+            for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
+                P = np.array([(ends[e // n - 1] if e >= n else driven)[k].matrix for e in stage])
+                eye = np.eye(P.shape[-1])
+                S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
+                if not np.isfinite(S_s @ P @ S_b).all():
+                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
+            F = {k: _factors([(_coords(y[0][k].spatial, x), _coords(y[0][k].body, x)) for y in sensed],
+                             stages, weights) for k, x in state.items() if k not in driven}
+        except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
+            ends = []
+        raw = W = S = None  # not needed by the serial steps, whose new states should not land among them
+        stack(i0 + 1)
+        for b in range(len(times) // n):
+            try:
+                new = ends and (_follow(rate, state, b * n, ends[b], at, sensed, times, F, stages, weights)
+                                if cascade else ends[b])
+            except Exception:  # noqa: BLE001 -- as above, for this step
+                new = None
+            state = new or _general_step(_replay(rate, sensed[b * n:]) if cascade else rate,
+                                         config.method, (i0 + b) * h, state, h, sides)
+            snapshot(i0 + b + 1, (i0 + b + 1) * h, state)
+    stack(n_steps + 1)
+    return Trajectory(ts, arrays, kinds, {k: np.asarray(v) for k, v in extras.items()})

@@ -194,17 +194,17 @@ def error_rate(prob: ObserverProblem, e_g: GroupElement, gain: float = 1.0) -> A
     return -gain * zeta_e(prob, ident, prob.output(e_g))
 
 
-def error_columns(prob: ObserverProblem, times, g, g_est, measure=None) -> dict[str, np.ndarray]:
+def error_columns(prob: ObserverProblem, times, G, G_est, measure=None) -> dict[str, np.ndarray]:
     """The ``Ve`` column of a run and, given ``measure``, its ``zeta_e_norm`` column, after the run.
 
-    ``g`` and ``g_est`` list each sample's true and estimate GroupElements.  ``_CHUNK`` samples at
-    a time, ``prob``'s stacked forms take ``group_error`` of the stacked matrices.  A problem
-    without them, or a chunk where they raise or give a non-finite value, takes the per-sample
-    reference instead, which raises the error of the first bad sample.
+    ``G`` and ``G_est`` stack each sample's true and estimate matrices (n, k, k), as a ``Trajectory``
+    does.  ``_CHUNK`` samples at a time, ``prob``'s stacked forms take ``group_error`` of them.  A
+    problem without them, or a chunk where they raise or give a non-finite value, takes the
+    per-sample reference on its rows instead, which raises the error of the first bad sample.
     """
     chunks = []
     for i in range(0, len(times), _CHUNK):
-        t, x, x_est = times[i:i + _CHUNK], g[i:i + _CHUNK], g_est[i:i + _CHUNK]
+        t, x, x_est = times[i:i + _CHUNK], G[i:i + _CHUNK], G_est[i:i + _CHUNK]
         cols = _stacked_columns(prob, x, x_est, measure)
         if cols is None:
             cols = np.array([_sample_row(prob, *r, measure) for r in zip(t, x, x_est)]).T
@@ -212,11 +212,10 @@ def error_columns(prob: ObserverProblem, times, g, g_est, measure=None) -> dict[
     return dict(zip(["Ve", "zeta_e_norm"], np.concatenate(chunks, axis=1)))
 
 
-def _stacked_columns(prob: ObserverProblem, g, g_est, measure) -> Optional[np.ndarray]:
+def _stacked_columns(prob: ObserverProblem, G, G_est, measure) -> Optional[np.ndarray]:
     """``error_columns``' stacked pass over one chunk, or None where it cannot stand for the reference."""
     if prob.error_cost_stack is None or (measure is not None and prob.zeta_e_stack is None):
         return None
-    G, G_est = (np.array([x.matrix for x in xs]) for xs in (g, g_est))
     try:
         with np.errstate(all="ignore"):  # the reference reports what goes wrong
             cols = [prob.error_cost_stack(group_error(prob, G, G_est))]
@@ -228,8 +227,9 @@ def _stacked_columns(prob: ObserverProblem, g, g_est, measure) -> Optional[np.nd
     return np.array(cols) if np.isfinite(cols).all() else None
 
 
-def _sample_row(prob: ObserverProblem, t, g, g_est, measure) -> list[float]:
-    """One sample of the reference: error_cost of group_error, and zeta_e at measure(g, 0.0, None)."""
+def _sample_row(prob: ObserverProblem, t, m, m_est, measure) -> list[float]:
+    """The reference on one sample's matrices: error_cost of group_error, zeta_e at measure(g, 0.0, None)."""
+    g, g_est = (GroupElement(prob.group_kind, x) for x in (m, m_est))
     row = [prob.error_cost(group_error(prob, g, g_est))]
     if measure is not None:
         row.append(zeta_e(prob, g_est, measure(g, 0.0, None)).norm())

@@ -64,8 +64,7 @@ def simulate_observer(
 
     follow = lambda t, s, y: {est: observer.preobserver_split_rate(prob, s[est], y, None, gain)}  # noqa: E731
     traj = integrate_system(Cascade(lambda t: {true: u(t).vec}, sense, follow), config, state0)
-    g, g_est = ([s[name] for s in traj.states] for name in (true, est))
-    traj.extras.update(observer.error_columns(prob, traj.times, g, g_est, measure))
+    traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est], measure))
     return traj
 
 
@@ -172,8 +171,8 @@ def simulate_error_dynamics(
         return {"e": observer.error_rate(prob, state["e"], gain)}
 
     traj = integrate_system(rate, config, {"e": e0}, sides={"e": prob.handedness})
-    ident = [GroupElement.identity(prob.group_kind)] * len(traj)  # e_g at g~ = I, g = e
-    traj.extras.update(observer.error_columns(prob, traj.times, [s["e"] for s in traj.states], ident))
+    e = traj.arrays["e"]  # e_g at g~ = I, g = e
+    traj.extras.update(observer.error_columns(prob, traj.times, e, np.broadcast_to(np.eye(e.shape[-1]), e.shape)))
     return traj
 
 
@@ -269,8 +268,7 @@ def simulate_slam_poses(
     L = np.asarray(landmarks, dtype=float)
     config = IntegratorConfig(method="rk4_cg", h=h, t_final=n_steps * h)
     traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0})
-    poses = [s["S"] for s in traj.states]
-    return poses, groups.inverse_matrix(np.array([S.matrix for S in poses])) @ L
+    return [s["S"] for s in traj.states], groups.inverse_matrix(traj.arrays["S"]) @ L
 
 
 def measure_landmarks(S: GroupElement, landmarks, noise_amp: float = 0.0, rng=None) -> Point:

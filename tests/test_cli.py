@@ -206,6 +206,11 @@ class TestAudit:
     def test_autonomy_exit_0(self):
         assert cli.main(["audit", "autonomy", "--samples", "1"]) == 0
 
+    def test_autonomy_stdout(self, capsys):
+        assert cli.main(["audit", "autonomy", "--samples", "3"]) == 0
+        assert capsys.readouterr().out == (
+            "attitude error-dynamics autonomy (Frobenius): max residual 2.203e-14 (tol 1e-06) ok\n")
+
     def test_zero_samples_exit_2(self):
         assert cli.main(["audit", "gradient", "--samples", "0"]) == 2
 

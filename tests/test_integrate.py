@@ -532,21 +532,17 @@ class TestOpenLoop:
         u = lambda t: {"x": np.array([t])}  # noqa: E731
         assert Input(u)(0.5, {"x": np.zeros(1)})["x"][0] == 0.5
 
-    def test_blocks_bound_the_stacks(self):
-        config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=2.0)
-        traj = integrate_system(Input(lambda t: {"x": np.ones(2)}), config, {"x": np.zeros(2)})
-        assert len(traj) == 2001 and traj.states[-1]["x"].base.shape[0] <= integrate._BLOCK + 1
-
 
 _EXP_MATRIX = groups.exp_matrix
 
 
-def _drifting_exp_matrix(vec):
-    """``exp_matrix`` with entry (0, 0) of each result moved by 1e-8 where its vector is marked
-    (x[0] == 2 x[1] != 0, which scaling by a step weight keeps): a drift the constructor rejects."""
+def _drifting_exp_matrix(vec, by=1e-8):
+    """``exp_matrix`` with entry (0, 0) of each result moved by ``by`` where its vector is marked
+    (x[0] == 2 x[1] != 0, which scaling by a step weight keeps): by default a drift the constructor
+    rejects; 1e-11 gives one between the drift gate and the constructor's tolerance."""
     out = _EXP_MATRIX(vec)
     rows, ms = np.reshape(vec, (-1, np.shape(vec)[-1])), out.reshape(-1, *out.shape[-2:])
-    ms[(rows[:, 0] == 2.0 * rows[:, 1]) & (rows[:, 1] != 0.0), 0, 0] += 1e-8
+    ms[(rows[:, 0] == 2.0 * rows[:, 1]) & (rows[:, 1] != 0.0), 0, 0] += by
     return out
 
 
@@ -668,3 +664,60 @@ class TestCascade:
         want = integrate_system(lambda t, s: cascade(t, s), config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
         assert traj.states[-1]["v"].tobytes() == want.states[-1]["v"].tobytes()
         assert traj.states[-1]["x"].matrix.tobytes() == want.states[-1]["x"].matrix.tobytes()
+
+
+def _stored(rate, config, state0, sides=None):
+    """(trajectory, copies of the state dicts that each sample's record call saw)."""
+    seen = []
+
+    def record(t, state):
+        seen.append({k: np.array(x.matrix if isinstance(x, GroupElement) else x) for k, x in state.items()})
+        return {}
+
+    return integrate_system(rate, config, state0, sides, record), seen
+
+
+class TestStorage:
+    """A Trajectory keeps each component as one (n + 1, ...) stack with the bits of the states the
+    steps made, and rebuilds a sample's dict from the stacks on access."""
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("loop", ["input", "cascade", "general"])
+    def test_each_component_is_one_stack_of_the_stepped_states(self, method, loop):
+        config = IntegratorConfig(method=method, h=0.01, t_final=1.5)  # 150 steps: three blocks, the last short
+        sides = None
+        if loop == "cascade":
+            state0, rate = _cascade_case(6, "SE3", "left", 0.01, False, None, 2.0)
+        else:
+            spec = [("SO3", "left", False), ("SE3", "split", True), ("vec3", "left", False)]
+            state0, sides, u = _open_loop_case(6, spec, None, 0.0)
+            rate = Input(u) if loop == "input" else (lambda t, s: u(t))
+        traj, seen = _stored(rate, config, state0, sides)
+        assert len(traj) == len(seen) == 151 and list(traj.arrays) == list(state0)
+        for name, x in state0.items():
+            shape = np.shape(x.matrix if isinstance(x, GroupElement) else x)
+            assert traj.arrays[name].shape == (151, *shape)
+            assert traj.arrays[name].tobytes() == np.array([s[name] for s in seen]).tobytes()
+        last = traj.states[-1]
+        assert all(isinstance(last[k], GroupElement) == isinstance(x, GroupElement) for k, x in state0.items())
+        with pytest.raises(IndexError):
+            traj.states[151]
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_a_drifting_driven_chain_takes_the_general_loop(self, method):
+        # from t = 0.3 on, every exponential of the driven g drifts by 1e-11, past the drift gate: the
+        # block holding step 6 (steps 4-7) and the last one (8-9) must take the general loop, which
+        # settles each step by a Björck step
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        drift = lambda vec: _drifting_exp_matrix(vec, by=1e-11)  # noqa: E731
+        runs = []
+        for wrap in (lambda c: c, lambda c: lambda t, s: c(t, s)):
+            state0, cascade = _cascade_case(3, "SO3", "left", 0.0, False, "drift_g", 0.3)
+            with mock.patch.object(integrate, "_BLOCK", 4), mock.patch.object(groups, "exp_matrix", drift), \
+                    mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
+                runs.append((*_stored(wrap(cascade), config, state0), general.call_count))
+        (got, seen, general_steps), (want, _, _) = runs
+        assert general_steps == 6
+        for name in ("g", "x"):
+            assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
+            assert got.arrays[name].tobytes() == np.array([s[name] for s in seen]).tobytes()

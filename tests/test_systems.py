@@ -1,6 +1,7 @@
 """Concrete systems: attitude, sphere, SLAM (continuous and discrete)."""
 
 import dataclasses
+import tracemalloc
 import types
 
 import numpy as np
@@ -430,6 +431,21 @@ class TestAttitudeConvergence:
         assert log(e_g).norm() < 1e-3
         assert np.all(np.diff(traj.extras["Ve"]) <= 1e-9)
 
+    def test_long_run_keeps_arrays_not_elements(self):
+        # criterion 7's 20-s run: its result holds two (20001, 3, 3) stacks (2.9 MiB) and four columns,
+        # where one GroupElement per component and sample took about 14.8 MiB
+        config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=20.0)
+        scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), gain=1.0)
+        R0 = exp(hat(np.pi / 3 * np.array([0.0, 0.6, 0.8])))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = systems.simulate_attitude_observer(R0, GroupElement.identity("SO3"), scen, config)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20_001 and retained <= 4 * 2**20, retained / 2**20
+
 
 class TestSharedNoiselessZetaE:
     """The observer's states and its zeta_e_norm column, computed after the run, have the bits
@@ -627,9 +643,9 @@ class TestErrorColumns:
         prob = systems.slam_problem(random_landmarks(rng_from(5), 6))
         far = GroupElement("SE3", np.block([[np.eye(3), np.full((3, 1), 1e200)], [np.zeros((1, 3)), 1.0]]))
         ident = GroupElement.identity("SE3")
-        g = [ident, ident, ident, far, far]
+        g = np.array([x.matrix for x in (ident, ident, ident, far, far)])
         with np.errstate(over="ignore"), pytest.raises(NumericalBlowupError) as err:
-            observer.error_columns(prob, np.arange(5) * 0.1, g, [ident] * 5)
+            observer.error_columns(prob, np.arange(5) * 0.1, g, np.array([ident.matrix] * 5))
         assert err.value.t == pytest.approx(0.3)
 
     def test_no_error_cost_or_group_error_inside_the_step_loop(self, monkeypatch):
