@@ -13,6 +13,7 @@ Run with: python3 demos/04_slam.py
 import numpy as np
 
 from bundleobs import AlgebraElement, GroupElement, IntegratorConfig, exp, log
+from bundleobs.groups import inverse_matrix
 from bundleobs.observer import group_error
 from bundleobs.sampling import random_landmarks, rng_from
 from bundleobs.systems import (
@@ -49,7 +50,7 @@ print("  final error twist norm:", err)
 poses, measurements = simulate_slam_poses(S0, landmarks, twist, n_steps=50, h=0.05)
 recovered = recover_pose_chain(measurements)
 worst = max(
-    np.linalg.norm(Sk.matrix - (poses[k].inverse() @ poses[k + 1]).matrix)
+    np.linalg.norm(Sk.matrix - inverse_matrix(poses[k]) @ poses[k + 1])
     for k, Sk in enumerate(recovered)
 )
 print("\ndiscrete recovery over 50 steps:")

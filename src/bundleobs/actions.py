@@ -80,12 +80,16 @@ class Point:
 def check_point_stack(kind: str, value):
     """The Point constructor's check of each point of a stack, returning ``value``: a direction
     pair as two (k, 3) stacks of unit vectors (norms by ``groups.row_dot``, within 1e-12), else
-    landmarks as (k, 4, N) with a homogeneous last row."""
+    landmarks as (k, 4, N) with a homogeneous last row.  The error's ``row`` is the first bad point."""
     if kind == DIRECTION_PAIR:
-        if not all((abs(np.sqrt(groups.row_dot(x)) - 1.0) <= 1e-12).all() for x in value):
-            raise KindMismatchError("direction pair entries must be unit 3-vectors")
-    elif not (value[:, 3] == 1.0).all():
-        raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
+        ok = np.logical_and(*(abs(np.sqrt(groups.row_dot(x)) - 1.0) <= 1e-12 for x in value))
+    else:
+        ok = (value[:, 3] == 1.0).all(axis=1)
+    if not ok.all():
+        exc = KindMismatchError("direction pair entries must be unit 3-vectors" if kind == DIRECTION_PAIR
+                                else "landmark columns must be homogeneous (last entry 1)")
+        exc.row = int(ok.argmin())
+        raise exc
     return value
 
 

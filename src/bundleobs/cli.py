@@ -180,7 +180,7 @@ def _run_observer(scen: dict) -> tuple[tuple, list[str]]:
     else:
         L = random_landmarks(rng_from(scen["seed"]), scen["n_landmarks"])
         prob = systems.slam_problem(L)
-        measure = lambda S, amp, rng: systems.measure_landmarks(S, L, amp, rng)
+        measure = lambda S, *noise: systems.measure_landmarks(S, L, *noise)
         u = lambda t: AlgebraElement("se3", np.array([0.2, 0.0, 0.1, np.sin(t), np.cos(2.0 * t), 0.5]))
         xi0, (true, est), label = _initial_twist(scen["initial_error"]), ("S", "Shat"), "final_error_twist_norm"
     state0 = {true: exp(AlgebraElement(prob.algebra_kind, xi0)), est: GroupElement.identity(prob.group_kind)}
@@ -204,8 +204,7 @@ def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
     if scen["noise"] > 0.0:  # one draw; C order gives each M_k its (3, N) block of the stream in turn
         measurements[:, :3] += rng.uniform(-scen["noise"], scen["noise"], size=measurements[:, :3].shape)
     recovered = np.array([S.matrix for S in systems.recover_pose_chain(measurements)])
-    P = np.array([S.matrix for S in poses])
-    true_rel = inverse_matrix(P[:-1]) @ P[1:]
+    true_rel = inverse_matrix(poses[:-1]) @ poses[1:]
     D = (recovered - true_rel).reshape(-1, 1, 16)
     err = np.sqrt(D @ np.swapaxes(D, 1, 2))[:, 0, 0].tolist()  # np.linalg.norm of each difference
     ve = [e**2 for e in err]  # C pow; np.square differs in the last bit of some values

@@ -143,6 +143,12 @@ def check_stack(ms: np.ndarray) -> np.ndarray:
     whole-array arithmetic: finite entries, the defect (``_defect_sq``) and determinant of each
     rotation block, and an SE(3) bottom row within 1e-12 of (0, 0, 0, 1), set exactly where it is
     not.  Raises the constructor's error for the first of these checks that some item fails."""
+    _stack_defects(ms)
+    return ms
+
+
+def _stack_defects(ms: np.ndarray) -> np.ndarray:
+    """``check_stack``'s checks of ms, in place; returns each item's defect."""
     if not np.isfinite(ms).all():
         raise NumericalBlowupError("group matrix has non-finite entries")
     rows = np.moveaxis(ms[:, :3, :3], 0, -1)  # each entry as an array over the stack
@@ -156,7 +162,7 @@ def check_stack(ms: np.ndarray) -> np.ndarray:
         if (np.sqrt(row_dot(d)) > 1e-12).any():
             raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
         ms[(d != 0.0).any(axis=1), 3] = (0.0, 0.0, 0.0, 1.0)
-    return ms
+    return defect
 
 
 def _checked_elements(kind: str, ms: np.ndarray) -> list[GroupElement]:
@@ -164,8 +170,7 @@ def _checked_elements(kind: str, ms: np.ndarray) -> list[GroupElement]:
     by one; a defect above ``_DRIFT_TOL``, which an integrator settles by a Björck step, raises.  Products of
     matrices with exact SE(3) bottom rows keep them exact, so below the gate a chain of raw products is the
     settled chain."""
-    ms = check_stack(ms)
-    defects = np.sqrt(_defect_sq(np.moveaxis(ms[:, :3, :3], 0, -1))).tolist()
+    defects = _stack_defects(ms).tolist()
     if max(defects) > _DRIFT_TOL:
         raise ProjectionFailureError(f"defect {max(defects):.3e} above the drift gate")
     ms.setflags(write=False)
@@ -336,7 +341,7 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
     w = vec[-3:]
     a, b, c = _so3_coeffs(math.sqrt(w @ w))
-    W = skew(w)
+    W = skew(w.tolist())  # from Python floats, which np.array takes faster than numpy scalars; -z is exact
     W2 = W @ W
     R = _I3 + a * W + b * W2
     if vec.shape == (3,):

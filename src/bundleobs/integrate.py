@@ -1,15 +1,12 @@
 """Fixed-step time integration on Lie groups and product state spaces.
 
-States map names to GroupElement or numpy arrays (array rates step by
-Euler/RK4).  Every group rate is a SplitRate: a plain AlgebraElement or
-coordinate vector is its body part on side "left" and its spatial part on
-side "right".  Its parts, length-checked once, step group states as vectors
-under one rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in
-``lie_euler``, each ``rk4_cg`` stage and final composition, and ``lie_step``.
-Each step's matrix gets the validating GroupElement constructor's checks once (a block's driven
-chain at once), and its defect ||R^T R - I|| stays at rounding level; above 1e-12 the drift gate
-takes one Björck step, which squares it, instead of an SVD projection.  ``Input`` and ``Cascade``
-rates step what reads only the time in blocks, with the same bits.
+States map names to GroupElement or numpy arrays (array rates step by Euler/RK4).  Every group
+rate is a SplitRate: a plain AlgebraElement or coordinate vector is its body part on side "left"
+and its spatial part on side "right".  Its parts, length-checked once, step group states under one
+rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in every stage and composition.  Each new
+matrix gets the GroupElement constructor's checks once (a block's driven chain at once); above a
+defect ||R^T R - I|| of 1e-12 the drift gate takes one Björck step, instead of an SVD projection.
+``Input`` and ``Cascade`` rates step what reads only the time, and sense it, in blocks, with the same bits.
 """
 
 from __future__ import annotations
@@ -49,19 +46,27 @@ class Input:
 
 @dataclass(frozen=True)
 class Cascade(Input):
-    """An Input u(t) of some components, which the others follow: ``sense(t, rates, state)`` -> (feed, y), their
-    feed-forward SplitRates, and ``follow(t, state, y)`` -> their feedback ones; as a rate, the merge."""
+    """An Input u(t) of some components, which one more, the follower, follows.  ``sense(ts, rates, states)``
+    takes a block's read times and the driven rates and states stacked, (k, d) or (k, n, n), and gives the
+    follower's feed-forward, a SplitRate of (k, d) stacks with one part None, and the k measured rows, a bad
+    one as its exception, last; each row must have the bits of a one-read block's, or the general loop's
+    bytes differ, and a sense that raises is called again one read at a time.  ``follow(t, m, y)``, at the
+    follower's matrix and a row, gives the feedback's coordinates for the other part.  As a rate, the merge
+    of a one-read block."""
 
     sense: Callable
     follow: Callable
 
     def __call__(self, t, state):
         rates = self.u(t)
-        feed, y = self.sense(t, rates, state)
-        back = self.follow(t, state, y)
-        return {**rates, **{k: SplitRate(back[k].body if f.body is None else f.body,
-                                         back[k].spatial if f.spatial is None else f.spatial)
-                            for k, f in feed.items() if k in state and k not in rates}}
+        f = next(k for k in state if k not in rates)
+        feed, ys = self.sense(np.array([t]), {k: np.array([r]) for k, r in rates.items()},
+                              {k: np.array([getattr(state[k], "matrix", state[k])]) for k in rates})
+        if isinstance(ys[0], Exception):
+            raise ys[0]
+        back = self.follow(t, state[f].matrix, ys[0])
+        return {**rates, f: SplitRate(back if feed.body is None else feed.body[0],
+                                      back if feed.spatial is None else feed.spatial[0])}
 
 
 @dataclass(frozen=True)
@@ -116,30 +121,20 @@ class Trajectory(Sequence):
     states = property(lambda self: self)
 
 
-def _as_split(r, side: str, g: GroupElement) -> tuple:
-    """``r`` as (spatial, body) coordinate vectors of ``g``'s algebra, None for a missing part."""
-    spatial, body = (r.spatial, r.body) if isinstance(r, SplitRate) else (None, r) if side == "left" else (r, None)
-    return _coords(spatial, g), _coords(body, g)
-
-
-def _coords(x, g: GroupElement) -> np.ndarray | None:
-    """The coordinates of an AlgebraElement or vector ``x`` (None stays None), checked to fit g's algebra."""
-    if x is None:
-        return None
-    v = x.vec if isinstance(x, AlgebraElement) else np.asarray(x, dtype=float)
-    if v.shape != (3 if g.kind == groups.SO3 else 6,):
-        raise KindMismatchError(f"cannot step {g.kind} by a rate with coordinates of shape {v.shape}")
-    return v
-
-
-def _exp(w: float, x: np.ndarray | None) -> np.ndarray | None:
-    """exp_matrix(w x), None for a missing part x."""
-    return None if x is None else groups.exp_matrix(w * x)
+def _as_split(r, side: str, g: GroupElement) -> list:
+    """``r`` as (spatial, body) coordinate vectors of ``g``'s algebra, None for a missing part, checked to fit."""
+    parts = (r.spatial, r.body) if isinstance(r, SplitRate) else (None, r) if side == "left" else (r, None)
+    out = [x.vec if isinstance(x, AlgebraElement) else x if x is None else np.asarray(x, float) for x in parts]
+    for v in out:
+        if v is not None and v.shape != (3 if g.kind == groups.SO3 else 6,):
+            raise KindMismatchError(f"cannot step {g.kind} by a rate with coordinates of shape {v.shape}")
+    return out
 
 
 def _step(g: GroupElement, steps) -> GroupElement:
     """g's matrix chained by (exp(h spatial), exp(h body)) per (h, (spatial, body)) in ``steps``, then settled."""
-    return _settle(g.kind, _chain(g.matrix, [(_exp(h, spatial), _exp(h, body)) for h, (spatial, body) in steps]))
+    return _settle(g.kind, _chain(g.matrix, [[x if x is None else groups.exp_matrix(h * x) for x in part]
+                                             for h, part in steps]))
 
 
 def _chain(m: np.ndarray, factors) -> np.ndarray:
@@ -202,47 +197,44 @@ def _general_step(rate, method, t, state, h, sides):
     return _advance(state, ks, weights, h)
 
 
-def _factors(reads, stages, weights) -> tuple[list, dict]:
-    """[E_s, E_b] of each read's final and (by read) stage step from one stacked ``exp_matrix`` per side."""
+def _factors(reads, stages, weights, memo) -> tuple[list, dict]:
+    """[E_s, E_b] of each read's final and (by read) stage step from one stacked ``exp_matrix`` per side; a
+    stack whose bytes (``tobytes``, so -0.0 is not 0.0) are in ``memo`` takes the exponentials stored there."""
     n, m = len(weights), len(reads)
     jobs = [(e, weights[e % n]) for e in range(m)] + [(e, stages[e % n]) for e in range(m) if e % n < len(stages)]
     out = [[None, None] for _ in jobs]
     for side in (0, 1):
         idx = [k for k, (e, _) in enumerate(jobs) if reads[e][side] is not None]
         if idx:
-            w = np.array([jobs[k][1] for k in idx])[:, None]
-            for k, E in zip(idx, groups.exp_matrix(w * np.array([reads[jobs[k][0]][side] for k in idx]))):
+            x = np.array([jobs[k][1] for k in idx])[:, None] * np.array([reads[jobs[k][0]][side] for k in idx])
+            key = (x.shape, x.tobytes())
+            for k, E in zip(idx, memo[key] if key in memo else memo.setdefault(key, groups.exp_matrix(x))):
                 out[k][side] = E
     return out[:m], {e: E for (e, _), E in zip(jobs[m:], out[m:])}
 
 
-def _follow(rate, state, e0, ends, at, sensed, times, F, stages, weights) -> dict:
-    """A Cascade's step from read e0: ``follow``'s parts fill the followers' feed factors ``F``, then chained."""
-    cur, factors = state, {k: [] for k in F}
+def _follow(rate: Cascade, g: GroupElement, e0, ys, times, F, q, stages, weights) -> GroupElement:
+    """The follower g stepped from read e0: ``follow``'s correction at each read on side q of its feed factors."""
+    (W, S), cur, factors = F, g.matrix, []
+    fill = lambda E, x: (groups.exp_matrix(x), E[1]) if q == 0 else (E[0], groups.exp_matrix(x))  # noqa: E731
     for j, w in enumerate(weights):
-        back = rate.follow(times[e0 + j], cur, sensed[e0 + j][1])
-        for k, (W, S) in F.items():
-            factors[k].append(_fill(W[e0 + j], back[k], state[k], w))
+        if isinstance(ys[e0 + j], Exception):
+            raise ys[e0 + j]
+        c = rate.follow(times[e0 + j], cur, ys[e0 + j])
+        factors.append(fill(W[e0 + j], w * c))
         if j < len(stages):
-            cur = {k: _settle(x.kind, _chain(x.matrix, [_fill(F[k][1][e0 + j], back[k], x, stages[j])])) if k in F
-                   else at[e0 + j + 1][k] for k, x in state.items()}
-    return {k: _settle(x.kind, _chain(x.matrix, factors[k])) if k in F else ends[k] for k, x in state.items()}
+            cur = _settle(g.kind, _chain(g.matrix, [fill(S[e0 + j], stages[j] * c)])).matrix
+    return _settle(g.kind, _chain(g.matrix, factors))
 
 
-def _fill(F, part: SplitRate, g: GroupElement, w: float) -> list:
-    """A follower's stacked feed factors F at a read, with exp(w x) of ``part``'s x on each side F leaves empty."""
-    return [E if E is not None else _exp(w, _coords(x, g)) for E, x in zip(F, (part.spatial, part.body))]
+def _replay(rate: Cascade, feed, ys, e0) -> Cascade:
+    """``rate`` sensing the block's stored rows from read e0 on, in order, then live ones."""
+    rows = iter(range(e0, len(ys)))
 
-
-def _replay(rate: Cascade, sensed) -> Cascade:
-    """``rate`` on the stored senses in order, a stored exception raised in its place, then on live ones."""
-    stored = iter(sensed)
-
-    def sense(t, rates, state):
-        x = next(stored, None)
-        if isinstance(x, Exception):
-            raise x
-        return rate.sense(t, rates, state) if x is None else x
+    def sense(ts, rates, states):
+        e = next(rows, None)
+        return rate.sense(ts, rates, states) if e is None else (
+            SplitRate(*(x if x is None else x[e:e + 1] for x in (feed.body, feed.spatial))), ys[e:e + 1])
 
     return Cascade(rate.u, sense, rate.follow)
 
@@ -250,11 +242,11 @@ def _replay(rate: Cascade, sensed) -> Cascade:
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
     """Integrate d/dt state = rate(t, state) with fixed steps, ``_BLOCK`` at a time.
 
-    For an Input or a Cascade, a block pass takes stacked exponentials and chains the driven states, and the
-    serial steps take ``follow`` alone; for any other rate, and where anything fails, the general loop takes
-    the steps.  ``record(t, state)``, when given, returns a dict of scalar extras stored per sample (a step
-    clock, say); a non-finite value raises NumericalBlowupError.  Each sample's state dict is kept until
-    ``stack``, before the next block's serial steps, writes it into the arrays.
+    For an Input or a Cascade, a block pass takes stacked exponentials, chains the driven states and senses
+    once, and the serial steps take ``follow`` alone; for any other rate, and where anything fails, the
+    general loop takes the steps.  ``record(t, state)``, when given, returns a dict of scalar extras stored
+    per sample (a step clock, say); a non-finite value raises NumericalBlowupError.  Each sample's state
+    dict is kept until ``stack``, before the next block's serial steps, writes it into the arrays.
     """
     sides, h, cascade = sides or {}, config.h, isinstance(rate, Cascade)
     stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
@@ -282,7 +274,7 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
     snapshot(0, 0.0, state)
     for i0 in range(0, n_steps, _BLOCK):
         times = [i * h + d for i in range(i0, min(i0 + _BLOCK, n_steps)) for d in (0.0, *stages)]
-        W, S, F, sensed, at, ends = {}, {}, {}, [], [], []  # free the last block's before building this one's
+        W, S, memo, at, ends, feed, ys = {}, {}, {}, {}, [], None, []  # free the last block's before building these
         try:  # the block pass
             if not isinstance(rate, Input):
                 raise TypeError("not an Input")
@@ -290,45 +282,48 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
             driven = {k: x for k, x in state.items() if not cascade or k in raw[0]}
             for k, x in driven.items():
                 if isinstance(x, GroupElement):
-                    W[k], S[k] = _factors([_as_split(r[k], sides.get(k, "left"), x) for r in raw], stages, weights)
-                    ms = accumulate([W[k][e:e + n] for e in range(0, len(raw), n)], _chain, initial=x.matrix)
-                    W[k] = groups._checked_elements(x.kind, np.array(list(ms)[1:]))
+                    reads = [_as_split(r[k], sides.get(k, "left"), x) for r in raw]
+                    W[k], S[k] = _factors(reads, stages, weights, memo)
+                    C = np.array(list(accumulate([W[k][e:e + n] for e in range(0, len(raw), n)], _chain,
+                                                 initial=x.matrix))[1:])
+                    W[k] = groups._checked_elements(x.kind, C)
                 else:
                     ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
                     if not all(np.isfinite(q).all() for q in ks):
                         raise NumericalBlowupError(f"non-finite rate for component {k!r}")
-                    W[k] = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
-            ends = [{k: W[k][i] for k in driven} for i in range(len(raw) // n)]
-            for e in range(len(raw)) if cascade else ():
-                i, j = divmod(e, n)
-                cur = ends[i - 1] if i else driven
-                at.append(cur if j == 0 else
-                          {k: _settle(x.kind, _chain(x.matrix, [S[k][e - 1]])) for k, x in cur.items()})
-            for t, r, a in zip(times, raw, at):
-                try:
-                    sensed.append(rate.sense(t, r, a))
-                except Exception as exc:
-                    sensed.append(exc)  # raised in its place by the general loop, not called again
-                    raise
+                    W[k] = C = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
+                if cascade:  # the states at each read, for sense: a step's start, or an rk4_cg stage state
+                    P = np.concatenate([np.asarray(getattr(x, "matrix", x))[None], C[:-1]])
+                    if n > 1:
+                        P = np.array([P[e // n] if e % n == 0 else _chain(P[e // n], [S[k][e - 1]])
+                                      for e in range(len(raw))])
+                        groups._checked_elements(x.kind, P)  # as _settle passes them
+                    at[k] = P
+            ends = [{k: W[k][i] if k in driven else None for k in state} for i in range(len(raw) // n)]
+            if cascade:
+                f = next(k for k in state if k not in driven)
+                feed, ys = rate.sense(np.array(times), {k: np.array([r[k] for r in raw]) for k in driven}, at)
+                q = 0 if feed.spatial is None else 1  # the side of the feedback
+                parts = [[None] * len(times) if x is None else x for x in (feed.spatial, feed.body)]
+                F = _factors(list(zip(*parts)), stages, weights, memo)
             for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
                 P = np.array([(ends[e // n - 1] if e >= n else driven)[k].matrix for e in stage])
                 eye = np.eye(P.shape[-1])
                 S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
                 if not np.isfinite(S_s @ P @ S_b).all():
                     raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
-            F = {k: _factors([(_coords(y[0][k].spatial, x), _coords(y[0][k].body, x)) for y in sensed],
-                             stages, weights) for k, x in state.items() if k not in driven}
         except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
             ends = []
-        raw = W = S = None  # not needed by the serial steps, whose new states should not land among them
+        raw = W = S = memo = at = C = P = reads = None  # freed before the serial steps make new states
         stack(i0 + 1)
         for b in range(len(times) // n):
             try:
-                new = ends and (_follow(rate, state, b * n, ends[b], at, sensed, times, F, stages, weights)
-                                if cascade else ends[b])
+                new = ends and ends[b]
+                if new and cascade:
+                    new[f] = _follow(rate, state[f], b * n, ys, times, F, q, stages, weights)
             except Exception:  # noqa: BLE001 -- as above, for this step
                 new = None
-            state = new or _general_step(_replay(rate, sensed[b * n:]) if cascade else rate,
+            state = new or _general_step(_replay(rate, feed, ys, b * n) if cascade else rate,
                                          config.method, (i0 + b) * h, state, h, sides)
             snapshot(i0 + b + 1, (i0 + b + 1) * h, state)
     stack(n_steps + 1)

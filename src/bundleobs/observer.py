@@ -24,7 +24,6 @@ from . import groups
 from .actions import ActionSpec, Point, act
 from .errors import BundleobsError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, Metric
-from .integrate import SplitRate
 
 FD_STEP = 1e-6
 _CHUNK = 128  # samples per stacked pass of ``error_columns``, which bounds its temporaries
@@ -48,7 +47,8 @@ class ObserverProblem:
     y0: Point
     cost: Callable[[Point, Point], float]
     metric: Metric = Metric()
-    zeta_e_analytic: Optional[Callable[[GroupElement, Point], AlgebraElement]] = None
+    # zeta_e's coordinates before the metric, at the estimate's matrix and a measurement's raw ``Point.value``
+    zeta_e_analytic: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
     # stacked forms for ``error_columns``, each row with the bits of the per-sample call: the
     # error_cost of group errors (k, n, n), and zeta_e_analytic's coordinates, before the metric,
     # at the noiseless measurements, from the stacks (g~, g)
@@ -131,10 +131,15 @@ def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> Alge
 
 
 def zeta_e(prob: ObserverProblem, g_est: GroupElement, y: Point) -> AlgebraElement:
+    return AlgebraElement(prob.algebra_kind, zeta_e_coords(prob, g_est.matrix, y.value))
+
+
+def zeta_e_coords(prob: ObserverProblem, m: np.ndarray, y) -> np.ndarray:
+    """``zeta_e``'s coordinates at the estimate's matrix m and a measurement's raw value y."""
     if prob.zeta_e_analytic is None:
-        return zeta_e_numeric(prob, g_est, y)
-    ze, scale = prob.zeta_e_analytic(g_est, y), prob.metric.scale
-    return ze if scale == 1.0 else AlgebraElement(ze.kind, ze.vec / scale)  # x / 1.0 is x
+        return zeta_e_numeric(prob, GroupElement(prob.group_kind, m), Point(prob.y0.kind, y)).vec
+    ze, scale = prob.zeta_e_analytic(m, y), prob.metric.scale
+    return ze if scale == 1.0 else ze / scale  # x / 1.0 is x
 
 
 def innovation(prob: ObserverProblem, g_est: GroupElement, y: Point, gain: float = 1.0) -> AlgebraElement:
@@ -159,29 +164,6 @@ def preobserver_rate(
     d/dt g~ = g~ (zeta - Delta)^, right observed d/dt g~ = (zeta - Delta)^ g~.
     """
     return zeta - innovation(prob, g_est, y, gain)
-
-
-def preobserver_split_rate(
-    prob: ObserverProblem,
-    g_est: GroupElement,
-    y: Point,
-    zeta: AlgebraElement | np.ndarray | None,
-    gain: float = 1.0,
-):
-    """The pre-observer rate with the correction kept on the spatial side.
-
-    Algebraically identical to lifting (zeta - Delta) through the observed
-    translation: left observed d/dt g~ = k zeta_e^ g~ + g~ zeta^, right
-    observed d/dt g~ = zeta^ g~ + g~ k zeta_e^.  Stepping the two parts by
-    separate exponentials makes the discrete error map a function of the
-    group error alone, so simulated error trajectories stay autonomous to
-    machine precision.  ``zeta`` may be an AlgebraElement, its coordinate
-    vector, or None for the correction part alone, the vector gain * zeta_e.
-    """
-    correction = gain * zeta_e(prob, g_est, y).vec
-    if prob.handedness == LEFT:
-        return SplitRate(body=zeta, spatial=correction)
-    return SplitRate(body=correction, spatial=zeta)
 
 
 def error_rate(prob: ObserverProblem, e_g: GroupElement, gain: float = 1.0) -> AlgebraElement:

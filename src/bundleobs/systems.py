@@ -42,27 +42,39 @@ def simulate_observer(
 ) -> Trajectory:
     """Integrate a true state g' = g u(t)^ alongside the gradient pre-observer.
 
-    ``state0`` maps the true state's name, then the estimate's, to their
-    initial group elements; ``measure(g, noise_amp, rng)`` gives the output.
-    The observer sees the (possibly noisy) input and output; noise on the
-    input is drawn before noise on the output.  The run is a ``Cascade``: only
-    the correction, at the stored measurement, is stepped serially; the V^e
-    and ||zeta_e|| columns come after it from ``observer.error_columns``, at the noiseless output
-    ``measure(g, 0.0, None)``, which a problem's stacked forms take as
-    phi_{g^-1}(y0).
+    ``state0`` maps the true state's name, then the estimate's, to their initial group elements.  The run
+    calls ``measure(G, noise)``, the raw outputs (``Point.value``s) of a stack G (k, n, n), each row with a
+    stack of one's bits, from None or a (k, d_out) block of draws (y's coordinates but landmarks' last row);
+    ``error_columns``, ``measure(g, 0.0, None)``, an element's Point.  k reads draw (k, d_in + d_out) at once,
+    as one draw per read would.  The estimate's feed-forward and its correction step by separate exponentials.
     """
     true, est = state0
-    rng, side = rng_from(seed), "body" if prob.handedness == observer.LEFT else "spatial"
+    rng, side, kind = rng_from(seed), "body" if prob.handedness == observer.LEFT else "spatial", prob.y0.kind
+    d_out = 3 * np.size(prob.y0.value) // (4 if kind == ac.LANDMARKS else 3)
 
-    def sense(t, rates, state):  # the measured input is the estimate's feed-forward
-        v = rates[true]
+    def rows(G, noise):  # measure(G, noise) checked, as rows; a bad row is its exception, and the last
+        out = []
+        try:
+            y = measure(G, noise)
+            out = list(zip(*y)) if isinstance(y, tuple) else list(y)
+            ac.check_point_stack(kind, y)
+        except Exception as exc:  # noqa: BLE001 -- raised in its read's place, so that no read is sensed twice
+            if out or len(G) == 1:  # at the check's first bad row, else at the first
+                return out[:getattr(exc, "row", 0)] + [exc]
+            for i in range(len(G)):  # measure raised: one read at a time, with its own draws, finds the read
+                out += rows(G[i:i + 1], noise if noise is None else noise[i:i + 1])
+                if isinstance(out[-1], Exception):
+                    break
+        return out
+
+    def sense(ts, rates, states):  # the measured input is the estimate's feed-forward
+        v, noise = rates[true], None
         if noise_amp > 0.0:
-            v, y = v + rng.uniform(-noise_amp, noise_amp, size=len(v)), measure(state[true], noise_amp, rng)
-        else:
-            y = measure(state[true], 0.0, None)
-        return {est: SplitRate(**{side: v})}, y
+            noise = rng.uniform(-noise_amp, noise_amp, size=(len(v), v.shape[1] + d_out))
+            v, noise = v + noise[:, :v.shape[1]], noise[:, v.shape[1]:]
+        return SplitRate(**{side: v}), rows(states[true], noise)
 
-    follow = lambda t, s, y: {est: observer.preobserver_split_rate(prob, s[est], y, None, gain)}  # noqa: E731
+    follow = lambda t, m, y: gain * observer.zeta_e_coords(prob, m, y)  # noqa: E731
     traj = integrate_system(Cascade(lambda t: {true: u(t).vec}, sense, follow), config, state0)
     traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est], measure))
     return traj
@@ -81,18 +93,16 @@ def attitude_zeta_e(R_est, y):
 
     The cross products with the fixed axes are written out by hand:
     e2 x u = (u3, 0, -u1) and e3 x v = (-v2, v1, 0), for u = R~ y2, v = R~ y3.
-    A stack R_est (k, 3, 3), with y the pair of (k, 3) stacks, gives the (k, 3)
-    coordinates, each row with the bits of its own call.
+    The coordinates at a matrix (3, 3) and the pair's vectors, or at a stack (k, 3, 3) and the pair's
+    (k, 3) stacks, each row with the bits of its own call.
     """
-    if isinstance(R_est, np.ndarray):
+    if R_est.ndim == 3:
         u, v = (R_est @ x[:, :, None] for x in y)
         return -2.0 * np.concatenate([u[:, 2] - v[:, 1], v[:, 0], -u[:, 0]], axis=1)
-    y2, y3 = y.value
-    R = R_est.matrix
-    u1, _, u3 = (R @ y2).tolist()
-    v1, v2, _ = (R @ y3).tolist()
-    ze = -2.0 * np.array([u3 - v2, v1, -u1])
-    return AlgebraElement("so3", ze)
+    y2, y3 = y
+    u1, _, u3 = (R_est @ y2).tolist()
+    v1, v2, _ = (R_est @ y3).tolist()
+    return -2.0 * np.array([u3 - v2, v1, -u1])
 
 
 def _directions(M: np.ndarray) -> tuple:
@@ -122,16 +132,17 @@ def attitude_problem(metric: Metric = Metric(), analytic: bool = True) -> Observ
     )
 
 
-def measure_attitude(R: GroupElement, noise_amp: float = 0.0, rng=None) -> Point:
-    """y = (R^T e2, R^T e3); optional uniform perturbation, re-normalized."""
-    y2 = R.matrix.T @ E2
-    y3 = R.matrix.T @ E3
-    if noise_amp > 0.0:
-        y2 = y2 + rng.uniform(-noise_amp, noise_amp, size=3)
-        y3 = y3 + rng.uniform(-noise_amp, noise_amp, size=3)
-        y2 /= np.linalg.norm(y2)
-        y3 /= np.linalg.norm(y3)
-    return Point(ac.DIRECTION_PAIR, (y2, y3))
+def measure_attitude(R, noise_amp=0.0, rng=None):
+    """y = (R^T e2, R^T e3); optional uniform perturbation, re-normalized.  A stack R (k, 3, 3) takes a
+    (k, 6) block of draws, or None, for noise_amp and gives the pair of (k, 3) stacks, unchecked; an
+    element is the stack of one, with its draws from rng."""
+    if not isinstance(R, np.ndarray):
+        noise = rng.uniform(-noise_amp, noise_amp, size=(1, 6)) if noise_amp > 0.0 else None
+        return Point(ac.DIRECTION_PAIR, tuple(x[0] for x in measure_attitude(R.matrix[None], noise)))
+    y2, y3 = groups.inverse_matrix(R) @ E2, groups.inverse_matrix(R) @ E3
+    if noise_amp is None:
+        return y2, y3
+    return tuple(x / np.sqrt(groups.row_dot(x))[:, None] for x in (y2 + noise_amp[:, :3], y3 + noise_amp[:, 3:]))
 
 
 def attitude_vector_field(p: Point, omega: AlgebraElement):
@@ -207,20 +218,20 @@ def slam_landmark_cost(y: Point, y_est: Point) -> float:
 def slam_zeta_e(landmarks: np.ndarray, S_est, y):
     """Landmark gradient 2 (sum_i a_i, sum_i lbar_i x a_i), twist order (linear, angular), for
     a_i = R~ (S~^-1 Lbar_i - y_i)_{1..3} = lbar_i - p~ - R~ y_i; sum_i lbar_i x a_i is read off A lbar^T.
-    A stack S_est (k, 4, 4), with y the (k, 4, N) measurements, gives the (k, 6) coordinates,
+    The coordinates at a matrix (4, 4) and the (4, N) measurement, or at a stack (k, 4, 4) and (k, 4, N),
     each row with the bits of its own call."""
-    if isinstance(S_est, np.ndarray):
+    if S_est.ndim == 3:
         lbar = landmarks[:3]
         A = lbar - S_est[:, :3, 3:] - S_est[:, :3, :3] @ y[:, :3]
         M = A @ lbar.T
         W = M - np.swapaxes(M, 1, 2)
         return 2.0 * np.concatenate([A.sum(axis=2), W[:, [2, 0, 1], [1, 2, 0]]], axis=1)
-    if y.value.shape != landmarks.shape:
-        raise DimensionError(f"landmark count mismatch: {y.value.shape} vs {landmarks.shape}")
-    lbar, m = landmarks[:3], S_est.matrix
-    A = lbar - m[:3, 3:] - m[:3, :3] @ y.value[:3]
+    if y.shape != landmarks.shape:
+        raise DimensionError(f"landmark count mismatch: {y.shape} vs {landmarks.shape}")
+    lbar = landmarks[:3]
+    A = lbar - S_est[:3, 3:] - S_est[:3, :3] @ y[:3]
     (_, m01, m02), (m10, _, m12), (m20, m21, _) = (A @ lbar.T).tolist()
-    return AlgebraElement("se3", 2.0 * np.array([*A.sum(axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01]))
+    return 2.0 * np.array([*A.sum(axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01])
 
 
 def slam_problem(landmarks) -> ObserverProblem:
@@ -263,21 +274,25 @@ def simulate_slam_poses(
     twist: Callable[[float], AlgebraElement],
     n_steps: int,
     h: float,
-) -> tuple[list[GroupElement], np.ndarray]:
-    """Propagate S' = S V^ and stack the measurement matrices M_k = S_k^-1 Lbar, (n_steps+1, 4, N)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Propagate S' = S V^: the poses S_k (n_steps+1, 4, 4) and measurements M_k = S_k^-1 Lbar (n_steps+1, 4, N)."""
     L = np.asarray(landmarks, dtype=float)
     config = IntegratorConfig(method="rk4_cg", h=h, t_final=n_steps * h)
     traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0})
-    return [s["S"] for s in traj.states], groups.inverse_matrix(traj.arrays["S"]) @ L
+    return traj.arrays["S"], groups.inverse_matrix(traj.arrays["S"]) @ L
 
 
-def measure_landmarks(S: GroupElement, landmarks, noise_amp: float = 0.0, rng=None) -> Point:
-    """Body-frame landmark matrix M = S^-1 Lbar, optionally perturbed."""
-    M = groups.inverse_matrix(S.matrix) @ np.asarray(landmarks, dtype=float)
-    if noise_amp > 0.0:
-        M = M.copy()
-        M[:3] += rng.uniform(-noise_amp, noise_amp, size=M[:3].shape)
-    return Point(ac.LANDMARKS, M)
+def measure_landmarks(S, landmarks, noise_amp=0.0, rng=None):
+    """Body-frame landmark matrix M = S^-1 Lbar, optionally perturbed.  A stack S (k, 4, 4) takes a (k, 3N)
+    block of draws, or None, for noise_amp and gives (k, 4, N), unchecked; an element is the stack of one."""
+    L = np.asarray(landmarks, dtype=float)
+    if not isinstance(S, np.ndarray):
+        noise = rng.uniform(-noise_amp, noise_amp, size=(1, 3 * L.shape[1])) if noise_amp > 0.0 else None
+        return Point(ac.LANDMARKS, measure_landmarks(S.matrix[None], L, noise)[0])
+    M = groups.inverse_matrix(S) @ L
+    if noise_amp is not None:
+        M[:, :3] += noise_amp.reshape(len(M), 3, -1)
+    return M
 
 
 def simulate_slam_observer(
@@ -293,7 +308,7 @@ def simulate_slam_observer(
     """``simulate_observer`` of the SLAM pose problem, states ``S`` and ``Shat``."""
     L = np.asarray(landmarks, dtype=float)
     return simulate_observer(
-        slam_problem(L), lambda S, amp, rng: measure_landmarks(S, L, amp, rng), twist,
+        slam_problem(L), lambda S, *noise: measure_landmarks(S, L, *noise), twist,
         {"S": S0, "Shat": S_est0}, gain, config, noise_amp, seed,
     )
 

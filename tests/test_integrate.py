@@ -557,8 +557,11 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
     """A Cascade whose u drives ``g`` and whose follower ``x`` (of the same kind) takes a noisy
     feed-forward and a correction towards the sensed direction of g; the correction is on the
     spatial side, or on the body side when ``hand`` is right, as for a right-observed system.
-    From t = fail_at on, ``fail`` makes u NaN, the measurement NaN, or marks the rate of g
-    (``drift_g``) or the correction of x (``drift_x``) for ``_drifting_exp_matrix``."""
+    ``sense`` takes blocks of reads and draws each block's noise at once, each read's feed-forward
+    noise before its measurement's.  The feed-forward is affine in the rate, so each row has the bits of
+    a one-read block's, which ``np.cos`` of a stack, say, need not give.  From t = fail_at on, ``fail``
+    makes u NaN, the measurement NaN, or marks the rate of g (``drift_g``) or the correction of x
+    (``drift_x``) for ``_drifting_exp_matrix``."""
     rng = rng_from(seed)
     dim = 3 if kind == "SO3" else 6
     amp, freq, phase = rng.normal(size=(3, dim))
@@ -572,19 +575,18 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
             v = np.full(dim, np.nan) if fail == "nan_u" else _marked(v)
         return {"g": v}
 
-    def sense(t, rates, state):
-        feed, y = np.cos(rates["g"]), state["g"].matrix[:3, :3].T @ axis
+    def sense(ts, rates, states):
+        feed, y = 0.5 * rates["g"] + 0.25, np.swapaxes(states["g"][:, :3, :3], 1, 2) @ axis
         if noise > 0.0:
-            feed = feed + rng.uniform(-noise, noise, size=dim)
-            y = y + rng.uniform(-noise, noise, size=3)
-        if fail == "nan_y" and t >= fail_at:
-            y = np.full(3, np.nan)
-        return {"x": SplitRate(body=feed) if hand == "left" else SplitRate(spatial=feed)}, y
+            d = rng.uniform(-noise, noise, size=(len(ts), dim + 3))
+            feed, y = feed + d[:, :dim], y + d[:, dim:]
+        if fail == "nan_y":
+            y[ts >= fail_at] = np.nan
+        return SplitRate(body=feed) if hand == "left" else SplitRate(spatial=feed), list(y)
 
-    def follow(t, state, y):
-        c = 0.8 * np.resize(np.cross(state["x"].matrix[:3, :3].T @ axis, y), dim)
-        c = _marked(c) if fail == "drift_x" and t >= fail_at else c
-        return {"x": SplitRate(spatial=c) if hand == "left" else SplitRate(body=AlgebraElement(kind.lower(), c))}
+    def follow(t, m, y):
+        c = 0.8 * np.resize(np.cross(m[:3, :3].T @ axis, y), dim)
+        return _marked(c) if fail == "drift_x" and t >= fail_at else c
 
     return state0, integrate.Cascade(u, sense, follow)
 
@@ -653,17 +655,75 @@ class TestCascade:
     def test_call_merges_feed_and_feedback(self):
         state0, cascade = _cascade_case(5, "SO3", "right", 0.0, False, None, 1.0)
         rates = cascade(0.1, state0)
+        feed, ys = cascade.sense(np.array([0.1]), {"g": np.array([rates["g"]])}, {"g": state0["g"].matrix[None]})
         assert list(rates) == ["g", "x"] and rates["g"] is not None
-        assert rates["x"].spatial is not None and isinstance(rates["x"].body, AlgebraElement)
+        assert rates["x"].spatial.tobytes() == feed.spatial[0].tobytes()
+        assert rates["x"].body.tobytes() == cascade.follow(0.1, state0["x"].matrix, ys[0]).tobytes()
+
+    def test_rows_must_have_one_read_bits(self):
+        # the block pass gives the general loop's bytes only if each sensed row has the bits of a one-read block's
+        def sense(ts, rates, states):
+            return SplitRate(body=rates["g"] + 1e-9 * (len(ts) > 1)), [None] * len(ts)
+
+        config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
+        state0 = {"g": GroupElement.identity("SO3"), "x": GroupElement.identity("SO3")}
+        cascade = integrate.Cascade(lambda t: {"g": np.array([0.3, np.sin(t), 0.5])}, sense, lambda t, m, y: np.zeros(3))
+        got, want = (integrate_system(r, config, state0) for r in (cascade, lambda t, s: cascade(t, s)))
+        assert got.arrays["g"].tobytes() == want.arrays["g"].tobytes()
+        assert got.arrays["x"].tobytes() != want.arrays["x"].tobytes()
 
     def test_array_components_take_the_general_loop(self):
-        cascade = integrate.Cascade(lambda t: {"v": np.ones(2)}, lambda t, r, s: ({"x": SplitRate(body=[0.1, 0, 0])}, None),
-                                    lambda t, s, y: {"x": SplitRate(spatial=[0, 0, 0.2])})
+        cascade = integrate.Cascade(lambda t: {"v": np.ones(2)},
+                                    lambda t, r, s: (SplitRate(body=np.tile([0.1, 0, 0], (len(t), 1))), [None] * len(t)),
+                                    lambda t, m, y: np.array([0, 0, 0.2]))
         config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.3)
         traj = integrate_system(cascade, config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
         want = integrate_system(lambda t, s: cascade(t, s), config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
         assert traj.states[-1]["v"].tobytes() == want.states[-1]["v"].tobytes()
         assert traj.states[-1]["x"].matrix.tobytes() == want.states[-1]["x"].matrix.tobytes()
+
+
+def _signed_zero_exp_matrix(vec):
+    """``exp_matrix`` with entry (0, 0) of each result moved by 1e-14 where its first coordinate is -0.0."""
+    out = _EXP_MATRIX(vec)
+    rows, ms = np.reshape(vec, (-1, np.shape(vec)[-1])), out.reshape(-1, *out.shape[-2:])
+    ms[(rows[:, 0] == 0.0) & np.signbit(rows[:, 0]), 0, 0] += 1e-14
+    return out
+
+
+class TestSharedExponentials:
+    """A follower's feed-forward stack with the bytes of a driven component's takes that component's
+    stacked exponentials; one equal only in value (-0.0 against 0.0) takes its own."""
+
+    @staticmethod
+    def _cascade(zero):
+        def sense(ts, rates, states):
+            feed = rates["g"].copy()
+            feed[:, 0] = zero
+            return SplitRate(body=feed), [None] * len(ts)
+
+        u = lambda t: {"g": np.array([0.0, np.sin(t), 0.5])}  # noqa: E731
+        return integrate.Cascade(u, sense, lambda t, m, y: np.array([0.0, 0.0, 0.1]))
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_bytes_decide_what_is_shared(self, method, zero):
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        state0 = {"g": GroupElement.identity("SO3"), "x": GroupElement.identity("SO3")}
+        stacked = []
+
+        def counted(vec):
+            stacked.append(np.ndim(vec) == 2)
+            return _signed_zero_exp_matrix(vec)
+
+        with mock.patch.object(integrate, "_BLOCK", 4), mock.patch.object(groups, "exp_matrix", counted):
+            got = integrate_system(self._cascade(zero), config, state0)
+            blocks = sum(stacked)
+            want = integrate_system(lambda t, s, c=self._cascade(zero): c(t, s), config, state0)
+        assert np.array_equal(np.float64(zero), 0.0)  # equal in value either way
+        assert blocks == 3 * (1 if np.signbit(zero) == np.signbit(0.0) else 2)  # 10 steps in 3 blocks
+        for name in state0:
+            assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
 
 
 def _stored(rate, config, state0, sides=None):

@@ -69,8 +69,8 @@ class TestZetaE:
             g_est = random_rotation(rng)
             y = measure_attitude(random_rotation(rng))
             num = observer.zeta_e_numeric(prob, g_est, y)
-            ana = attitude_zeta_e(g_est, y)
-            assert np.linalg.norm(num.vec - ana.vec) <= 1e-6
+            ana = attitude_zeta_e(g_est.matrix, y.value)
+            assert np.linalg.norm(num.vec - ana) <= 1e-6
 
     def test_cost_scaling_scales_gradient(self, prob):
         scaled = ObserverProblem(

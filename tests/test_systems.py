@@ -22,7 +22,7 @@ from bundleobs.errors import (
     RankDeficiencyError,
 )
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
-from bundleobs.integrate import IntegratorConfig, integrate_system
+from bundleobs.integrate import IntegratorConfig, SplitRate, integrate_system
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 
 E2 = np.array([0.0, 1.0, 0.0])
@@ -73,7 +73,7 @@ class TestAttitudeZetaE:
         rng = rng_from(4)
         R_est = random_rotation(rng)
         y = systems.measure_attitude(R_est)
-        assert systems.attitude_zeta_e(R_est, y).norm() <= 1e-12
+        assert np.linalg.norm(systems.attitude_zeta_e(R_est.matrix, y.value)) <= 1e-12
 
     def test_matches_numeric_gradient(self):
         prob = systems.attitude_problem(analytic=False)
@@ -81,9 +81,9 @@ class TestAttitudeZetaE:
         for _ in range(30):
             R_est = random_rotation(rng)
             y = systems.measure_attitude(random_rotation(rng))
-            ana = systems.attitude_zeta_e(R_est, y)
+            ana = systems.attitude_zeta_e(R_est.matrix, y.value)
             num = observer.zeta_e_numeric(prob, R_est, y)
-            assert np.linalg.norm(ana.vec - num.vec) <= 1e-6
+            assert np.linalg.norm(ana - num.vec) <= 1e-6
 
     def test_closed_form_sum(self):
         rng = rng_from(6)
@@ -92,7 +92,7 @@ class TestAttitudeZetaE:
         y2, y3 = y.value
         expected = -2.0 * (np.cross(E2, R_est.matrix @ y2) + np.cross(E3, R_est.matrix @ y3))
         # the hand-written cross products do the same float operations
-        np.testing.assert_array_equal(systems.attitude_zeta_e(R_est, y).vec, expected)
+        np.testing.assert_array_equal(systems.attitude_zeta_e(R_est.matrix, y.value), expected)
 
 
 PLANAR = np.array(
@@ -260,8 +260,8 @@ class TestSlamDiscrete:
         assert len(recovered) == 50
         worst = 0.0
         for k, Sk in enumerate(recovered):
-            true_rel = poses[k].inverse() @ poses[k + 1]
-            worst = max(worst, np.linalg.norm(Sk.matrix - true_rel.matrix))
+            true_rel = groups.inverse_matrix(poses[k]) @ poses[k + 1]
+            worst = max(worst, np.linalg.norm(Sk.matrix - true_rel))
         assert worst <= 1e-9
 
 
@@ -356,7 +356,7 @@ class TestSlamZetaE:
         R, p = S_est.matrix[:3, :3], S_est.matrix[:3, 3]
         a = [R @ (R.T @ (L[:3, i] - p) - y.value[:3, i]) for i in range(12)]
         expected = 2.0 * np.concatenate([sum(a), sum(np.cross(L[:3, i], a[i]) for i in range(12))])
-        np.testing.assert_allclose(systems.slam_zeta_e(L, S_est, y).vec, expected, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(systems.slam_zeta_e(L, S_est.matrix, y.value), expected, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_landmarks", [6, 12, 24])
     @pytest.mark.parametrize("noise", [0.0, 0.05])
@@ -467,9 +467,7 @@ class TestSharedNoiselessZetaE:
             om = omega(t)
             om_meas = om + rng.uniform(-noise, noise, size=3) if noise > 0 else om
             y = systems.measure_attitude(state["R"], noise, rng)
-            est = observer.preobserver_split_rate(
-                prob, state["Rhat"], y, AlgebraElement("so3", om_meas), 1.5
-            )
+            est = SplitRate(body=AlgebraElement("so3", om_meas), spatial=1.5 * observer.zeta_e(prob, state["Rhat"], y).vec)
             return {"R": AlgebraElement("so3", om), "Rhat": est}
 
         ref = integrate_system(rate, config, state0, sides={"R": "left", "Rhat": "left"})
@@ -494,7 +492,7 @@ class TestSharedNoiselessZetaE:
         def rate(t, state):
             V_meas = AlgebraElement("se3", V.vec + rng.uniform(-noise, noise, size=6)) if noise > 0 else V
             y = systems.measure_landmarks(state["S"], L, noise, rng)
-            return {"S": V, "Shat": observer.preobserver_split_rate(prob, state["Shat"], y, V_meas, 1.5)}
+            return {"S": V, "Shat": SplitRate(body=V_meas, spatial=1.5 * observer.zeta_e(prob, state["Shat"], y).vec)}
 
         ref = integrate_system(rate, config, state0, sides={"S": "left", "Shat": "left"})
         for s, r, zn in zip(traj.states, ref.states, traj.extras["zeta_e_norm"]):
@@ -560,7 +558,7 @@ class TestStackedKernels:
         R_est, R = ([random_rotation(rng) for _ in range(500)] for _ in range(2))
         ys = [systems.measure_attitude(x) for x in R]
         Z = systems.attitude_zeta_e(np.array([x.matrix for x in R_est]), tuple(np.array(y) for y in zip(*(y.value for y in ys))))
-        want = np.array([systems.attitude_zeta_e(a, y).vec for a, y in zip(R_est, ys)])
+        want = np.array([systems.attitude_zeta_e(a.matrix, y.value) for a, y in zip(R_est, ys)])
         assert Z.tobytes() == want.tobytes()
 
     def test_slam_zeta_e(self):
@@ -569,7 +567,7 @@ class TestStackedKernels:
         S_est, S = ([random_group("SE3", rng) for _ in range(300)] for _ in range(2))
         ys = [systems.measure_landmarks(x, L, 0.01, rng) for x in S]
         Z = systems.slam_zeta_e(L, np.array([x.matrix for x in S_est]), np.array([y.value for y in ys]))
-        want = np.array([systems.slam_zeta_e(L, a, y).vec for a, y in zip(S_est, ys)])
+        want = np.array([systems.slam_zeta_e(L, a.matrix, y.value) for a, y in zip(S_est, ys)])
         assert Z.tobytes() == want.tobytes()
 
 
@@ -591,7 +589,7 @@ class TestErrorColumns:
         else:
             L = random_landmarks(rng_from(5), 24)
             prob = dataclasses.replace(systems.slam_problem(L), metric=groups.Metric(scale))
-            measure = lambda S, amp, rng: systems.measure_landmarks(S, L, amp, rng)  # noqa: E731
+            measure = lambda S, *noise: systems.measure_landmarks(S, L, *noise)  # noqa: E731
             kind, names, xi0 = "se3", ("S", "Shat"), np.array([0.3, 0.2, -0.1, 1.0, -0.5, 0.7])
         u = lambda t: AlgebraElement(kind, np.r_[[0.2, 0.0, 0.1][:len(xi0) - 3], np.sin(t), np.cos(2 * t), 0.5])  # noqa: E731
         state0 = {names[0]: exp(AlgebraElement(kind, xi0)), names[1]: GroupElement.identity(prob.group_kind)}
@@ -680,13 +678,14 @@ class TestErrorColumns:
 
 def _observer_case(system, seed, fail, fail_at):
     """(prob, measure, u, state0, calls) of an attitude, SLAM or right-observed attitude run, where
-    ``calls`` counts the measurements.  From t = fail_at on, u turns NaN (``nan_u``); from the
-    ``fail_at``-th measurement on, it is NaN (``nan_y``)."""
+    ``calls`` lists each read that a stacked call measured, as its state's and its draws' bytes.  From
+    t = fail_at on, u turns NaN (``nan_u``); from the ``fail_at``-th measured read on, the measurement is
+    NaN (``nan_y``), or a stack that holds that read raises ValueError (``raise_y``)."""
     rng = rng_from(seed)
     kind = "se3" if system == "slam" else "so3"
     if system == "slam":
         L = random_landmarks(rng, 6)
-        prob, base = systems.slam_problem(L), lambda S, amp, r: systems.measure_landmarks(S, L, amp, r)
+        prob, base = systems.slam_problem(L), lambda S, *noise: systems.measure_landmarks(S, L, *noise)
     elif system == "attitude":
         prob, base = systems.attitude_problem(), systems.measure_attitude
     else:
@@ -694,19 +693,27 @@ def _observer_case(system, seed, fail, fail_at):
             group_kind="SO3", handedness="right", output_action=ac.so3_on_direction_pair("right"),
             y0=Point(ac.DIRECTION_PAIR, (E2, E3)), cost=systems.attitude_cost)
 
-        def base(R, amp, r):
+        def base(R, amp, r=None):
+            if isinstance(R, np.ndarray):  # a stack, with its block of draws or None
+                y = [R @ E2, R @ E3] if amp is None else [R @ E2 + amp[:, :3], R @ E3 + amp[:, 3:]]
+                return tuple(x / np.sqrt(groups.row_dot(x))[:, None] for x in y)
             y = [x + r.uniform(-amp, amp, size=3) if amp > 0.0 else x for x in prob.output(R).value]
             return Point(ac.DIRECTION_PAIR, tuple(x / np.linalg.norm(x) for x in y))
 
     calls = []
 
-    def measure(g, amp, r):
-        calls.append(None)
-        y = base(g, amp, r)
-        if fail == "nan_y" and len(calls) > fail_at:
-            if system == "slam":
-                return Point(ac.LANDMARKS, np.vstack([np.full((3, y.value.shape[1]), np.nan), y.value[3:]]))
-            return Point(ac.DIRECTION_PAIR, (np.full(3, np.nan), y.value[1]))  # Point rejects it
+    def measure(g, *noise):
+        if not isinstance(g, np.ndarray):
+            return base(g, *noise)
+        y = base(g, *noise)
+        bad = np.arange(len(calls), len(calls) + len(g)) >= fail_at if fail in ("nan_y", "raise_y") else np.zeros(len(g), bool)
+        if fail == "raise_y" and bad.any():
+            raise ValueError(f"no measurement from read {fail_at} on")
+        calls.extend((x.tobytes(), None if noise[0] is None else noise[0][i].tobytes()) for i, x in enumerate(g))
+        if system == "slam":
+            y[bad, :3] = np.nan
+        else:
+            y[0][bad] = np.nan  # the Point check rejects it
         return y
 
     amp, freq, phase = rng.normal(size=(3, 6 if kind == "se3" else 3))
@@ -720,7 +727,7 @@ def _observer_case(system, seed, fail, fail_at):
 
 
 def _run_observer(wrap, case, config, noise):
-    """(trajectory or exception, per-sample state bytes and the number of measurements) of
+    """(trajectory or exception, per-sample state bytes and the measured reads) of
     ``simulate_observer`` on a fresh ``case()``, with its Cascade as it is, or wrapped so that the
     general loop takes it."""
     real, samples = integrate_system, []
@@ -737,9 +744,70 @@ def _run_observer(wrap, case, config, noise):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(systems, "integrate_system", integrate)
         try:
-            return systems.simulate_observer(prob, measure, u, state0, 1.5, config, noise, 11), (samples, len(calls))
+            return systems.simulate_observer(prob, measure, u, state0, 1.5, config, noise, 11), (samples, calls)
         except Exception as exc:  # noqa: BLE001 -- compared below
-            return exc, (samples, len(calls))
+            return exc, (samples, calls)
+
+
+class _Built(Exception):
+    """Stops ``simulate_observer`` once its Cascade is built."""
+
+
+def _observer_sense(case, noise):
+    """(the Cascade ``simulate_observer`` builds for ``case``, its generator), without running it."""
+    prob, measure, u, state0, _ = case
+    made = {}
+
+    def integrate(rate, *args):
+        made["rate"] = rate
+        raise _Built
+
+    def rng(seed):
+        made["rng"] = rng_from(seed)
+        return made["rng"]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(systems, "integrate_system", integrate)
+        mp.setattr(systems, "rng_from", rng)
+        with pytest.raises(_Built):
+            systems.simulate_observer(prob, measure, u, state0, 1.5, IntegratorConfig("lie_euler", 0.05, 0.5), noise, 11)
+    return made["rate"], made["rng"]
+
+
+class TestBlockSense:
+    """``simulate_observer``'s sense of a block of reads gives the bytes of one-read blocks: the
+    feed-forward, the measured rows and the generator's state after them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        system=st.sampled_from(["attitude", "slam", "right"]),
+        seed=st.integers(0, 2**16),
+        noise=st.sampled_from([0.0, 0.01, 0.3]),
+        block=st.sampled_from([1, 2, 4, integrate_module._BLOCK]),
+        reads=st.integers(1, 70),
+    )
+    def test_a_block_is_its_one_read_blocks(self, system, seed, noise, block, reads):
+        rng = rng_from(seed)
+        kind = _observer_case(system, seed, None, 0)[0].group_kind
+        G = np.array([random_group(kind, rng).matrix for _ in range(reads)])
+        V = rng.normal(size=(reads, 3 if kind == "SO3" else 6))
+        ts = 0.05 * np.arange(reads)
+        runs = []
+        for size in (block, 1):
+            rate, gen = _observer_sense(_observer_case(system, seed, None, 0), noise)
+            feeds, rows = [], []
+            for i in range(0, reads, size):
+                feed, ys = rate.sense(ts[i:i + size], {"g": V[i:i + size]}, {"g": G[i:i + size]})
+                assert feed.spatial is None if system != "right" else feed.body is None
+                feeds.append(feed.body if system != "right" else feed.spatial)
+                rows += ys
+            assert len(rows) == reads
+            runs.append((np.concatenate(feeds).tobytes(),
+                         [b"".join(np.asarray(x).tobytes() for x in (y if isinstance(y, tuple) else (y,))) for y in rows],
+                         gen.bit_generator.state))
+        assert runs[0] == runs[1]
+        if noise == 0.0:
+            assert runs[0][0] == V.tobytes()
 
 
 class TestCascadeObserverRun:
@@ -755,7 +823,7 @@ class TestCascadeObserverRun:
         noise=st.sampled_from([0.0, 0.01]),
         n_steps=st.integers(1, 11),
         block=st.sampled_from([1, 3, 4, 128]),
-        fail=st.sampled_from([None, None, "nan_u", "nan_y"]),
+        fail=st.sampled_from([None, None, "nan_u", "nan_y", "raise_y"]),
         fail_at=st.integers(0, 30),
     )
     def test_same_bytes_samples_and_errors_as_general_loop(self, system, seed, method, noise, n_steps, block, fail, fail_at):
@@ -765,9 +833,10 @@ class TestCascadeObserverRun:
             (got, (got_samples, got_calls)), (want, (want_samples, want_calls)) = (
                 _run_observer(wrap, lambda: _observer_case(system, seed, fail, fail_at), config, noise) for wrap in (False, True))
         assert got_samples == want_samples
-        # the block pass measures up to its block's end, but a failed measurement is not taken again
-        sensed_ahead = isinstance(want, Exception) and not isinstance(want, KindMismatchError)
-        assert got_calls >= want_calls if sensed_ahead else got_calls == want_calls
+        # no read is measured twice, and each with the general loop's draws; a failing run's block
+        # measures up to its end, past the read that fails
+        assert len(set(got_calls)) == len(got_calls)
+        assert set(want_calls) <= set(got_calls) if isinstance(want, Exception) else got_calls == want_calls
         if isinstance(want, Exception):
             assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
             return
@@ -787,9 +856,21 @@ class TestCascadeObserverRun:
         traj = systems.simulate_observer(prob, measure, u, state0, 1.5, IntegratorConfig(method, 0.05, 0.5), 0.01, 11)
         assert len(traj) == 11
 
+    @pytest.mark.parametrize("system", ["attitude", "slam", "right"])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_a_raising_measurement_is_not_sensed_again(self, monkeypatch, system, method):
+        # the block's draws are taken once: its reads before the raising one keep them, one read at a time
+        monkeypatch.setattr(integrate_module, "_BLOCK", 4)
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        (got, (got_samples, got_calls)), (want, (want_samples, want_calls)) = (
+            _run_observer(wrap, lambda: _observer_case(system, 3, "raise_y", 6), config, 0.01) for wrap in (False, True))
+        assert isinstance(want, ValueError) and (type(got), str(got)) == (type(want), str(want))
+        assert got_samples == want_samples and len(got_samples) > 1
+        assert got_calls == want_calls and len(want_calls) == 6
+
     def test_failures_are_reached(self):
         # the strategies above do produce each failure, not only clean runs
         config = IntegratorConfig(method="rk4_cg", h=0.05, t_final=0.5)
-        for fail, cls in (("nan_u", NumericalBlowupError), ("nan_y", KindMismatchError)):
+        for fail, cls in (("nan_u", NumericalBlowupError), ("nan_y", KindMismatchError), ("raise_y", ValueError)):
             got, (samples, _) = _run_observer(False, lambda: _observer_case("attitude", 1, fail, 9), config, 0.01)
             assert isinstance(got, cls) and 1 < len(samples) < 11, (fail, got)
