@@ -65,14 +65,9 @@ def _defect_sq(rows):
 
 
 def _check_rotation(rows) -> float:
-    """Reject a 3x3 block, given as rows of floats, that is not a rotation; return its defect.
-
-    Computes the same quantities as ``np.linalg.norm(R.T @ R - np.eye(3))``
-    and ``np.linalg.det(R)`` -- the Frobenius defect from orthogonality and
-    the determinant -- in plain float arithmetic, which is far cheaper than
-    the generic numpy routines on a 3x3 block.  The defect must not exceed
-    ``_ORTHO_TOL`` and the determinant must be positive.
-    """
+    """Reject a 3x3 block, given as rows of floats, that is not a rotation; return its defect.  The Frobenius
+    defect ||R^T R - I|| must not exceed ``_ORTHO_TOL`` and the determinant must be positive; both are computed
+    in plain float arithmetic, far cheaper than the generic numpy routines on a 3x3 block."""
     defect = math.sqrt(_defect_sq(rows))
     if defect > _ORTHO_TOL:
         raise ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect:.3e}")
@@ -165,20 +160,14 @@ def _stack_defects(ms: np.ndarray) -> np.ndarray:
     return defect
 
 
-def _checked_elements(kind: str, ms: np.ndarray) -> list[GroupElement]:
-    """``check_stack`` of ms, then its rows as GroupElements that carry their defects, not checked again one
-    by one; a defect above ``_DRIFT_TOL``, which an integrator settles by a Björck step, raises.  Products of
-    matrices with exact SE(3) bottom rows keep them exact, so below the gate a chain of raw products is the
-    settled chain."""
-    defects = _stack_defects(ms).tolist()
-    if max(defects) > _DRIFT_TOL:
-        raise ProjectionFailureError(f"defect {max(defects):.3e} above the drift gate")
-    ms.setflags(write=False)
-    out = [object.__new__(GroupElement) for _ in ms]
-    for g, m, defect in zip(out, ms, defects):
-        for name, value in (("kind", kind), ("matrix", m), ("defect", defect)):
-            object.__setattr__(g, name, value)
-    return out
+def _gated(ms: np.ndarray) -> np.ndarray:
+    """``check_stack`` of ms, which it returns; a defect above ``_DRIFT_TOL``, which an integrator settles by
+    a Björck step, raises.  Products of matrices with exact SE(3) bottom rows keep them exact, so below the
+    gate a chain of raw products is the chain that settling each product gives."""
+    worst = _stack_defects(ms).max()
+    if worst > _DRIFT_TOL:
+        raise ProjectionFailureError(f"defect {worst:.3e} above the drift gate")
+    return ms
 
 
 def row_dot(x: np.ndarray) -> np.ndarray:
@@ -262,7 +251,7 @@ class Metric:
 def skew(w: np.ndarray) -> np.ndarray:
     """3x3 antisymmetric matrix with skew(w) @ x == cross(w, x)."""
     x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    return np.array([0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(3, 3)  # a flat list converts faster
 
 
 def hat(v) -> AlgebraElement:
@@ -325,13 +314,25 @@ def _so3_coeffs(theta: float) -> tuple[float, float, float]:
         raise NumericalBlowupError(f"rotation angle {theta:.3g} overflows the exponential") from exc
 
 
+def _eye_plus(a: float, b: float, x: float, y: float, z: float, q) -> list:
+    """(I + a W) + b W^2 as its 9 entries in row order, in floats, for W = skew((x, y, z)) and W^2 as rows
+    ``q``, each entry in the order of ``_I3 + a * W + b * W2``, so with its bits: off the diagonal
+    0.0 + a * W_ij turns -0.0 into 0.0, as numpy's does, and on it 1.0 + a * 0.0 is exactly 1.0."""
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = q
+    return [1.0 + b * q00, (0.0 + a * -z) + b * q01, (0.0 + a * y) + b * q02,
+            (0.0 + a * z) + b * q10, 1.0 + b * q11, (0.0 + a * -x) + b * q12,
+            (0.0 + a * -y) + b * q20, (0.0 + a * x) + b * q21, 1.0 + b * q22]
+
+
 def exp_matrix(vec: np.ndarray) -> np.ndarray:
     """Matrix exponential of so(3) or se(3) coordinates (Rodrigues / closed SE(3) form).
 
     Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.
     The se(3) branch shares theta, skew(w) and its square between the
     rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
-    (k, 3, 3) or (k, 4, 4), each item with the bits of its own call.
+    (k, 3, 3) or (k, 4, 4), each item with the bits of its own call.  One
+    item keeps w @ w, W @ W and V @ v as numpy calls (Python floats differ
+    in bits) and sums R and V in floats in numpy's order (``_eye_plus``).
     """
     if not _all_finite(vec):
         raise NumericalBlowupError("algebra coordinates are non-finite")
@@ -341,15 +342,14 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
     w = vec[-3:]
     a, b, c = _so3_coeffs(math.sqrt(w @ w))
-    W = skew(w.tolist())  # from Python floats, which np.array takes faster than numpy scalars; -z is exact
-    W2 = W @ W
-    R = _I3 + a * W + b * W2
+    x, y, z = w.tolist()
+    W = skew((x, y, z))  # from Python floats, which np.array takes faster than numpy scalars; -z is exact
+    W2 = (W @ W).tolist()
+    R = _eye_plus(a, b, x, y, z, W2)
     if vec.shape == (3,):
-        return R
-    m = np.eye(4)
-    m[:3, :3] = R
-    m[:3, 3] = (_I3 + b * W + c * W2) @ vec[:3]
-    return m
+        return np.array(R).reshape(3, 3)
+    p0, p1, p2 = (np.array(_eye_plus(b, c, x, y, z, W2)).reshape(3, 3) @ vec[:3]).tolist()
+    return np.array([*R[0:3], p0, *R[3:6], p1, *R[6:9], p2, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
 
 
 def _exp_matrix_stack(vec: np.ndarray) -> np.ndarray:

@@ -3,16 +3,18 @@
 States map names to GroupElement or numpy arrays (array rates step by Euler/RK4).  Every group
 rate is a SplitRate: a plain AlgebraElement or coordinate vector is its body part on side "left"
 and its spatial part on side "right".  Its parts, length-checked once, step group states under one
-rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in every stage and composition.  Each new
-matrix gets the GroupElement constructor's checks once (a block's driven chain at once); above a
-defect ||R^T R - I|| of 1e-12 the drift gate takes one Björck step, instead of an SVD projection.
-``Input`` and ``Cascade`` rates step what reads only the time, and sense it, in blocks, with the same bits.
+rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in every stage and composition.  The
+general loop gives each new matrix the GroupElement constructor's checks once; above a defect
+||R^T R - I|| of 1e-12 its drift gate takes one Björck step, instead of an SVD projection.  ``Input``
+and ``Cascade`` rates step a block at a time on raw matrices, check each component's block once as a
+stack, and write it into the trajectory's arrays, with the same bits; any failure, a matrix above the
+gate included, hands the block to the general loop.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable
@@ -28,7 +30,7 @@ RK4_CG = "rk4_cg"
 
 # upper bound on round(t_final / h); the longest shipped scenario has 20,000 steps
 MAX_STEPS = 1_000_000
-_BLOCK = 64  # steps per block: bounds its stacked exponentials and the sample dicts kept until they are stacked
+_BLOCK = 64  # steps per block: bounds its stacked exponentials and the work a fallback repeats
 # h / divisor: the stage steps, then the composition weights (a lie_euler step has one weight)
 _STAGES = {LIE_EULER: ((), (1,)), RK4_CG: ((2, 2, 1), (6, 3, 3, 6))}
 
@@ -51,8 +53,8 @@ class Cascade(Input):
     follower's feed-forward, a SplitRate of (k, d) stacks with one part None, and the k measured rows, a bad
     one as its exception, last; each row must have the bits of a one-read block's, or the general loop's
     bytes differ, and a sense that raises is called again one read at a time.  ``follow(t, m, y)``, at the
-    follower's matrix and a row, gives the feedback's coordinates for the other part.  As a rate, the merge
-    of a one-read block."""
+    follower's matrix (a block pass's raw product) and a row, gives the feedback's coordinates for the other
+    part.  As a rate, the merge of a one-read block."""
 
     sense: Callable
     follow: Callable
@@ -71,12 +73,9 @@ class Cascade(Input):
 
 @dataclass(frozen=True)
 class SplitRate:
-    """Group rate g' = spatial^ g + g body^; each part is an AlgebraElement or its vector.
-
-    Stepped as exp(h spatial) g exp(h body), which keeps discretizations of
-    observer loops exactly equivariant (the correction and the feedforward
-    commute through the group error).
-    """
+    """Group rate g' = spatial^ g + g body^; each part is an AlgebraElement or its vector.  Stepped as
+    exp(h spatial) g exp(h body), which keeps discretizations of observer loops exactly equivariant (the
+    correction and the feedforward commute through the group error)."""
 
     body: AlgebraElement | np.ndarray | None = None
     spatial: AlgebraElement | np.ndarray | None = None
@@ -100,6 +99,20 @@ class IntegratorConfig:
             raise ConfigError(f"t_final / h = {n_steps:.3g} steps; at most {MAX_STEPS} allowed")
 
 
+class _Sample(Mapping):
+    """Sample i of a Trajectory, read-only: each value is built on access, as ``Trajectory[i]`` builds it."""
+
+    __slots__ = ("arrays", "kinds", "i")
+
+    def __init__(self, arrays, kinds, i):
+        self.arrays, self.kinds, self.i = arrays, kinds, i
+
+    def __getitem__(self, k):
+        return self.arrays[k][self.i] if k not in self.kinds else GroupElement(self.kinds[k], self.arrays[k][self.i])
+
+    __iter__, __len__ = (lambda self: iter(self.arrays)), (lambda self: len(self.arrays))
+
+
 @dataclass
 class Trajectory(Sequence):
     """Time-indexed samples, each component's stacked in ``arrays``: (n + 1, k, k) matrices of group kind
@@ -115,8 +128,7 @@ class Trajectory(Sequence):
         return len(self.times)
 
     def __getitem__(self, i) -> dict:
-        i = range(len(self))[i]  # IndexError past either end
-        return {k: GroupElement(self.kinds[k], A[i]) if k in self.kinds else A[i] for k, A in self.arrays.items()}
+        return dict(_Sample(self.arrays, self.kinds, range(len(self))[i]))  # IndexError past either end
 
     states = property(lambda self: self)
 
@@ -132,9 +144,15 @@ def _as_split(r, side: str, g: GroupElement) -> list:
 
 
 def _step(g: GroupElement, steps) -> GroupElement:
-    """g's matrix chained by (exp(h spatial), exp(h body)) per (h, (spatial, body)) in ``steps``, then settled."""
-    return _settle(g.kind, _chain(g.matrix, [[x if x is None else groups.exp_matrix(h * x) for x in part]
-                                             for h, part in steps]))
+    """g's matrix chained by (exp(h spatial), exp(h body)) per (h, (spatial, body)) in ``steps``, then settled:
+    through the validating constructor, then one Björck step if its rotation drifted."""
+    g = GroupElement(g.kind, _chain(g.matrix, [[x if x is None else groups.exp_matrix(h * x) for x in part]
+                                               for h, part in steps]))
+    if g.defect <= groups._DRIFT_TOL:
+        return g
+    R, m = g.rotation(), g.matrix.copy()
+    m[:3, :3] = 0.5 * (R @ (3.0 * np.eye(3) - R.T @ R))  # R (3I - R^T R) / 2, translation kept
+    return GroupElement(g.kind, m)
 
 
 def _chain(m: np.ndarray, factors) -> np.ndarray:
@@ -143,17 +161,6 @@ def _chain(m: np.ndarray, factors) -> np.ndarray:
         m = m if E_s is None else E_s @ m
         m = m if E_b is None else m @ E_b
     return m
-
-
-def _settle(kind: str, m: np.ndarray) -> GroupElement:
-    """m through the validating constructor, then one Björck step if its rotation drifted."""
-    g = GroupElement(kind, m)
-    if g.defect <= groups._DRIFT_TOL:
-        return g
-    R = g.rotation()
-    m = g.matrix.copy()
-    m[:3, :3] = 0.5 * (R @ (3.0 * np.eye(3) - R.T @ R))  # R (3I - R^T R) / 2, translation kept
-    return GroupElement(kind, m)
 
 
 def lie_step(g: GroupElement, xi: AlgebraElement | np.ndarray, h: float, side: str = "left") -> GroupElement:
@@ -213,18 +220,26 @@ def _factors(reads, stages, weights, memo) -> tuple[list, dict]:
     return out[:m], {e: E for (e, _), E in zip(jobs[m:], out[m:])}
 
 
-def _follow(rate: Cascade, g: GroupElement, e0, ys, times, F, q, stages, weights) -> GroupElement:
-    """The follower g stepped from read e0: ``follow``'s correction at each read on side q of its feed factors."""
-    (W, S), cur, factors = F, g.matrix, []
+def _follow(rate: Cascade, m: np.ndarray, ys, times, F, q, stages, weights) -> np.ndarray:
+    """The follower's matrices after each step of a block, from its matrix m, stepped on raw matrices by
+    ``follow``'s correction at each read, on side q of its feed factors F; ``follow`` reads the unsettled
+    matrix.  The steps, with the rk4_cg stage states, are checked once as a stack (``groups._gated``); a
+    stored bad row raises."""
+    (W, S), n, factors, out, staged, cur = F, len(weights), [], [], [], m
     fill = lambda E, x: (groups.exp_matrix(x), E[1]) if q == 0 else (E[0], groups.exp_matrix(x))  # noqa: E731
-    for j, w in enumerate(weights):
-        if isinstance(ys[e0 + j], Exception):
-            raise ys[e0 + j]
-        c = rate.follow(times[e0 + j], cur, ys[e0 + j])
-        factors.append(fill(W[e0 + j], w * c))
-        if j < len(stages):
-            cur = _settle(g.kind, _chain(g.matrix, [fill(S[e0 + j], stages[j] * c)])).matrix
-    return _settle(g.kind, _chain(g.matrix, factors))
+    for e, y in enumerate(ys):
+        if isinstance(y, Exception):
+            raise y
+        c = rate.follow(times[e], cur, y)
+        factors.append(fill(W[e], weights[e % n] * c))
+        if e % n < len(stages):
+            cur = _chain(m, [fill(S[e], stages[e % n] * c)])
+            staged.append(cur)
+        else:
+            m = cur = _chain(m, factors)
+            out.append(m)
+            factors = []
+    return groups._gated(np.array(staged + out))[len(staged):]
 
 
 def _replay(rate: Cascade, feed, ys, e0) -> Cascade:
@@ -242,89 +257,83 @@ def _replay(rate: Cascade, feed, ys, e0) -> Cascade:
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
     """Integrate d/dt state = rate(t, state) with fixed steps, ``_BLOCK`` at a time.
 
-    For an Input or a Cascade, a block pass takes stacked exponentials, chains the driven states and senses
-    once, and the serial steps take ``follow`` alone; for any other rate, and where anything fails, the
-    general loop takes the steps.  ``record(t, state)``, when given, returns a dict of scalar extras stored
-    per sample (a step clock, say); a non-finite value raises NumericalBlowupError.  Each sample's state
-    dict is kept until ``stack``, before the next block's serial steps, writes it into the arrays.
+    For an Input or a Cascade, a block pass takes stacked exponentials, chains the driven states, senses once
+    and steps the follower on raw matrices, checks each group component's rows once as a stack and writes
+    them into the arrays; for any other rate, and where anything fails, the general loop takes the block.
+    ``record(t, state)``, when given, is called once per sample, in order, with the general loop's state dict
+    or a block's read-only ``_Sample``s, and returns a dict of scalar extras stored per sample (a step clock,
+    say); a non-finite value raises NumericalBlowupError.
     """
     sides, h, cascade = sides or {}, config.h, isinstance(rate, Cascade)
     stages, weights = ([h / d for d in ds] for ds in _STAGES[config.method])
     n, n_steps = len(weights), int(round(config.t_final / h))
-    ts = np.empty(n_steps + 1)
     kinds = {k: x.kind for k, x in state0.items() if isinstance(x, GroupElement)}
-    arrays = {k: np.empty((n_steps + 1, *np.shape(x.matrix if k in kinds else x))) for k, x in state0.items()}
-    pending, extras = [], {}  # pending: the samples' state dicts, one reference each, until stack()
+    arrays = {k: np.repeat(np.array([x.matrix if k in kinds else x], float), n_steps + 1, axis=0)
+              for k, x in state0.items()}
+    ts, extras = np.arange(n_steps + 1) * h, {}
 
-    def snapshot(i, t, state):
-        ts[i] = t
-        pending.append(state)
-        if record is not None:
-            for key, val in record(t, state).items():
+    def keep(samples):  # record(t, state) of each (t, state), in order; its values checked finite
+        for t, sample in samples:
+            for key, val in (record(t, sample) if record is not None else {}).items():
                 if not math.isfinite(val):
                     raise NumericalBlowupError(f"non-finite recorded value at t={t:.6g}", t=t)
                 extras.setdefault(key, []).append(float(val))
 
-    def stack(i):  # the pending samples, the last of them sample i - 1, into the arrays
-        for k, A in arrays.items():
-            A[i - len(pending):i] = [s[k].matrix if k in kinds else s[k] for s in pending]
-        pending.clear()
-
     state = dict(state0)
-    snapshot(0, 0.0, state)
+    keep([(0.0, state)])
     for i0 in range(0, n_steps, _BLOCK):
-        times = [i * h + d for i in range(i0, min(i0 + _BLOCK, n_steps)) for d in (0.0, *stages)]
-        W, S, memo, at, ends, feed, ys = {}, {}, {}, {}, [], None, []  # free the last block's before building these
-        try:  # the block pass
+        i1 = min(i0 + _BLOCK, n_steps)
+        times = [i * h + d for i in range(i0, i1) for d in (0.0, *stages)]
+        W, S, memo, at, feed, ys = {}, {}, {}, {}, None, []  # free the last block's first
+        try:  # the block pass: rows i0 + 1 .. i1 of every component
             if not isinstance(rate, Input):
                 raise TypeError("not an Input")
             raw = [rate.u(t) for t in times]
             driven = {k: x for k, x in state.items() if not cascade or k in raw[0]}
             for k, x in driven.items():
-                if isinstance(x, GroupElement):
+                A = arrays[k]
+                if k in kinds:
                     reads = [_as_split(r[k], sides.get(k, "left"), x) for r in raw]
                     W[k], S[k] = _factors(reads, stages, weights, memo)
-                    C = np.array(list(accumulate([W[k][e:e + n] for e in range(0, len(raw), n)], _chain,
-                                                 initial=x.matrix))[1:])
-                    W[k] = groups._checked_elements(x.kind, C)
+                    A[i0 + 1:i1 + 1] = groups._gated(np.array(list(accumulate(
+                        [W[k][e:e + n] for e in range(0, len(raw), n)], _chain, initial=A[i0]))[1:]))
                 else:
                     ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
                     if not all(np.isfinite(q).all() for q in ks):
                         raise NumericalBlowupError(f"non-finite rate for component {k!r}")
-                    W[k] = C = np.cumsum(np.concatenate([np.asarray(x)[None], _increment(h, ks)]), axis=0)[1:]
+                    A[i0 + 1:i1 + 1] = np.cumsum(np.concatenate([A[i0:i0 + 1], _increment(h, ks)]), axis=0)[1:]
                 if cascade:  # the states at each read, for sense: a step's start, or an rk4_cg stage state
-                    P = np.concatenate([np.asarray(getattr(x, "matrix", x))[None], C[:-1]])
+                    P = A[i0:i1].copy()
                     if n > 1:
-                        P = np.array([P[e // n] if e % n == 0 else _chain(P[e // n], [S[k][e - 1]])
-                                      for e in range(len(raw))])
-                        groups._checked_elements(x.kind, P)  # as _settle passes them
+                        P = groups._gated(np.array([P[e // n] if e % n == 0 else _chain(P[e // n], [S[k][e - 1]])
+                                                    for e in range(len(raw))]))  # as _step settles them
                     at[k] = P
-            ends = [{k: W[k][i] if k in driven else None for k in state} for i in range(len(raw) // n)]
             if cascade:
                 f = next(k for k in state if k not in driven)
                 feed, ys = rate.sense(np.array(times), {k: np.array([r[k] for r in raw]) for k in driven}, at)
                 q = 0 if feed.spatial is None else 1  # the side of the feedback
                 parts = [[None] * len(times) if x is None else x for x in (feed.spatial, feed.body)]
                 F = _factors(list(zip(*parts)), stages, weights, memo)
+                arrays[f][i0 + 1:i1 + 1] = _follow(rate, state[f].matrix, ys, times, F, q, stages, weights)
             for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
-                P = np.array([(ends[e // n - 1] if e >= n else driven)[k].matrix for e in stage])
+                P = arrays[k][[i0 + e // n for e in stage]]
                 eye = np.eye(P.shape[-1])
                 S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
                 if not np.isfinite(S_s @ P @ S_b).all():
                     raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
+            samples = () if record is None else zip(ts[i0 + 1:i1 + 1].tolist(),
+                                                    [_Sample(arrays, kinds, i) for i in range(i0 + 1, i1 + 1)])
         except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
-            ends = []
-        raw = W = S = memo = at = C = P = reads = None  # freed before the serial steps make new states
-        stack(i0 + 1)
-        for b in range(len(times) // n):
-            try:
-                new = ends and ends[b]
-                if new and cascade:
-                    new[f] = _follow(rate, state[f], b * n, ys, times, F, q, stages, weights)
-            except Exception:  # noqa: BLE001 -- as above, for this step
-                new = None
-            state = new or _general_step(_replay(rate, feed, ys, b * n) if cascade else rate,
-                                         config.method, (i0 + b) * h, state, h, sides)
-            snapshot(i0 + b + 1, (i0 + b + 1) * h, state)
-    stack(n_steps + 1)
+            samples = None
+        raw = W = S = memo = at = F = P = reads = None  # freed before the records
+        if samples is None:  # the general loop, from the block's start, the block's sensed rows replayed
+            for i in range(i0, i1):
+                state = _general_step(_replay(rate, feed, ys, (i - i0) * n) if cascade else rate,
+                                      config.method, i * h, state, h, sides)
+                for k, x in state.items():
+                    arrays[k][i + 1] = x.matrix if k in kinds else x
+                keep([((i + 1) * h, state)])
+        else:
+            keep(samples)
+            state = dict(_Sample(arrays, kinds, i1))
     return Trajectory(ts, arrays, kinds, {k: np.asarray(v) for k, v in extras.items()})

@@ -6,13 +6,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bundleobs import cli
+from bundleobs import cli, integrate
 from bundleobs.errors import ConfigError, NumericalBlowupError
 
 
@@ -553,3 +554,13 @@ class TestWriteCsv:
             cli.write_csv(tmp_path / "edge.csv", *cols.values())
         assert err.value.t == self.EDGE[2]
         assert not (tmp_path / "edge.csv").exists()
+
+
+def test_clean_demo_runs_take_no_general_step(tmp_path):
+    # a block that falls back runs whole on the general loop with the same bytes, so a clean run that
+    # silently left the block path would show only as lost time: here any general step fails the run
+    noisy = write_scenario(tmp_path / "noisy.scn", name="noisy_1s", h="1e-3", t_final="1.0", noise="0.02",
+                           initial_error="0 0.6283185307179586 0.8377580409572781", seed="42")
+    with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+        for path in (SCENARIOS / "slam_continuous.scn", noisy):
+            assert cli.run_scenario(path, tmp_path) == 0

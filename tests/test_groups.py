@@ -32,7 +32,7 @@ from bundleobs.groups import (
     row_dot,
     vee,
 )
-from bundleobs.groups import _PI_EXCLUSION, _SMALL_ANGLE
+from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _so3_coeffs, skew
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
@@ -177,6 +177,65 @@ class TestStackedExp:
     def test_other_shapes_rejected(self, shape):
         with pytest.raises(DimensionError):
             exp_matrix(np.zeros(shape))
+
+
+def _numpy_exp_matrix(vec):
+    """The per-item ``exp_matrix`` with its sums as numpy array expressions, as it was before they moved to
+    Python floats: the reference for those floats' bits."""
+    w = vec[-3:]
+    a, b, c = _so3_coeffs(math.sqrt(w @ w))
+    W = skew(w.tolist())
+    W2 = W @ W
+    R = _I3 + a * W + b * W2
+    if vec.shape == (3,):
+        return R
+    m = np.eye(4)
+    m[:3, :3] = R
+    m[:3, 3] = (_I3 + b * W + c * W2) @ vec[:3]
+    return m
+
+
+_SIGNED_ENTRY = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.0, 1.0))
+_EXP_ANGLE = st.one_of(
+    st.floats(0.0, 1e-300),  # tiny: w @ w underflows
+    st.floats(1e-300, 1e-9),
+    st.floats(0.5 * _SMALL_ANGLE, 2.0 * _SMALL_ANGLE),  # both sides of the Taylor cut
+    st.sampled_from([_SMALL_ANGLE, math.nextafter(_SMALL_ANGLE, 0.0), math.pi]),
+    st.floats(1e-3, math.pi),
+    st.floats(math.pi, 30.0),  # sin < 0: a < 0
+)
+
+
+class TestExpBits:
+    """The per-item ``exp_matrix`` sums I + aW + bW^2 and V in Python floats; each matrix must have the bits
+    of the numpy expressions it replaced, and of its row of a stacked call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([3, 6]),
+           rows=st.lists(st.tuples(st.lists(_SIGNED_ENTRY, min_size=6, max_size=6), _EXP_ANGLE, st.floats(0.0, 1e3)),
+                         min_size=1, max_size=4))
+    def test_float_sums_keep_the_numpy_bits(self, dim, rows):
+        vecs = []
+        for entries, angle, shift in rows:
+            w, rho = np.array(entries[3:]), shift * np.array(entries[:3])  # signed zeros stay signed zeros
+            norm = math.sqrt(w @ w)
+            w = w * (angle / norm) if norm > 0.0 else w
+            vecs.append(w if dim == 3 else np.concatenate([rho, w]))
+        stacked = exp_matrix(np.array(vecs))
+        for vec, row in zip(vecs, stacked):
+            got = exp_matrix(vec)
+            assert got.tobytes() == _numpy_exp_matrix(vec).tobytes(), vec
+            assert got.tobytes() == row.tobytes(), vec
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_signed_zeros(self, dim):
+        # a zero coordinate gives a -0.0 entry a * W_ij, and tiny ones of opposite signs a -0.0 entry of
+        # W @ W where their product underflows: numpy's (0.0 + a * W_ij) + b * W2_ij is 0.0 there, the
+        # plain sum of the two -0.0
+        for w in ([-0.0, -0.0, -0.0], [0.0, -0.0, 0.0], [-0.0, 0.0, 1e-3], [-0.0, -0.0, 4.0], [0.0, 1e-300, -1e-300],
+                  [1e-200, 0.0, -1e-200], [1e-300, -1e-300, 0.0], [-0.0, -1e-200, 1e-200], [-1e-300, -0.0, 1e-300]):
+            vec = np.array(w if dim == 3 else [-0.0, 0.0, -0.0, *w])
+            assert exp_matrix(vec).tobytes() == _numpy_exp_matrix(vec).tobytes(), w
 
 
 class TestLog:

@@ -1,5 +1,6 @@
 """Lie-group integrators: stepping, order, projection, determinism."""
 
+from collections.abc import Mapping
 from unittest import mock
 
 import numpy as np
@@ -781,3 +782,107 @@ class TestStorage:
         for name in ("g", "x"):
             assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
             assert got.arrays[name].tobytes() == np.array([s[name] for s in seen]).tobytes()
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_a_drifting_follower_takes_the_general_loop(self, method):
+        # from t = 0.3 on, the follower's correction is marked, so its exponential drifts: by 1e-11, past
+        # the drift gate, the follower's matrix after step 6 (lie_euler; step 5 for rk4_cg, whose last read
+        # is at t = 0.3) is the first above the gate, in the middle of the block of steps 4-7.  That block
+        # and the last one (8-9) must take the general loop, which settles each step by a Björck step: 6
+        # general steps.  By 1e-8, past the constructor's tolerance, the general loop raises at that step,
+        # after 3 (lie_euler) or 2 (rk4_cg) general steps, with the general loop's error and records.
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        first = 6 if method == "lie_euler" else 5
+        for by in (1e-11, 1e-8):
+            runs = []
+            for wrap in (lambda c: c, lambda c: lambda t, s: c(t, s)):
+                state0, cascade = _cascade_case(3, "SO3", "left", 0.0, False, "drift_x", 0.3)
+                with mock.patch.object(integrate, "_BLOCK", 4), \
+                        mock.patch.object(groups, "exp_matrix", lambda vec: _drifting_exp_matrix(vec, by)), \
+                        mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
+                    runs.append((*_run(wrap(cascade), config, state0, {}), general.call_count))
+            (got, got_calls, general_steps), (want, want_calls, _) = runs
+            assert got_calls == want_calls
+            if by == 1e-8:
+                assert isinstance(want, ProjectionFailureError)
+                assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
+                assert general_steps == first - 4 + 1 and len(got_calls) == first + 1
+                continue
+            assert general_steps == 6
+            assert got.extras["sum"].tobytes() == want.extras["sum"].tobytes()
+            for name in ("g", "x"):
+                assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
+            # the follower's steps before the first drifting one are the ones the block path gave (as a
+            # drift-free run shows), and the drifting ones were settled below the gate by the general loop
+            clean = integrate_system(_cascade_case(3, "SO3", "left", 0.0, False, None, 0.3)[1], config, state0)
+            assert got.arrays["x"][:first + 1].tobytes() == clean.arrays["x"][:first + 1].tobytes()
+            assert got.arrays["x"][first + 1].tobytes() != clean.arrays["x"][first + 1].tobytes()
+            assert max(GroupElement("SO3", m).defect for m in got.arrays["x"]) <= groups._DRIFT_TOL
+
+
+def _recorded(rate, config, state0, sides=None):
+    """(trajectory, per record call: t, the mapping's type, whether writing to it raised TypeError (None for
+    a dict), and each (key, value type, bits) in order)."""
+    seen = []
+
+    def record(t, state):
+        locked = None  # a state dict is the run's own; only a mapping is written to
+        if not isinstance(state, dict):
+            try:
+                state["probe"] = 0.0
+                locked = False
+            except TypeError:
+                locked = True
+        bits = [(k, type(v), (v.kind, v.matrix.tobytes()) if isinstance(v, GroupElement) else (v.dtype, v.tobytes()))
+                for k, v in state.items()]
+        seen.append((t, type(state), locked, bits))
+        return {}
+
+    return integrate_system(rate, config, state0, sides, record), seen
+
+
+class TestBlockRecord:
+    """On the block path ``record`` gets, per sample, a read-only mapping over the trajectory's arrays that
+    builds each value on access; it must give what the general loop's state dict gives."""
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("loop", ["input", "cascade"])
+    def test_block_mapping_matches_the_general_loops_dict(self, method, loop):
+        config = IntegratorConfig(method=method, h=0.01, t_final=1.5)  # 150 steps: three blocks, the last short
+        sides = None
+        if loop == "cascade":
+            state0, rate = _cascade_case(6, "SE3", "left", 0.01, True, None, 2.0)
+            wrapped = _cascade_case(6, "SE3", "left", 0.01, True, None, 2.0)[1]
+        else:
+            spec = [("SO3", "left", False), ("vec3", "left", False), ("SE3", "split", True)]
+            state0, sides, u = _open_loop_case(6, spec, None, 0.0)
+            rate, wrapped = Input(u), u
+        with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+            got, got_seen = _recorded(rate, config, state0, sides)
+        want, want_seen = _recorded(lambda t, s: wrapped(t, s) if loop == "cascade" else wrapped(t), config, state0,
+                                    sides)
+        assert len(got_seen) == len(want_seen) == 151
+        for (t, kind, locked, bits), (t_want, kind_want, locked_want, bits_want) in zip(got_seen, want_seen):
+            assert t == t_want and bits == bits_want
+            assert [k for k, _, _ in bits] == list(state0)
+            assert all(isinstance(state0[k], GroupElement) == (cls is GroupElement) for k, cls, _ in bits)
+            assert kind_want is dict and locked_want is None
+        assert got_seen[0][1] is dict  # the initial sample is the state dict, in either loop
+        assert all(issubclass(kind, Mapping) and locked for _, kind, locked, _ in got_seen[1:])
+        assert type(got.states[75]) is dict  # a Trajectory's sample is still a dict
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_the_carried_state_holds_the_constructors_defect(self, method):
+        # the driven g drifts past the gate from t = 0.3 on, so the block of steps 4-7 takes the general loop;
+        # its first step starts from the state the block pass carried out of steps 0-3
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        state0, cascade = _cascade_case(3, "SE3", "left", 0.0, False, "drift_g", 0.3)
+        with mock.patch.object(integrate, "_BLOCK", 4), \
+                mock.patch.object(groups, "exp_matrix", lambda vec: _drifting_exp_matrix(vec, by=1e-11)), \
+                mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
+            traj = integrate_system(cascade, config, state0)
+        carried = general.call_args_list[0].args[3]
+        assert general.call_args_list[0].args[2] == 4 * 0.05 and list(carried) == list(state0)
+        for name, g in carried.items():
+            assert isinstance(g, GroupElement) and g.matrix.tobytes() == traj.arrays[name][4].tobytes()
+            assert g.defect == GroupElement(g.kind, g.matrix).defect
