@@ -7,13 +7,15 @@ Run from the repository root (``bench/`` is not in the Tier-1 testpaths):
 ``bench/merge.py`` folds the JSON of a parent run and of a change run into
 one ``BENCH_<n>.json``.  Only public names are used, so the same file times
 older commits too, except ``test_lie_euler_attitude_step``: it takes the
-step with vector rates, which the integrator accepts since ``BENCH_10.json``.
-Where a checkout lacks the stacked ``exp_matrix`` or ``integrate.Input``
-(before ``BENCH_12.json``), or ``observer.error_columns`` (before
-``BENCH_13.json``), their benchmarks time the work they replace; ``write_csv``
-is called with row dicts or columns, and ``error_columns`` with matrix stacks
-or element lists, whichever its signature takes.  The two
-observer runs (since ``BENCH_15.json``) use only the public simulators.
+step with vector rates, which the integrator accepts since ``BENCH_10.json``,
+and the layers that pass an input: since ``BENCH_21.json`` an input maps a
+block's read times to stacks, ``u(ts)``, which older checkouts do not take.
+Where a checkout lacks the stacked ``exp_matrix`` (before ``BENCH_12.json``),
+or ``observer.error_columns`` (before ``BENCH_13.json``), their benchmarks
+time the work they replace; ``write_csv`` is called with row dicts or columns,
+and ``error_columns`` with matrix stacks or element lists, whichever its
+signature takes.  The two observer runs (since ``BENCH_15.json``) use only
+the public simulators.
 """
 
 import inspect
@@ -150,21 +152,25 @@ def test_exp_matrix_stack(benchmark, kind):
 
 def test_rk4_cg_se3_open_loop_200_steps(benchmark):
     """200 rk4_cg SE(3) steps of a rate that reads only the time, as ``simulate_slam_poses``
-    takes them: open-loop through ``integrate.Input``, or the general loop where it is missing."""
-
-    def twist(t):
-        return {"S": AlgebraElement("se3", [0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5])}
-
-    rate = integrate.Input(twist) if hasattr(integrate, "Input") else (lambda t, state: twist(t))
+    takes them: open-loop through ``integrate.Input``, the CLI's twist read once per block."""
+    rate = integrate.Input(lambda ts: {"S": cli._omega_fn("standard", (0.3, -0.1, 0.2))(ts)})
     config = IntegratorConfig(method="rk4_cg", h=0.02, t_final=4.0)
     S0 = random_group("SE3", rng_from(6))
     benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
 
 
+def test_cli_omega_block_of_64_reads(benchmark):
+    """The CLI's standard omega read for one block of 64 ``lie_euler`` reads, as the block pass reads an
+    input: one call on the block's read times; ``us_per_row`` is per read."""
+    ts = np.arange(64) * 1e-3
+    benchmark(cli._omega_fn("standard"), ts)
+    benchmark.extra_info["items"] = 64
+
+
 def test_attitude_observer_1000_steps(benchmark):
     """``simulate_attitude_observer``: 1,000 noiseless ``lie_euler`` steps, its V^e and ||zeta_e||
     columns included; ``us_per_row`` is per step."""
-    scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2.0 * t), 0.5]))
+    scen = systems.AttitudeScenario(omega=cli._omega_fn("standard"))
     config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=1.0)
     R0 = random_rotation(rng_from(13))
     benchmark(systems.simulate_attitude_observer, R0, GroupElement.identity("SO3"), scen, config)
@@ -177,10 +183,7 @@ def test_slam_observer_24_landmarks_200_steps(benchmark):
     rng = rng_from(14)
     L = random_landmarks(rng, 24)
     S0, S_est0 = random_group("SE3", rng), random_group("SE3", rng)
-
-    def twist(t):
-        return AlgebraElement("se3", [0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5])
-
+    twist = cli._omega_fn("standard", (0.3, -0.1, 0.2))
     config = IntegratorConfig(method="lie_euler", h=5e-3, t_final=1.0)
     benchmark(systems.simulate_slam_observer, S0, S_est0, L, twist, 0.375, config, 0.005, 7)
     benchmark.extra_info["items"] = 200

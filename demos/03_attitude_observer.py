@@ -16,8 +16,9 @@ from bundleobs.systems import AttitudeScenario, attitude_problem, simulate_attit
 
 # 60 degree initial error, estimate starts at the identity.
 R0 = exp(hat(np.pi / 3 * np.array([0.0, 0.6, 0.8])))
+# omega(ts) maps a block of read times (k,) to the body rates (k, 3).
 scenario = AttitudeScenario(
-    omega=lambda t: np.array([np.sin(t), np.cos(2.0 * t), 0.5]),
+    omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2.0 * ts), np.full_like(ts, 0.5)]),
     gain=1.0,
 )
 config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=20.0)

@@ -27,9 +27,10 @@ rng = rng_from(42)
 landmarks = random_landmarks(rng, 6)
 
 
-def twist(t):
-    # body twist (linear, angular)
-    return AlgebraElement("se3", np.array([0.2, 0.0, 0.1, np.sin(t), np.cos(2.0 * t), 0.5]))
+def twist(ts):
+    # body twists (linear, angular), one row per read time in ts
+    return np.column_stack([np.tile([0.2, 0.0, 0.1], (len(ts), 1)),
+                            np.sin(ts), np.cos(2.0 * ts), np.full_like(ts, 0.5)])
 
 
 # --- continuous observer ---

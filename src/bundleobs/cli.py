@@ -9,7 +9,6 @@ byte-identical for identical scenario + seed.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import sys
 from pathlib import Path
@@ -131,11 +130,12 @@ def _integrator_config(scen: dict) -> IntegratorConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _omega_fn(omega):
-    """omega(t): the standard profile for "standard", else the constant 3-vector."""
-    if isinstance(omega, str):
-        return lambda t: np.array([np.sin(t), np.cos(2.0 * t), 0.5])
-    return lambda t: omega
+def _omega_fn(omega, lin=()):
+    """omega(ts), stacked at a block's read times: for "standard", the constants ``lin`` then the profile
+    (sin t, cos 2t, 0.5), each row with the bits of one read's; else the constant vector, broadcast."""
+    if not isinstance(omega, str):
+        return lambda ts: np.broadcast_to(omega, (len(ts), len(omega)))
+    return lambda ts: np.column_stack([np.tile(lin, (len(ts), 1)), np.sin(ts), np.cos(2.0 * ts), np.full_like(ts, 0.5)])
 
 
 def _initial_twist(err: np.ndarray) -> np.ndarray:
@@ -174,14 +174,13 @@ def _run_observer(scen: dict) -> tuple[tuple, list[str]]:
     config = _integrator_config(scen)
     if scen["system"] == "attitude":
         prob, measure = systems.attitude_problem(), systems.measure_attitude
-        omega = _omega_fn(scen["omega"])
-        u = lambda t: AlgebraElement("so3", omega(t))
+        u = _omega_fn(scen["omega"])
         xi0, (true, est), label = scen["initial_error"], ("R", "Rhat"), "final_error_angle_rad"
     else:
         L = random_landmarks(rng_from(scen["seed"]), scen["n_landmarks"])
         prob = systems.slam_problem(L)
         measure = lambda S, *noise: systems.measure_landmarks(S, L, *noise)
-        u = lambda t: AlgebraElement("se3", np.array([0.2, 0.0, 0.1, np.sin(t), np.cos(2.0 * t), 0.5]))
+        u = _omega_fn("standard", (0.2, 0.0, 0.1))
         xi0, (true, est), label = _initial_twist(scen["initial_error"]), ("S", "Shat"), "final_error_twist_norm"
     state0 = {true: exp(AlgebraElement(prob.algebra_kind, xi0)), est: GroupElement.identity(prob.group_kind)}
     traj = systems.simulate_observer(prob, measure, u, state0, scen["gain"], config, scen["noise"], scen["seed"])
@@ -196,10 +195,7 @@ def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
     rng = rng_from(scen["seed"])
     L = random_landmarks(rng, scen["n_landmarks"])
     S0 = exp(AlgebraElement("se3", _initial_twist(scen["initial_error"])))
-
-    def twist(t):
-        return AlgebraElement("se3", np.array([0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5]))
-
+    twist = _omega_fn("standard", (0.3, -0.1, 0.2))
     poses, measurements = systems.simulate_slam_poses(S0, L, twist, scen["n_steps"], scen["h"])
     if scen["noise"] > 0.0:  # one draw; C order gives each M_k its (3, N) block of the stream in turn
         measurements[:, :3] += rng.uniform(-scen["noise"], scen["noise"], size=measurements[:, :3].shape)
@@ -216,12 +212,11 @@ def _run_sphere_split_demo(scen: dict) -> tuple[tuple, list[str]]:
     config = _integrator_config(scen)
     q0 = ac.Point(ac.R3, np.array([2.0, 1.0, -0.5]) + scen["initial_error"]).value
 
-    @functools.cache  # the Input reads each sample's velocity but the last; the split reuses them
-    def velocity(t):
-        return np.array([np.cos(t), -0.5 * np.sin(2.0 * t), 0.3])
+    def velocity(ts):
+        return np.column_stack([np.cos(ts), -0.5 * np.sin(2.0 * ts), np.full_like(ts, 0.3)])
 
-    traj = integrate_system(Input(lambda t: {"q": velocity(t)}), config, {"q": q0})
-    v = np.array([velocity(t) for t in traj.times])
+    traj = integrate_system(Input(lambda ts: {"q": velocity(ts)}), config, {"q": q0})
+    v = velocity(traj.times)
     q = traj.arrays["q"]
     r, R, hor, ver = bundle.sphere_splits(q, v)
     col = np.stack([np.zeros(len(r)), ver[:, 2], -ver[:, 1]], axis=1)  # hat(ver) e1

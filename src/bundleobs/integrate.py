@@ -5,11 +5,11 @@ rate is a SplitRate: a plain AlgebraElement or coordinate vector is its body par
 and its spatial part on side "right".  Its parts, length-checked once, step group states under one
 rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in every stage and composition.  The
 general loop gives each new matrix the GroupElement constructor's checks once; above a defect
-||R^T R - I|| of 1e-12 its drift gate takes one Björck step, instead of an SVD projection.  ``Input``
-and ``Cascade`` rates step a block at a time on raw matrices, check each component's block once as a
-stack, and write it into the trajectory's arrays, with the same bits; any failure, a matrix above the
-gate included, hands the block to the general loop.
-"""
+||R^T R - I|| of 1e-12 its drift gate takes one Björck step, instead of an SVD projection.  An
+``Input``'s or ``Cascade``'s ``u`` maps a block's read times to stacks, read once per block, which
+steps on raw matrices, checks each component's block once as a stack and writes it into the arrays,
+with the same bits; any failure, a matrix above the gate included, hands the block to the general
+loop, which reads ``u`` one read at a time."""
 
 from __future__ import annotations
 
@@ -37,38 +37,44 @@ _STAGES = {LIE_EULER: ((), (1,)), RK4_CG: ((2, 2, 1), (6, 3, 3, 6))}
 
 @dataclass(frozen=True)
 class Input:
-    """A rate that reads only the time, u(t) -> rate dict, which ``integrate_system`` steps
-    open-loop; as ``rate(t, state)`` it is u(t), so a wrapped Input runs the general loop."""
+    """A rate that reads only the time, which ``integrate_system`` steps open-loop: ``u(ts)`` maps a block's read
+    times, a (k,) array, to the rate dict of stacks, each a (k, d) array or a SplitRate of them.  As ``rate(t,
+    state)`` it is row 0 of u of a one-read block, so a wrapped Input runs the general loop on the same u."""
 
     u: Callable
 
     def __call__(self, t, state):
-        return self.u(t)
+        return _row(self.u(np.array([t])))
+
+
+def _row(rates) -> dict:  # row 0 of a rate dict of stacks
+    return {k: SplitRate(*(x if x is None else x[0] for x in (r.body, r.spatial))) if isinstance(r, SplitRate)
+            else r[0] for k, r in rates.items()}
 
 
 @dataclass(frozen=True)
 class Cascade(Input):
-    """An Input u(t) of some components, which one more, the follower, follows.  ``sense(ts, rates, states)``
-    takes a block's read times and the driven rates and states stacked, (k, d) or (k, n, n), and gives the
-    follower's feed-forward, a SplitRate of (k, d) stacks with one part None, and the k measured rows, a bad
-    one as its exception, last; each row must have the bits of a one-read block's, or the general loop's
-    bytes differ, and a sense that raises is called again one read at a time.  ``follow(t, m, y)``, at the
-    follower's matrix (a block pass's raw product) and a row, gives the feedback's coordinates for the other
-    part.  As a rate, the merge of a one-read block."""
+    """An Input u(ts) of some components, which one more, the follower, a group element, follows.  ``sense(ts, rates,
+    states)`` takes a block's read times, u's stacks and the driven states stacked, (k, d) or (k, n, n), and gives
+    the follower's feed-forward, a SplitRate of (k, d) stacks with one part None, and the k measured rows, a bad
+    one as its exception, last; each row must have the bits of a one-read block's, or the general loop's bytes
+    differ, and a sense that raises is called again one read at a time.  ``follow(t, m, y)``, at the follower's
+    matrix (a block pass's raw product) and a row, gives the feedback's coordinates for the other part.  As a
+    rate, the merge of a one-read block."""
 
     sense: Callable
     follow: Callable
 
     def __call__(self, t, state):
-        rates = self.u(t)
+        rates = self.u(ts := np.array([t]))
         f = next(k for k in state if k not in rates)
-        feed, ys = self.sense(np.array([t]), {k: np.array([r]) for k, r in rates.items()},
-                              {k: np.array([getattr(state[k], "matrix", state[k])]) for k in rates})
+        if not isinstance(state[f], GroupElement):
+            raise KindMismatchError(f"the follower {f!r} of a Cascade must be a group element")
+        feed, ys = self.sense(ts, rates, {k: np.array([getattr(state[k], "matrix", state[k])]) for k in rates})
         if isinstance(ys[0], Exception):
             raise ys[0]
-        back = self.follow(t, state[f].matrix, ys[0])
-        return {**rates, f: SplitRate(back if feed.body is None else feed.body[0],
-                                      back if feed.spatial is None else feed.spatial[0])}
+        back = np.array([self.follow(t, state[f].matrix, ys[0])])
+        return _row({**rates, f: SplitRate(*(back if x is None else x for x in (feed.body, feed.spatial)))})
 
 
 @dataclass(frozen=True)
@@ -133,13 +139,13 @@ class Trajectory(Sequence):
     states = property(lambda self: self)
 
 
-def _as_split(r, side: str, g: GroupElement) -> list:
-    """``r`` as (spatial, body) coordinate vectors of ``g``'s algebra, None for a missing part, checked to fit."""
+def _as_split(r, side: str, kind: str, reads=()) -> list:
+    """``r`` as (spatial, body) coordinates of ``kind``'s algebra, (*reads, d), None if missing, checked to fit."""
     parts = (r.spatial, r.body) if isinstance(r, SplitRate) else (None, r) if side == "left" else (r, None)
     out = [x.vec if isinstance(x, AlgebraElement) else x if x is None else np.asarray(x, float) for x in parts]
     for v in out:
-        if v is not None and v.shape != (3 if g.kind == groups.SO3 else 6,):
-            raise KindMismatchError(f"cannot step {g.kind} by a rate with coordinates of shape {v.shape}")
+        if v is not None and v.shape != (*reads, 3 if kind == groups.SO3 else 6):
+            raise KindMismatchError(f"cannot step {kind} by a rate with coordinates of shape {v.shape}")
     return out
 
 
@@ -167,7 +173,7 @@ def lie_step(g: GroupElement, xi: AlgebraElement | np.ndarray, h: float, side: s
     """One exponential step: g exp(h xi) (left) or exp(h xi) g (right)."""
     if h <= 0:
         raise ConfigError("step size must be positive")
-    return _step(g, ((h, _as_split(xi, side, g)),))
+    return _step(g, ((h, _as_split(xi, side, g.kind)),))
 
 
 def _rates(rate, t, state, sides):
@@ -175,7 +181,7 @@ def _rates(rate, t, state, sides):
     out = dict(rate(t, state))
     for name, value in state.items():
         if isinstance(value, GroupElement):
-            out[name] = _as_split(out[name], sides.get(name, "left"), value)
+            out[name] = _as_split(out[name], sides.get(name, "left"), value.kind)
             arrays = [x for x in out[name] if x is not None]
         else:
             arrays = [np.asarray(out[name])]
@@ -204,18 +210,17 @@ def _general_step(rate, method, t, state, h, sides):
     return _advance(state, ks, weights, h)
 
 
-def _factors(reads, stages, weights, memo) -> tuple[list, dict]:
-    """[E_s, E_b] of each read's final and (by read) stage step from one stacked ``exp_matrix`` per side; a
-    stack whose bytes (``tobytes``, so -0.0 is not 0.0) are in ``memo`` takes the exponentials stored there."""
-    n, m = len(weights), len(reads)
+def _factors(parts, m, stages, weights, memo) -> tuple[list, dict]:
+    """[E_s, E_b] of each of m reads' final and (by read) stage step, one ``exp_matrix`` per side of ``parts``'s
+    (spatial, body) stacks; one whose bytes (``tobytes``, so -0.0 is not 0.0) are in ``memo`` takes those there."""
+    n = len(weights)
     jobs = [(e, weights[e % n]) for e in range(m)] + [(e, stages[e % n]) for e in range(m) if e % n < len(stages)]
     out = [[None, None] for _ in jobs]
-    for side in (0, 1):
-        idx = [k for k, (e, _) in enumerate(jobs) if reads[e][side] is not None]
-        if idx:
-            x = np.array([jobs[k][1] for k in idx])[:, None] * np.array([reads[jobs[k][0]][side] for k in idx])
+    for side, P in enumerate(parts):
+        if P is not None:
+            x = np.array([w for _, w in jobs])[:, None] * P[[e for e, _ in jobs]]
             key = (x.shape, x.tobytes())
-            for k, E in zip(idx, memo[key] if key in memo else memo.setdefault(key, groups.exp_matrix(x))):
+            for k, E in enumerate(memo[key] if key in memo else memo.setdefault(key, groups.exp_matrix(x))):
                 out[k][side] = E
     return out[:m], {e: E for (e, _), E in zip(jobs[m:], out[m:])}
 
@@ -257,9 +262,9 @@ def _replay(rate: Cascade, feed, ys, e0) -> Cascade:
 def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=None) -> Trajectory:
     """Integrate d/dt state = rate(t, state) with fixed steps, ``_BLOCK`` at a time.
 
-    For an Input or a Cascade, a block pass takes stacked exponentials, chains the driven states, senses once
-    and steps the follower on raw matrices, checks each group component's rows once as a stack and writes
-    them into the arrays; for any other rate, and where anything fails, the general loop takes the block.
+    For an Input or a Cascade, a block pass reads u and senses once, takes stacked exponentials, chains the
+    driven states and steps the follower on raw matrices, checks each group component's rows once as a stack
+    and writes them into the arrays; for any other rate, and where anything fails, the general loop does.
     ``record(t, state)``, when given, is called once per sample, in order, with the general loop's state dict
     or a block's read-only ``_Sample``s, and returns a dict of scalar extras stored per sample (a step clock,
     say); a non-finite value raises NumericalBlowupError.
@@ -284,36 +289,36 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
     for i0 in range(0, n_steps, _BLOCK):
         i1 = min(i0 + _BLOCK, n_steps)
         times = [i * h + d for i in range(i0, i1) for d in (0.0, *stages)]
-        W, S, memo, at, feed, ys = {}, {}, {}, {}, None, []  # free the last block's first
+        m, W, S, memo, at, feed, ys = len(times), {}, {}, {}, {}, None, []  # free the last block's first
         try:  # the block pass: rows i0 + 1 .. i1 of every component
             if not isinstance(rate, Input):
                 raise TypeError("not an Input")
-            raw = [rate.u(t) for t in times]
-            driven = {k: x for k, x in state.items() if not cascade or k in raw[0]}
+            raw = rate.u(read_ts := np.array(times))  # each stack's shape and finiteness checked once below
+            driven = {k: x for k, x in state.items() if not cascade or k in raw}
             for k, x in driven.items():
                 A = arrays[k]
                 if k in kinds:
-                    reads = [_as_split(r[k], sides.get(k, "left"), x) for r in raw]
-                    W[k], S[k] = _factors(reads, stages, weights, memo)
+                    W[k], S[k] = _factors(_as_split(raw[k], sides.get(k, "left"), x.kind, (m,)), m, stages, weights,
+                                          memo)
                     A[i0 + 1:i1 + 1] = groups._gated(np.array(list(accumulate(
-                        [W[k][e:e + n] for e in range(0, len(raw), n)], _chain, initial=A[i0]))[1:]))
+                        [W[k][e:e + n] for e in range(0, m, n)], _chain, initial=A[i0]))[1:]))
                 else:
-                    ks = [np.array([r[k] for r in raw[j::n]]) for j in range(n)]
-                    if not all(np.isfinite(q).all() for q in ks):
-                        raise NumericalBlowupError(f"non-finite rate for component {k!r}")
+                    V = np.asarray(raw[k])
+                    if V.shape != (m, *np.shape(x)) or not np.isfinite(V).all():
+                        raise NumericalBlowupError(f"bad rate stack for component {k!r}")
+                    ks = [V[j::n] for j in range(n)]
                     A[i0 + 1:i1 + 1] = np.cumsum(np.concatenate([A[i0:i0 + 1], _increment(h, ks)]), axis=0)[1:]
                 if cascade:  # the states at each read, for sense: a step's start, or an rk4_cg stage state
                     P = A[i0:i1].copy()
                     if n > 1:
                         P = groups._gated(np.array([P[e // n] if e % n == 0 else _chain(P[e // n], [S[k][e - 1]])
-                                                    for e in range(len(raw))]))  # as _step settles them
+                                                    for e in range(m)]))  # as _step settles them
                     at[k] = P
             if cascade:
                 f = next(k for k in state if k not in driven)
-                feed, ys = rate.sense(np.array(times), {k: np.array([r[k] for r in raw]) for k in driven}, at)
+                feed, ys = rate.sense(read_ts, {k: raw[k] for k in driven}, at)
                 q = 0 if feed.spatial is None else 1  # the side of the feedback
-                parts = [[None] * len(times) if x is None else x for x in (feed.spatial, feed.body)]
-                F = _factors(list(zip(*parts)), stages, weights, memo)
+                F = _factors((feed.spatial, feed.body), m, stages, weights, memo)
                 arrays[f][i0 + 1:i1 + 1] = _follow(rate, state[f].matrix, ys, times, F, q, stages, weights)
             for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
                 P = arrays[k][[i0 + e // n for e in stage]]
@@ -325,7 +330,7 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
                                                     [_Sample(arrays, kinds, i) for i in range(i0 + 1, i1 + 1)])
         except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
             samples = None
-        raw = W = S = memo = at = F = P = reads = None  # freed before the records
+        raw = W = S = memo = at = F = P = V = ks = None  # freed before the records
         if samples is None:  # the general loop, from the block's start, the block's sensed rows replayed
             for i in range(i0, i1):
                 state = _general_step(_replay(rate, feed, ys, (i - i0) * n) if cascade else rate,

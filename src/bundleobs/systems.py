@@ -33,7 +33,7 @@ _COND_LIMIT = 1e12
 def simulate_observer(
     prob: ObserverProblem,
     measure: Callable,
-    u: Callable[[float], AlgebraElement],
+    u: Callable[[np.ndarray], np.ndarray],
     state0: dict,
     gain: float,
     config: IntegratorConfig,
@@ -42,12 +42,12 @@ def simulate_observer(
 ) -> Trajectory:
     """Integrate a true state g' = g u(t)^ alongside the gradient pre-observer.
 
-    ``state0`` maps the true state's name, then the estimate's, to their initial group elements.  The run
-    calls ``measure(G, noise)``, the raw outputs (``Point.value``s) of a stack G (k, n, n), each row with a
+    ``u(ts)`` maps a block's read times (k,) to the input's coordinates (k, d), each row with its read's bits
+    alone.  ``state0`` maps the true state's name, then the estimate's, to their initial group elements.  The
+    run calls ``measure(G, noise)``, the raw outputs (``Point.value``s) of a stack G (k, n, n), each row with a
     stack of one's bits, from None or a (k, d_out) block of draws (y's coordinates but landmarks' last row);
     ``error_columns``, ``measure(g, 0.0, None)``, an element's Point.  k reads draw (k, d_in + d_out) at once,
-    as one draw per read would.  The estimate's feed-forward and its correction step by separate exponentials.
-    """
+    as one draw per read would.  The estimate's feed-forward and its correction step by separate exponentials."""
     true, est = state0
     rng, side, kind = rng_from(seed), "body" if prob.handedness == observer.LEFT else "spatial", prob.y0.kind
     d_out = 3 * np.size(prob.y0.value) // (4 if kind == ac.LANDMARKS else 3)
@@ -75,7 +75,7 @@ def simulate_observer(
         return SplitRate(**{side: v}), rows(states[true], noise)
 
     follow = lambda t, m, y: gain * observer.zeta_e_coords(prob, m, y)  # noqa: E731
-    traj = integrate_system(Cascade(lambda t: {true: u(t).vec}, sense, follow), config, state0)
+    traj = integrate_system(Cascade(lambda ts: {true: u(ts)}, sense, follow), config, state0)
     traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est], measure))
     return traj
 
@@ -152,9 +152,9 @@ def attitude_vector_field(p: Point, omega: AlgebraElement):
 
 @dataclass(frozen=True)
 class AttitudeScenario:
-    """Closed-loop attitude observer run."""
+    """Closed-loop attitude observer run; ``omega(ts)``, its u, maps read times (k,) to body rates (k, 3)."""
 
-    omega: Callable[[float], np.ndarray]
+    omega: Callable[[np.ndarray], np.ndarray]
     gain: float = 1.0
     noise_amp: float = 0.0
     seed: int = 42
@@ -168,7 +168,7 @@ def simulate_attitude_observer(
 ) -> Trajectory:
     """``simulate_observer`` of the attitude problem, states ``R`` and ``Rhat``."""
     return simulate_observer(
-        attitude_problem(), measure_attitude, lambda t: AlgebraElement("so3", scenario.omega(t)),
+        attitude_problem(), measure_attitude, scenario.omega,
         {"R": R0, "Rhat": R_est0}, scenario.gain, config, scenario.noise_amp, scenario.seed,
     )
 
@@ -271,14 +271,14 @@ def slam_discrete_recover(M_k, M_k1) -> GroupElement:
 def simulate_slam_poses(
     S0: GroupElement,
     landmarks,
-    twist: Callable[[float], AlgebraElement],
+    twist: Callable[[np.ndarray], np.ndarray],
     n_steps: int,
     h: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Propagate S' = S V^: the poses S_k (n_steps+1, 4, 4) and measurements M_k = S_k^-1 Lbar (n_steps+1, 4, N)."""
+    """Propagate S' = S V^, V = ``twist(ts)`` (k, 6) at read times (k,): poses S_k and M_k = S_k^-1 Lbar."""
     L = np.asarray(landmarks, dtype=float)
     config = IntegratorConfig(method="rk4_cg", h=h, t_final=n_steps * h)
-    traj = integrate_system(Input(lambda t: {"S": twist(t)}), config, {"S": S0})
+    traj = integrate_system(Input(lambda ts: {"S": twist(ts)}), config, {"S": S0})
     return traj.arrays["S"], groups.inverse_matrix(traj.arrays["S"]) @ L
 
 
@@ -299,13 +299,13 @@ def simulate_slam_observer(
     S0: GroupElement,
     S_est0: GroupElement,
     landmarks,
-    twist: Callable[[float], AlgebraElement],
+    twist: Callable[[np.ndarray], np.ndarray],
     gain: float,
     config: IntegratorConfig,
     noise_amp: float = 0.0,
     seed: int = 42,
 ) -> Trajectory:
-    """``simulate_observer`` of the SLAM pose problem, states ``S`` and ``Shat``."""
+    """``simulate_observer`` of the SLAM pose problem, states ``S`` and ``Shat``; ``twist(ts)`` (k, 6) is its u."""
     L = np.asarray(landmarks, dtype=float)
     return simulate_observer(
         slam_problem(L), lambda S, *noise: measure_landmarks(S, L, *noise), twist,

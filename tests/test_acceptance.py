@@ -106,7 +106,8 @@ def test_criterion_4_error_dynamics_autonomy(capsys):
     t0 = time.perf_counter()
     prob = systems.attitude_problem()
     config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=10.0)
-    scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]))
+    scen = systems.AttitudeScenario(
+        omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]))
     e0 = exp(hat([0.5, -0.3, 0.8]))
     rng = rng_from(42)
     R1, R2 = random_rotation(rng), random_rotation(rng)
@@ -125,7 +126,8 @@ def test_criterion_4_error_dynamics_autonomy(capsys):
 
 def test_criterion_5_lyapunov_rate(capsys):
     config = IntegratorConfig(method="rk4_cg", h=1e-3, t_final=5.0)
-    scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]))
+    scen = systems.AttitudeScenario(
+        omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]))
     traj = systems.simulate_attitude_observer(
         exp(hat([0.6, 0.0, 0.6])), GroupElement.identity("SO3"), scen, config
     )
@@ -158,7 +160,7 @@ def test_criterion_7_attitude_convergence(capsys):
     t0 = time.perf_counter()
     config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=20.0)
     scen = systems.AttitudeScenario(
-        omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), gain=1.0
+        omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]), gain=1.0
     )
     R0 = exp(hat(np.pi / 3 * np.array([0.0, 0.6, 0.8])))
     traj = systems.simulate_attitude_observer(R0, GroupElement.identity("SO3"), scen, config)
@@ -197,8 +199,9 @@ def test_criterion_9_slam_discrete_recovery(capsys):
     L = random_landmarks(rng, 6)
     S0 = random_group("SE3", rng)
 
-    def twist(t):
-        return AlgebraElement("se3", np.array([0.3, -0.1, 0.2, np.sin(t), np.cos(2 * t), 0.5]))
+    def twist(ts):
+        return np.column_stack([np.tile([0.3, -0.1, 0.2], (len(ts), 1)), np.sin(ts), np.cos(2 * ts),
+                                np.full_like(ts, 0.5)])
 
     poses, measurements = systems.simulate_slam_poses(S0, L, twist, 50, 0.05)
     recovered = systems.recover_pose_chain(measurements)

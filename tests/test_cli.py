@@ -103,10 +103,10 @@ class TestRun:
         assert (tmp_path / "sph_trajectory.csv").exists()
 
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
-    def test_sphere_demo_evaluates_each_velocity_once(self, tmp_path, monkeypatch, method):
-        # the split reuses the velocities the integrator read; only the last sample's is new
+    def test_sphere_demo_reads_velocities_once_per_block(self, tmp_path, monkeypatch, method):
+        # the integrator reads the velocity once per block of read times, the split once at the sample times
         scen = cli.parse_scenario(write_scenario(tmp_path / "a.scn", name="sph", system="sphere_split_demo",
-                                                 method=method, h="0.01", t_final="0.5"))
+                                                 method=method, h="0.01", t_final="1.5"))
         times = []
 
         class CountingNumpy:
@@ -119,8 +119,11 @@ class TestRun:
 
         monkeypatch.setattr(cli, "np", CountingNumpy())
         (t, *_), _ = cli._run_sphere_split_demo(scen)
-        assert len(t) == 51 and len(set(times)) == len(times)  # no time twice
-        assert len(times) == 51 if method == "lie_euler" else set(t.tolist()) <= set(times)
+        reads = 1 if method == "lie_euler" else 4
+        assert len(t) == 151 and integrate._BLOCK == 64  # 150 steps: blocks of 64, 64 and 22
+        assert all(isinstance(ts, np.ndarray) and ts.ndim == 1 for ts in times)
+        assert [len(ts) for ts in times] == [64 * reads, 64 * reads, 22 * reads, 151]
+        assert times[-1].tobytes() == t.tobytes()
 
     def test_scenarios_run_one_after_another(self, tmp_path):
         f1 = write_scenario(tmp_path / "a.scn", name="j1")
@@ -564,3 +567,28 @@ def test_clean_demo_runs_take_no_general_step(tmp_path):
     with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
         for path in (SCENARIOS / "slam_continuous.scn", noisy):
             assert cli.run_scenario(path, tmp_path) == 0
+
+
+_READ_H = st.one_of(st.sampled_from([1e-3, 5e-3, 1e-2, 0.02, 0.05]), st.floats(1e-4, 0.5))
+
+
+class TestStackedTrigBits:
+    """The CLI's inputs take ``np.sin`` and ``np.cos`` of a block's read times i h + d, rk4_cg's stage offsets
+    d included, as one stack; each row must have the bits of the per-scalar calls at its read, or the CSVs
+    would change with the block's size and place.  On a host whose vector kernels round differently this
+    fails here, not silently in the output."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(h=_READ_H, method=st.sampled_from(["lie_euler", "rk4_cg"]), i0=st.integers(0, integrate.MAX_STEPS - 1),
+           steps=st.integers(1, integrate._BLOCK))
+    @example(h=1e-3, method="rk4_cg", i0=19_968, steps=32)  # the last block of a 20-s run at h = 1e-3
+    def test_each_row_has_the_per_scalar_bits(self, h, method, i0, steps):
+        stages = [h / d for d in integrate._STAGES[method][0]]
+        times = [i * h + d for i in range(i0, i0 + steps) for d in (0.0, *stages)]
+        ts = np.array(times)
+        got = np.column_stack([cli._omega_fn("standard", (0.3, -0.1, 0.2))(ts), np.cos(ts), -0.5 * np.sin(2.0 * ts)])
+        want = np.array([[0.3, -0.1, 0.2, np.sin(t), np.cos(2.0 * t), 0.5, np.cos(t), -0.5 * np.sin(2.0 * t)]
+                         for t in times])
+        bad = np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=1))
+        assert not bad.size, f"read {bad[0]} at t={times[bad[0]]!r}: {got[bad[0]]} != {want[bad[0]]}"
+        assert cli._omega_fn("standard")(ts).tobytes() == np.ascontiguousarray(want[:, 3:6]).tobytes()

@@ -377,11 +377,12 @@ class TestStepLimit:
 
 
 def _open_loop_case(seed, spec, fail, fail_at):
-    """Initial state, sides and u(t) for the components in ``spec``, each (kind, side,
-    rate as vectors): SO3, SE3, or vectors of length 1 or 3, whose side is ignored.
-    From t = fail_at on, the first component, a group one, turns bad as ``fail``
-    says: NaN coordinates, a wrong length or an angle whose exponential overflows;
-    "vector_nan" turns the first vector component, if there is one, NaN instead."""
+    """Initial state, sides and u(ts) for the components in ``spec``, each (kind, side,
+    rate as arrays, else as nested lists): SO3, SE3, or vectors of length 1 or 3, whose side is
+    ignored.  From t = fail_at on, the first component, a group one, turns bad as ``fail``
+    says: NaN coordinates, a wrong length (the whole stack of a block that reaches t) or an
+    angle whose exponential overflows; "vector_nan" turns the first vector component, if
+    there is one, NaN instead."""
     rng = rng_from(seed)
     state0, sides, parts = {}, {}, {}
     for i, (kind, side, vectors) in enumerate(spec):
@@ -396,17 +397,19 @@ def _open_loop_case(seed, spec, fail, fail_at):
         parts[name] = (kind, side, vectors, amp, freq, phase)
     target = next((n for n, part in parts.items() if part[0].startswith("vec")), None) if fail == "vector_nan" else "c0"
 
-    def u(t):
+    def u(ts):
         out = {}
         for name, (kind, side, vectors, amp, freq, phase) in parts.items():
-            x = amp * np.sin(freq * t + phase)
-            if name == target and fail is not None and t >= fail_at:
-                x = {"nan": np.full(len(x), np.nan), "vector_nan": np.full(len(x), np.nan),
-                     "length": np.zeros(len(x) + 1), "angle": np.full(len(x), 1e200)}[fail]
+            x = amp * np.sin(freq * ts[:, None] + phase)
+            bad = (ts >= fail_at) & (name == target)
+            if fail == "length" and bad.any():
+                x = np.zeros((len(ts), x.shape[1] + 1))
+            elif fail in ("nan", "vector_nan", "angle"):
+                x[bad] = 1e200 if fail == "angle" else np.nan
             if kind.startswith("vec"):
                 out[name] = np.cos(x)
                 continue
-            wrap = (lambda v: v) if vectors or fail == "length" else (lambda v, k=kind: AlgebraElement(k.lower(), v))
+            wrap = (lambda v: v) if vectors or fail == "length" else (lambda v: v.tolist())
             out[name] = SplitRate(body=wrap(x), spatial=wrap(0.5 * np.cos(x))) if side == "split" else wrap(x)
         return out
 
@@ -457,7 +460,7 @@ class TestOpenLoop:
         config = IntegratorConfig(method=method, h=h, t_final=n_steps * h)
         with np.errstate(over="ignore"), mock.patch.object(integrate, "_BLOCK", block):
             got, got_calls = _run(Input(u), config, state0, sides)
-            want, want_calls = _run(lambda t, s: u(t), config, state0, sides)
+            want, want_calls = _run(lambda t, s: Input(u)(t, s), config, state0, sides)
         if isinstance(want, Exception):
             assert type(got) is type(want), (got, want)
             assert getattr(got, "t", None) == getattr(want, "t", None)
@@ -479,12 +482,14 @@ class TestOpenLoop:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     @pytest.mark.parametrize("fail_at", [0.0, 0.25, 0.3, 0.35])
     def test_non_finite_rate_reports_the_same_time(self, method, fail_at):
-        def u(t):
-            return {"S": AlgebraElement("se3", [0.1, 0.0, np.inf if t >= fail_at else 0.2, 0.3, 0.0, 0.1])}
+        def u(ts):
+            x = np.tile([0.1, 0.0, 0.2, 0.3, 0.0, 0.1], (len(ts), 1))
+            x[ts >= fail_at, 2] = np.inf
+            return {"S": x}
 
         config = IntegratorConfig(method=method, h=0.1, t_final=1.0)
         errors = []
-        for rate in (Input(u), lambda t, s: u(t)):
+        for rate in (Input(u), lambda t, s: Input(u)(t, s)):
             with pytest.raises(NumericalBlowupError) as err:
                 integrate_system(rate, config, {"S": GroupElement.identity("SE3")})
             errors.append(err.value.t)
@@ -496,10 +501,14 @@ class TestOpenLoop:
     @pytest.mark.parametrize("case", sorted(TestBlowup.CASES))
     def test_blowup_cases_still_raise(self, method, side, case):
         xi = AlgebraElement("se3", TestBlowup.CASES[case])
-        r = SplitRate(body=xi, spatial=xi) if side == "split" else xi
+
+        def u(ts):
+            x = np.tile(xi.vec, (len(ts), 1))
+            return {"S": SplitRate(body=x, spatial=x) if side == "split" else x}
+
         config = IntegratorConfig(method=method, h=2, t_final=8.0)
         with pytest.raises(NumericalBlowupError):
-            integrate_system(Input(lambda t: {"S": r}), config, {"S": GroupElement.identity("SE3")}, {"S": side})
+            integrate_system(Input(u), config, {"S": GroupElement.identity("SE3")}, {"S": side})
 
     @pytest.mark.filterwarnings("ignore:overflow")
     @pytest.mark.parametrize("kind", ["so3", "se3"])
@@ -509,7 +518,7 @@ class TestOpenLoop:
         w = [0.0, 0.0, 1e104] if kind == "so3" else [1.0, 0.0, 0.0, 0.0, 0.0, 1e104]
         state0 = {"g": GroupElement.identity(kind.upper())}
         config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.1)
-        for rate in (Input(lambda t: {"g": w}), lambda t, s: {"g": w}):
+        for rate in (Input(lambda ts: {"g": np.tile(w, (len(ts), 1))}), lambda t, s: {"g": w}):
             with pytest.raises(NumericalBlowupError, match="overflows"):
                 integrate_system(rate, config, state0)
 
@@ -520,17 +529,18 @@ class TestOpenLoop:
         m = np.eye(4)
         m[0, 3] = 1.7e308
 
-        def u(t):
-            v = np.array([2e307 if t % 1.0 == 0.0 else -2e307, 0.0, 0.0, 0.0, 0.0, 0.0])
-            return {"S": SplitRate(body=v, spatial=np.zeros(6)) if side == "split" else v}
+        def u(ts):
+            v = np.zeros((len(ts), 6))
+            v[:, 0] = np.where(ts % 1.0 == 0.0, 2e307, -2e307)
+            return {"S": SplitRate(body=v, spatial=np.zeros((len(ts), 6))) if side == "split" else v}
 
         config = IntegratorConfig(method="rk4_cg", h=1.0, t_final=1.0)
-        for rate in (Input(u), lambda t, s: u(t)):
+        for rate in (Input(u), lambda t, s: Input(u)(t, s)):
             with pytest.raises(NumericalBlowupError):
                 integrate_system(rate, config, {"S": GroupElement("SE3", m)})
 
     def test_input_is_a_rate(self):
-        u = lambda t: {"x": np.array([t])}  # noqa: E731
+        u = lambda ts: {"x": ts[:, None]}  # noqa: E731
         assert Input(u)(0.5, {"x": np.zeros(1)})["x"][0] == 0.5
 
 
@@ -560,7 +570,7 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
     spatial side, or on the body side when ``hand`` is right, as for a right-observed system.
     ``sense`` takes blocks of reads and draws each block's noise at once, each read's feed-forward
     noise before its measurement's.  The feed-forward is affine in the rate, so each row has the bits of
-    a one-read block's, which ``np.cos`` of a stack, say, need not give.  From t = fail_at on, ``fail``
+    a one-read block's, which another kernel of a stack need not give.  From t = fail_at on, ``fail``
     makes u NaN, the measurement NaN, or marks the rate of g (``drift_g``) or the correction of x
     (``drift_x``) for ``_drifting_exp_matrix``."""
     rng = rng_from(seed)
@@ -570,10 +580,10 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
     state0 = {"x": x0, "g": g0} if follower_first else {"g": g0, "x": x0}
     axis = np.array([0.0, 0.6, 0.8])
 
-    def u(t):
-        v = amp * np.sin(freq * t + phase)
-        if t >= fail_at and fail in ("nan_u", "drift_g"):
-            v = np.full(dim, np.nan) if fail == "nan_u" else _marked(v)
+    def u(ts):
+        v = amp * np.sin(freq * ts[:, None] + phase)
+        for i in np.flatnonzero(ts >= fail_at) if fail in ("nan_u", "drift_g") else ():
+            v[i] = np.full(dim, np.nan) if fail == "nan_u" else _marked(v[i])
         return {"g": v}
 
     def sense(ts, rates, states):
@@ -650,7 +660,7 @@ class TestCascade:
         with mock.patch.object(integrate, "_BLOCK", 3), \
                 mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
             integrate_system(cascade, config, state0)
-            integrate_system(Input(lambda t: {"g": np.ones(6), "v": np.ones(2)}), config,
+            integrate_system(Input(lambda ts: {"g": np.ones((len(ts), 6)), "v": np.ones((len(ts), 2))}), config,
                              {"g": GroupElement.identity("SE3"), "v": np.zeros(2)})
 
     def test_call_merges_feed_and_feedback(self):
@@ -668,13 +678,14 @@ class TestCascade:
 
         config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
         state0 = {"g": GroupElement.identity("SO3"), "x": GroupElement.identity("SO3")}
-        cascade = integrate.Cascade(lambda t: {"g": np.array([0.3, np.sin(t), 0.5])}, sense, lambda t, m, y: np.zeros(3))
+        u = lambda ts: {"g": np.column_stack([np.full_like(ts, 0.3), np.sin(ts), np.full_like(ts, 0.5)])}  # noqa: E731
+        cascade = integrate.Cascade(u, sense, lambda t, m, y: np.zeros(3))
         got, want = (integrate_system(r, config, state0) for r in (cascade, lambda t, s: cascade(t, s)))
         assert got.arrays["g"].tobytes() == want.arrays["g"].tobytes()
         assert got.arrays["x"].tobytes() != want.arrays["x"].tobytes()
 
     def test_array_components_take_the_general_loop(self):
-        cascade = integrate.Cascade(lambda t: {"v": np.ones(2)},
+        cascade = integrate.Cascade(lambda ts: {"v": np.ones((len(ts), 2))},
                                     lambda t, r, s: (SplitRate(body=np.tile([0.1, 0, 0], (len(t), 1))), [None] * len(t)),
                                     lambda t, m, y: np.array([0, 0, 0.2]))
         config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.3)
@@ -703,7 +714,7 @@ class TestSharedExponentials:
             feed[:, 0] = zero
             return SplitRate(body=feed), [None] * len(ts)
 
-        u = lambda t: {"g": np.array([0.0, np.sin(t), 0.5])}  # noqa: E731
+        u = lambda ts: {"g": np.column_stack([np.zeros_like(ts), np.sin(ts), np.full_like(ts, 0.5)])}  # noqa: E731
         return integrate.Cascade(u, sense, lambda t, m, y: np.array([0.0, 0.0, 0.1]))
 
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
@@ -752,7 +763,7 @@ class TestStorage:
         else:
             spec = [("SO3", "left", False), ("SE3", "split", True), ("vec3", "left", False)]
             state0, sides, u = _open_loop_case(6, spec, None, 0.0)
-            rate = Input(u) if loop == "input" else (lambda t, s: u(t))
+            rate = Input(u) if loop == "input" else (lambda t, s: Input(u)(t, s))
         traj, seen = _stored(rate, config, state0, sides)
         assert len(traj) == len(seen) == 151 and list(traj.arrays) == list(state0)
         for name, x in state0.items():
@@ -856,7 +867,7 @@ class TestBlockRecord:
         else:
             spec = [("SO3", "left", False), ("vec3", "left", False), ("SE3", "split", True)]
             state0, sides, u = _open_loop_case(6, spec, None, 0.0)
-            rate, wrapped = Input(u), u
+            rate, wrapped = Input(u), (lambda t: Input(u)(t, {}))
         with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
             got, got_seen = _recorded(rate, config, state0, sides)
         want, want_seen = _recorded(lambda t, s: wrapped(t, s) if loop == "cascade" else wrapped(t), config, state0,
@@ -886,3 +897,94 @@ class TestBlockRecord:
         for name, g in carried.items():
             assert isinstance(g, GroupElement) and g.matrix.tobytes() == traj.arrays[name][4].tobytes()
             assert g.defect == GroupElement(g.kind, g.matrix).defect
+
+
+class TestBlockReads:
+    """An Input's or a Cascade's ``u`` is read once per block, on the block's read times as one (k,) array;
+    a bad stack hands the block to the general loop, which reads ``u`` one read at a time and raises at the
+    bad read, as a wrapped rate does."""
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("loop", ["input", "cascade"])
+    def test_u_is_read_once_per_block(self, method, loop):
+        config = IntegratorConfig(method=method, h=0.01, t_final=1.5)  # 150 steps: blocks of 64, 64 and 22
+        sides = None
+        if loop == "cascade":
+            state0, rate = _cascade_case(6, "SE3", "left", 0.01, False, None, 2.0)
+        else:
+            spec = [("SO3", "left", False), ("SE3", "split", True), ("vec3", "left", False)]
+            state0, sides, u = _open_loop_case(6, spec, None, 0.0)
+            rate = Input(u)
+        calls = []
+
+        def counted(ts):
+            calls.append(ts)
+            return rate.u(ts)
+
+        counted_rate = Input(counted) if loop == "input" else integrate.Cascade(counted, rate.sense, rate.follow)
+        with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+            integrate_system(counted_rate, config, state0, sides)
+        stages = [0.01 / d for d in integrate._STAGES[method][0]]
+        reads = 1 + len(stages)
+        assert integrate._BLOCK == 64
+        assert [(type(ts), ts.shape) for ts in calls] == [(np.ndarray, (k * reads,)) for k in (64, 64, 22)]
+        times = [i * 0.01 + d for i in range(150) for d in (0.0, *stages)]
+        assert np.concatenate(calls).tobytes() == np.array(times).tobytes()
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("bad", ["shape", "nan", "inf", "vector_nan"])
+    @pytest.mark.parametrize("j", [0, 5, 13, 27])
+    def test_a_bad_row_raises_at_its_read(self, method, bad, j):
+        # blocks of 4 steps; the bad row is the one at t_j, the time of read j (mod the run's reads)
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        stages = [0.05 / d for d in integrate._STAGES[method][0]]
+        times = [i * 0.05 + d for i in range(10) for d in (0.0, *stages)]
+        j %= len(times)
+        t_j = times[j]
+
+        def u(ts):
+            g, v = np.tile([0.1, -0.2, 0.3], (len(ts), 1)), np.tile([1.0, 2.0], (len(ts), 1))
+            if bad == "shape" and (ts == t_j).any():
+                g = np.zeros((len(ts), 4))
+            (v if bad == "vector_nan" else g)[ts == t_j, 1] = np.inf if bad == "inf" else np.nan
+            return {"g": g, "v": v}
+
+        state0 = {"g": GroupElement.identity("SO3"), "v": np.zeros(2)}
+        with mock.patch.object(integrate, "_BLOCK", 4):
+            got, got_calls = _run(Input(u), config, state0, None)
+            want, want_calls = _run(lambda t, s: Input(u)(t, s), config, state0, None)
+        assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
+        assert got_calls == want_calls and len(got_calls) == 1 + times.index(t_j) // (1 + len(stages))
+        if bad == "shape":
+            assert isinstance(got, KindMismatchError) and "(4,)" in str(got)
+        else:
+            assert isinstance(got, NumericalBlowupError) and got.t == t_j
+            assert str(got) == f"non-finite rate for component {'v' if bad == 'vector_nan' else 'g'!r} at t={t_j:.6g}"
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("short", ["g", "v"])
+    def test_a_stack_of_one_row_takes_the_general_loop(self, method, short):
+        # a (1, d) stack for a longer block would broadcast on the block path; the general loop reads its row 0
+        def u(ts):
+            g, v = np.tile([0.1, -0.2, 0.3], (len(ts), 1)), np.tile([1.0, 2.0], (len(ts), 1))
+            return {"g": g[:1] if short == "g" else g, "v": v[:1] if short == "v" else v}
+
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        state0 = {"g": GroupElement.identity("SO3"), "v": np.zeros(2)}
+        with mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
+            got = integrate_system(Input(u), config, state0)
+        want = integrate_system(lambda t, s: Input(u)(t, s), config, state0)
+        assert general.call_count == 10
+        for name in state0:
+            assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
+
+    @pytest.mark.parametrize("loop", ["block", "wrapped"])
+    def test_a_vector_follower_raises_kind_mismatch(self, loop):
+        cascade = integrate.Cascade(lambda ts: {"g": np.ones((len(ts), 3))},
+                                    lambda ts, r, s: (SplitRate(body=np.zeros((len(ts), 3))), [None] * len(ts)),
+                                    lambda t, m, y: np.zeros(3))
+        state0 = {"g": GroupElement.identity("SO3"), "x": np.zeros(3)}
+        config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.5)
+        rate = cascade if loop == "block" else (lambda t, s: cascade(t, s))
+        got, calls = _run(rate, config, state0, None)
+        assert isinstance(got, KindMismatchError) and "'x'" in str(got) and calls == [0.0], (got, calls)

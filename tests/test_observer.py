@@ -187,7 +187,7 @@ class TestPreObserver:
         # e' = e (-k zeta_e)^ over one second
         e0 = exp(hat([0.3, -0.5, 0.2]))
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=1.0)
-        scen = AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]))
+        scen = AttitudeScenario(omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]))
         R_est0 = exp(hat([0.1, 0.7, -0.3]))
         traj = simulate_attitude_observer(e0 @ R_est0, R_est0, scen, config)
         direct = simulate_error_dynamics(prob, e0, 1.0, config)
@@ -200,7 +200,7 @@ class TestPreObserver:
     def test_lyapunov_rate(self, prob):
         # d/dt V^e = -k <<zeta_e, zeta_e>> along the trajectory
         config = IntegratorConfig(method="rk4_cg", h=1e-3, t_final=2.0)
-        scen = AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]))
+        scen = AttitudeScenario(omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]))
         traj = simulate_attitude_observer(
             exp(hat([0.6, 0.0, 0.6])), GroupElement.identity("SO3"), scen, config
         )
@@ -215,7 +215,7 @@ class TestPreObserver:
 
     def test_monotone_ve(self, prob):
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=3.0)
-        scen = AttitudeScenario(omega=lambda t: np.array([0.3, -0.2, 0.1]))
+        scen = AttitudeScenario(omega=lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1)))
         traj = simulate_attitude_observer(
             exp(hat([0.9, 0.2, -0.4])), GroupElement.identity("SO3"), scen, config
         )

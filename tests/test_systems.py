@@ -252,8 +252,9 @@ class TestSlamDiscrete:
         L = random_landmarks(rng, 6)
         S0 = random_group("SE3", rng)
 
-        def twist(t):
-            return AlgebraElement("se3", np.array([0.3, -0.1, 0.2, np.sin(t), np.cos(2 * t), 0.5]))
+        def twist(ts):
+            return np.column_stack([np.tile([0.3, -0.1, 0.2], (len(ts), 1)), np.sin(ts), np.cos(2 * ts),
+                                    np.full_like(ts, 0.5)])
 
         poses, measurements = systems.simulate_slam_poses(S0, L, twist, 50, 0.05)
         recovered = systems.recover_pose_chain(measurements)
@@ -392,7 +393,8 @@ class TestSlamZetaE:
         V = AlgebraElement("se3", np.array([0.1, 0.0, 0.05, 0.2, -0.1, 0.3]))
         config = IntegratorConfig(method="rk4_cg", h=1e-2, t_final=0.1)
         traj = systems.simulate_slam_observer(
-            S0, GroupElement.identity("SE3"), L, lambda t: V, gain=1.5, config=config, noise_amp=0.01
+            S0, GroupElement.identity("SE3"), L, lambda ts: np.tile(V.vec, (len(ts), 1)), gain=1.5, config=config,
+            noise_amp=0.01
         )
         assert len(traj.states) == 11 and np.all(np.diff(traj.extras["Ve"]) < 0.0)
 
@@ -407,7 +409,7 @@ class TestSlamObserver:
             S0,
             GroupElement.identity("SE3"),
             L,
-            lambda t: AlgebraElement("se3", np.array([0.1, 0.0, 0.05, 0.2, -0.1, 0.3])),
+            lambda ts: np.tile([0.1, 0.0, 0.05, 0.2, -0.1, 0.3], (len(ts), 1)),
             gain=1.5,
             config=config,
         )
@@ -420,7 +422,7 @@ class TestAttitudeConvergence:
     def test_sixty_degree_error(self):
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=10.0)
         scen = systems.AttitudeScenario(
-            omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), gain=1.0
+            omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]), gain=1.0
         )
         R0 = exp(hat(np.pi / 3 * np.array([0.0, 0.6, 0.8])))
         traj = systems.simulate_attitude_observer(
@@ -435,7 +437,8 @@ class TestAttitudeConvergence:
         # criterion 7's 20-s run: its result holds two (20001, 3, 3) stacks (2.9 MiB) and four columns,
         # where one GroupElement per component and sample took about 14.8 MiB
         config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=20.0)
-        scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), gain=1.0)
+        scen = systems.AttitudeScenario(
+            omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]), gain=1.0)
         R0 = exp(hat(np.pi / 3 * np.array([0.0, 0.6, 0.8])))
         tracemalloc.start()
         try:
@@ -457,14 +460,14 @@ class TestSharedNoiselessZetaE:
     def test_attitude_matches_unshared_loop(self, method, noise):
         prob = systems.attitude_problem()
         config = IntegratorConfig(method=method, h=1e-2, t_final=0.5)
-        omega = lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5])
+        omega = lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)])
         scen = systems.AttitudeScenario(omega=omega, gain=1.5, noise_amp=noise, seed=3)
         state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
         traj = systems.simulate_attitude_observer(state0["R"], state0["Rhat"], scen, config)
         rng = rng_from(3)
 
         def rate(t, state):
-            om = omega(t)
+            om = omega(np.array([t]))[0]
             om_meas = om + rng.uniform(-noise, noise, size=3) if noise > 0 else om
             y = systems.measure_attitude(state["R"], noise, rng)
             est = SplitRate(body=AlgebraElement("so3", om_meas), spatial=1.5 * observer.zeta_e(prob, state["Rhat"], y).vec)
@@ -485,7 +488,8 @@ class TestSharedNoiselessZetaE:
         S0 = exp(AlgebraElement("se3", np.array([0.2, -0.1, 0.3, 0.3, -0.2, 0.4])))
         state0 = {"S": S0, "Shat": GroupElement.identity("SE3")}
         traj = systems.simulate_slam_observer(
-            S0, state0["Shat"], L, lambda t: V, gain=1.5, config=config, noise_amp=noise, seed=3
+            S0, state0["Shat"], L, lambda ts: np.tile(V.vec, (len(ts), 1)), gain=1.5, config=config,
+            noise_amp=noise, seed=3
         )
         rng = rng_from(3)
 
@@ -521,7 +525,7 @@ class TestValidationPerStep:
 
         monkeypatch.setattr(groups, "_check_rotation", counted_check)
         monkeypatch.setattr(GroupElement, "__post_init__", counted_post_init)
-        omega = lambda t: AlgebraElement("so3", [np.sin(t), np.cos(2.0 * t), 0.5])
+        omega = lambda ts: np.column_stack([np.sin(ts), np.cos(2.0 * ts), np.full_like(ts, 0.5)])
         traj = systems.simulate_observer(prob, systems.measure_attitude, omega, state0, 1.0, config)
         n_steps = len(traj) - 1
         assert n_steps == 100
@@ -591,7 +595,8 @@ class TestErrorColumns:
             prob = dataclasses.replace(systems.slam_problem(L), metric=groups.Metric(scale))
             measure = lambda S, *noise: systems.measure_landmarks(S, L, *noise)  # noqa: E731
             kind, names, xi0 = "se3", ("S", "Shat"), np.array([0.3, 0.2, -0.1, 1.0, -0.5, 0.7])
-        u = lambda t: AlgebraElement(kind, np.r_[[0.2, 0.0, 0.1][:len(xi0) - 3], np.sin(t), np.cos(2 * t), 0.5])  # noqa: E731
+        u = lambda ts: np.column_stack([np.tile([0.2, 0.0, 0.1][:len(xi0) - 3], (len(ts), 1)), np.sin(ts),  # noqa: E731
+                                        np.cos(2 * ts), np.full_like(ts, 0.5)])
         state0 = {names[0]: exp(AlgebraElement(kind, xi0)), names[1]: GroupElement.identity(prob.group_kind)}
         traj = systems.simulate_observer(prob, measure, u, state0, 1.5, config, noise, 3)
         assert len(traj) == 25
@@ -602,7 +607,8 @@ class TestErrorColumns:
     def test_run_longer_than_a_chunk(self, monkeypatch):
         monkeypatch.setattr(observer, "_sample_row", _no_reference)
         config = IntegratorConfig(method="lie_euler", h=1e-2, t_final=3.0)
-        scen = systems.AttitudeScenario(omega=lambda t: np.array([np.sin(t), np.cos(2 * t), 0.5]), noise_amp=0.01)
+        scen = systems.AttitudeScenario(
+            omega=lambda ts: np.column_stack([np.sin(ts), np.cos(2 * ts), np.full_like(ts, 0.5)]), noise_amp=0.01)
         traj = systems.simulate_attitude_observer(exp(hat([0.9, 0.2, -0.4])), GroupElement.identity("SO3"), scen, config)
         assert len(traj) > 2 * observer._CHUNK
         ve, zn = _reference_columns(systems.attitude_problem(), traj, "R", "Rhat", systems.measure_attitude)
@@ -617,7 +623,7 @@ class TestErrorColumns:
             cost=lambda a, b: 3.0 * systems.attitude_cost(a, b))
         assert prob.zeta_e_stack is None
         config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
-        u = lambda t: AlgebraElement("so3", [0.3, -0.2, 0.1])  # noqa: E731
+        u = lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1))  # noqa: E731
         state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
         traj = systems.simulate_observer(prob, systems.measure_attitude, u, state0, 1.0, config)
         ve, zn = _reference_columns(prob, traj, "R", "Rhat", systems.measure_attitude)
@@ -668,7 +674,7 @@ class TestErrorColumns:
         monkeypatch.setattr(observer.ObserverProblem, "error_cost", guarded(real_cost))
         config = IntegratorConfig(method="rk4_cg", h=0.05, t_final=0.3)
         for noise in (0.0, 0.01):
-            scen = systems.AttitudeScenario(omega=lambda t: np.array([0.3, -0.2, 0.1]), noise_amp=noise)
+            scen = systems.AttitudeScenario(omega=lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1)), noise_amp=noise)
             traj = systems.simulate_attitude_observer(exp(hat([0.3, -0.4, 0.5])), GroupElement.identity("SO3"), scen, config)
             assert len(traj.extras["Ve"]) == len(traj) == 7
         for prob in (systems.attitude_problem(), dataclasses.replace(systems.attitude_problem(), error_cost_stack=None)):
@@ -718,9 +724,11 @@ def _observer_case(system, seed, fail, fail_at):
 
     amp, freq, phase = rng.normal(size=(3, 6 if kind == "se3" else 3))
 
-    def u(t):
-        v = np.full(len(amp), np.nan) if fail == "nan_u" and t >= fail_at * 0.05 else amp * np.sin(freq * t + phase)
-        return AlgebraElement(kind, v)
+    def u(ts):
+        v = amp * np.sin(freq * ts[:, None] + phase)
+        if fail == "nan_u":
+            v[ts >= fail_at * 0.05] = np.nan
+        return v
 
     state0 = {"g": random_group(prob.group_kind, rng), "ghat": random_group(prob.group_kind, rng)}
     return prob, measure, u, state0, calls
