@@ -69,6 +69,29 @@ def test_attitude_zeta_e(benchmark):
     benchmark(systems.attitude_zeta_e, random_rotation(rng).matrix, y.value)
 
 
+@pytest.mark.parametrize("system", ["attitude", "slam"])
+def test_follower_step(benchmark, system):
+    """One serial observer correction as the block pass takes it, at fixed inputs: zeta_e's coordinates at the
+    estimate's matrix, the checked ``exp_matrix`` of h times the gain-weighted correction, and
+    ``integrate._chain`` by it and a fixed feed-forward factor (attitude: h = 1e-3, gain 1; SLAM: 24
+    landmarks, h = 5e-3, gain 0.375, as ``slam_track``'s 24-landmark runs)."""
+    rng = rng_from(15)
+    if system == "attitude":
+        prob, h, gain, kind = systems.attitude_problem(), 1e-3, 1.0, "SO3"
+        y = systems.measure_attitude(random_rotation(rng)).value
+    else:
+        L = random_landmarks(rng, 24)
+        prob, h, gain, kind = systems.slam_problem(L), 5e-3, 0.375, "SE3"
+        y = systems.measure_landmarks(random_group(kind, rng), L).value
+    m, E_b = random_group(kind, rng).matrix, groups.exp_matrix(h * rng.normal(size=3 if kind == "SO3" else 6))
+
+    def step():
+        E_s = groups.exp_matrix(h * (gain * observer.zeta_e_coords(prob, m, y)))
+        return integrate._chain(m, [(E_s, E_b)])
+
+    benchmark(step)
+
+
 def test_zeta_e_numeric_slam6(benchmark):
     rng = rng_from(4)
     L = random_landmarks(rng, 6)

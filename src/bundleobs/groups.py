@@ -327,28 +327,28 @@ def _eye_plus(a: float, b: float, x: float, y: float, z: float, q) -> list:
 def exp_matrix(vec: np.ndarray) -> np.ndarray:
     """Matrix exponential of so(3) or se(3) coordinates (Rodrigues / closed SE(3) form).
 
-    Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.
-    The se(3) branch shares theta, skew(w) and its square between the
-    rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
-    (k, 3, 3) or (k, 4, 4), each item with the bits of its own call.  One
-    item keeps w @ w, W @ W and V @ v as numpy calls (Python floats differ
-    in bits) and sums R and V in floats in numpy's order (``_eye_plus``).
+    Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.  The se(3) branch shares theta,
+    skew(w) and its square between the rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
+    (k, 3, 3) or (k, 4, 4) by stacked ``@``, each item with the bits of its own call.  One item reads its
+    coordinates once, as floats, for the finiteness check and the skew; its w w, W W and V v are each one
+    ``ndarray.dot``, the BLAS routine of 2-D ``@`` with less dispatch and the same bits (pinned by
+    ``TestDotBits``; Python floats differ), and it sums R and V in floats in numpy's order (``_eye_plus``).
     """
-    if not _all_finite(vec):
+    coords = vec.tolist() if vec.ndim == 1 else vec.ravel().tolist()  # one read: the finiteness check, the skew
+    if not all(map(math.isfinite, coords)):
         raise NumericalBlowupError("algebra coordinates are non-finite")
     if vec.shape not in ((3,), (6,)):
         if vec.ndim == 2 and vec.shape[1] in (3, 6):
             return _exp_matrix_stack(vec)
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
-    w = vec[-3:]
-    a, b, c = _so3_coeffs(math.sqrt(w @ w))
-    x, y, z = w.tolist()
+    w, (x, y, z) = vec[-3:], coords[-3:]
+    a, b, c = _so3_coeffs(math.sqrt(w.dot(w)))
     W = skew((x, y, z))  # from Python floats, which np.array takes faster than numpy scalars; -z is exact
-    W2 = (W @ W).tolist()
+    W2 = W.dot(W).tolist()
     R = _eye_plus(a, b, x, y, z, W2)
     if vec.shape == (3,):
         return np.array(R).reshape(3, 3)
-    p0, p1, p2 = (np.array(_eye_plus(b, c, x, y, z, W2)).reshape(3, 3) @ vec[:3]).tolist()
+    p0, p1, p2 = np.array(_eye_plus(b, c, x, y, z, W2)).reshape(3, 3).dot(vec[:3]).tolist()
     return np.array([*R[0:3], p0, *R[3:6], p1, *R[6:9], p2, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
 
 

@@ -67,7 +67,9 @@ class Cascade(Input):
 
     def __call__(self, t, state):
         rates = self.u(ts := np.array([t]))
-        f = next(k for k in state if k not in rates)
+        f = next((k for k in state if k not in rates), None)
+        if f is None:
+            raise KindMismatchError("a Cascade needs one component that u does not drive, its follower")
         if not isinstance(state[f], GroupElement):
             raise KindMismatchError(f"the follower {f!r} of a Cascade must be a group element")
         feed, ys = self.sense(ts, rates, {k: np.array([getattr(state[k], "matrix", state[k])]) for k in rates})
@@ -162,10 +164,10 @@ def _step(g: GroupElement, steps) -> GroupElement:
 
 
 def _chain(m: np.ndarray, factors) -> np.ndarray:
-    """The stepping rule: m stepped by each (E_s, E_b) in turn, E_s @ m @ E_b; a None factor is skipped."""
+    """The stepping rule: m stepped by each (E_s, E_b) in turn, E_s m E_b, one ``ndarray.dot`` each; None skips."""
     for E_s, E_b in factors:
-        m = m if E_s is None else E_s @ m
-        m = m if E_b is None else m @ E_b
+        m = m if E_s is None else E_s.dot(m)
+        m = m if E_b is None else m.dot(E_b)
     return m
 
 
@@ -185,6 +187,8 @@ def _rates(rate, t, state, sides):
             arrays = [x for x in out[name] if x is not None]
         else:
             arrays = [np.asarray(out[name])]
+            if arrays[0].shape != np.shape(value):
+                raise KindMismatchError(f"a rate of shape {arrays[0].shape} for {name!r} of shape {np.shape(value)}")
         if not all(map(groups._all_finite, arrays)):
             raise NumericalBlowupError(f"non-finite rate for component {name!r} at t={t:.6g}", t=t)
     return out

@@ -100,8 +100,8 @@ def attitude_zeta_e(R_est, y):
         u, v = (R_est @ x[:, :, None] for x in y)
         return -2.0 * np.concatenate([u[:, 2] - v[:, 1], v[:, 0], -u[:, 0]], axis=1)
     y2, y3 = y
-    u1, _, u3 = (R_est @ y2).tolist()
-    v1, v2, _ = (R_est @ y3).tolist()
+    u1, _, u3 = R_est.dot(y2).tolist()
+    v1, v2, _ = R_est.dot(y3).tolist()
     return -2.0 * np.array([u3 - v2, v1, -u1])
 
 
@@ -229,8 +229,8 @@ def slam_zeta_e(landmarks: np.ndarray, S_est, y):
     if y.shape != landmarks.shape:
         raise DimensionError(f"landmark count mismatch: {y.shape} vs {landmarks.shape}")
     lbar = landmarks[:3]
-    A = lbar - S_est[:3, 3:] - S_est[:3, :3] @ y[:3]
-    (_, m01, m02), (m10, _, m12), (m20, m21, _) = (A @ lbar.T).tolist()
+    A = lbar - S_est[:3, 3:] - S_est[:3, :3].dot(y[:3])
+    (_, m01, m02), (m10, _, m12), (m20, m21, _) = (A @ lbar.T).tolist()  # not dot: at N = 1 dot keeps a -0.0 product
     return 2.0 * np.array([*A.sum(axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01])
 
 

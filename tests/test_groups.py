@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from bundleobs import integrate, systems
 from bundleobs.errors import (
     BranchAmbiguityError,
     DimensionError,
@@ -236,6 +238,49 @@ class TestExpBits:
                   [1e-200, 0.0, -1e-200], [1e-300, -1e-300, 0.0], [-0.0, -1e-200, 1e-200], [-1e-300, -0.0, 1e-300]):
             vec = np.array(w if dim == 3 else [-0.0, 0.0, -0.0, *w])
             assert exp_matrix(vec).tobytes() == _numpy_exp_matrix(vec).tobytes(), w
+
+
+_DOT_ENTRY = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -2.5e-310]),  # signed zeros and subnormals
+    st.floats(-1e-300, 1e-300),  # tiny: their products underflow
+    st.floats(-1e3, 1e3),
+)
+
+
+def _slam_zeta_e_by_matmul(L, S, Y):
+    """``slam_zeta_e`` of one item with every product an ``@``."""
+    A = L[:3] - S[:3, 3:] - S[:3, :3] @ Y[:3]
+    m = A @ L[:3].T
+    return 2.0 * np.array([*A.sum(axis=1), m[2, 1] - m[1, 2], m[0, 2] - m[2, 0], m[1, 0] - m[0, 1]])
+
+
+class TestDotBits:
+    """The single-item products of the stepping path are ``ndarray.dot`` calls: each shape must have the bits of
+    ``@``, and ``exp_matrix``, ``_chain`` and the closed-form zeta_e the bits of their ``@`` forms."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), data=st.data())
+    def test_dot_keeps_the_bits_of_matmul(self, n, data):
+        x = data.draw(arrays(np.float64, 56 + 8 * n, elements=_DOT_ENTRY))
+        M3, N3, M4, N4 = x[:9].reshape(3, 3), x[9:18].reshape(3, 3), x[18:34].reshape(4, 4), x[34:50].reshape(4, 4)
+        u, v, L, Y = x[50:53], x[53:56], x[56:56 + 4 * n].reshape(4, n), x[56 + 4 * n:].reshape(4, n)
+        for a, b in [(M3, N3), (M3, M3), (M4, N4), (M4, M4), (M3, u), (u, v), (u, u), (M4[:3, :3], Y[:3])]:
+            assert a.dot(b).tobytes() == (a @ b).tobytes(), (a, b)
+        for vec in (u, x[50:56]):
+            assert exp_matrix(vec).tobytes() == _numpy_exp_matrix(vec).tobytes(), vec
+        for M, N in [(M3, N3), (M4, N4)]:
+            got = integrate._chain(M, [(N, None), (None, M), (M, N)])
+            assert got.tobytes() == (M @ ((N @ M) @ M) @ N).tobytes()
+        (u1, _, u3), (v1, v2, _) = (M3 @ u).tolist(), (M3 @ v).tolist()
+        assert systems.attitude_zeta_e(M3, (u, v)).tobytes() == (-2.0 * np.array([u3 - v2, v1, -u1])).tobytes()
+        assert systems.slam_zeta_e(L, M4, Y).tobytes() == _slam_zeta_e_by_matmul(L, M4, Y).tobytes()
+
+    def test_one_landmark_keeps_matmul(self):
+        # N = 1: (3, 1) x (1, 3) takes matmul's loop, a * b + 0.0, but dot's fused dgemm keeps the sign of an
+        # underflowed product, so slam_zeta_e's A lbar^T stays @; here m21 = A2 l1 = -5e-324 * 5e-324
+        L, S, Y = np.array([[1.0], [5e-324], [5e-324], [1.0]]), np.eye(4), np.array([[0.0], [0.0], [0.0], [1.0]])
+        S[2, 3] = 1e-323  # A = (1, 5e-324, -5e-324)
+        assert systems.slam_zeta_e(L, S, Y).tobytes() == _slam_zeta_e_by_matmul(L, S, Y).tobytes()
 
 
 class TestLog:

@@ -988,3 +988,26 @@ class TestBlockReads:
         rate = cascade if loop == "block" else (lambda t, s: cascade(t, s))
         got, calls = _run(rate, config, state0, None)
         assert isinstance(got, KindMismatchError) and "'x'" in str(got) and calls == [0.0], (got, calls)
+
+    @pytest.mark.parametrize("loop", ["block", "wrapped"])
+    def test_a_cascade_without_a_follower_raises_kind_mismatch(self, loop):
+        cascade = integrate.Cascade(lambda ts: {"g": np.ones((len(ts), 3))},
+                                    lambda ts, r, s: (SplitRate(body=np.zeros((len(ts), 3))), [None] * len(ts)),
+                                    lambda t, m, y: np.zeros(3))
+        config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.5)
+        rate = cascade if loop == "block" else (lambda t, s: cascade(t, s))
+        got, calls = _run(rate, config, {"g": GroupElement.identity("SO3")}, None)
+        assert isinstance(got, KindMismatchError) and "does not drive" in str(got) and calls == [0.0], (got, calls)
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("loop", ["input", "wrapped", "plain"])
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_a_vector_rate_of_the_wrong_length_raises_kind_mismatch(self, method, loop, width):
+        # a (1,) row would broadcast onto the (3,) state; the block pass rejects the stack, the general loop the row
+        u = lambda ts: {"g": np.zeros((len(ts), 3)), "v": np.ones((len(ts), width))}  # noqa: E731
+        rate = {"input": Input(u), "wrapped": lambda t, s: Input(u)(t, s),
+                "plain": lambda t, s: {"g": np.zeros(3), "v": np.ones(width)}}[loop]
+        state0 = {"g": GroupElement.identity("SO3"), "v": np.zeros(3)}
+        got, calls = _run(rate, IntegratorConfig(method=method, h=0.1, t_final=0.3), state0, None)
+        assert isinstance(got, KindMismatchError) and calls == [0.0], (got, calls)
+        assert str(got) == f"a rate of shape ({width},) for 'v' of shape (3,)"
