@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bundleobs import actions, cli, groups, integrate, observer, systems
+from bundleobs import actions, bundle, cli, groups, integrate, observer, systems
 from bundleobs.errors import DimensionError
 from bundleobs.groups import AlgebraElement, GroupElement
 from bundleobs.integrate import IntegratorConfig, integrate_system
@@ -61,6 +61,26 @@ def test_project_to_group(benchmark, kind):
     m = random_group(kind, rng_from(2)).matrix.copy()
     m[:3, :3] += 1e-10  # drift of the size one integrator step leaves
     benchmark(groups.project_to_group, m, kind)
+
+
+@pytest.mark.parametrize("kind, items", [("SE3", 200)], ids=["SE3-200"])
+def test_project_stack(benchmark, kind, items):
+    """``groups.project_stack`` of a stack of recovered poses, each with the drift of ``test_project_to_group``;
+    ``us_per_row`` is per item."""
+    rng = rng_from(2)
+    ms = np.array([random_group(kind, rng).matrix for _ in range(items)])
+    ms[:, :3, :3] += 1e-10
+    benchmark(groups.project_stack, ms, kind)
+    benchmark.extra_info["items"] = items
+
+
+@pytest.mark.parametrize("rows", [1001])
+def test_givens_frames(benchmark, rows):
+    """``bundle.givens_frames`` of a sphere trajectory's points, as ``sphere_splits`` takes them: the Givens
+    construction and the checks of every row; ``us_per_row`` is per row."""
+    q = np.random.default_rng(16).normal(size=(rows, 3))
+    benchmark(bundle.givens_frames, q)
+    benchmark.extra_info["items"] = rows
 
 
 def test_attitude_zeta_e(benchmark):

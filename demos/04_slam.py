@@ -51,7 +51,7 @@ print("  final error twist norm:", err)
 poses, measurements = simulate_slam_poses(S0, landmarks, twist, n_steps=50, h=0.05)
 recovered = recover_pose_chain(measurements)
 worst = max(
-    np.linalg.norm(Sk.matrix - inverse_matrix(poses[k]) @ poses[k + 1])
+    np.linalg.norm(Sk - inverse_matrix(poses[k]) @ poses[k + 1])
     for k, Sk in enumerate(recovered)
 )
 print("\ndiscrete recovery over 50 steps:")

@@ -22,8 +22,8 @@ import numpy as np
 from . import actions as ac
 from . import groups
 from .actions import ActionSpec, Point, act
-from .errors import KindMismatchError, NotFiberInjectiveError, NumericalBlowupError, OriginError
-from .groups import SE3, SO3, AlgebraElement, GroupElement
+from .errors import KindMismatchError, NotFiberInjectiveError, NumericalBlowupError, OriginError, ProjectionFailureError
+from .groups import _ORTHO_TOL, SE3, SO3, AlgebraElement, GroupElement
 from .sampling import random_group, rng_from
 
 _ORIGIN_EPS = 1e-12
@@ -90,7 +90,7 @@ def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radii r (N,) and canonical fiber rotations R (N, 3, 3) with q_i = r_i R_i e1, for points q (N, 3).
 
     R = R2^T R1^T: R2 zeroes the 3rd component against the 2nd, then R1 the 2nd against the 1st.
-    Rows are checked in order as ``GroupElement(SO3, R_i)`` checks, one at a time (not R.tolist())."""
+    Rows are checked as one stack, the origin then ``GroupElement(SO3, R_i)``'s checks: the first bad row raises."""
     r = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0, 0]  # np.linalg.norm of each row
     entries = []  # R2, then R1, row by row
     for x, y, z in q.tolist():
@@ -104,12 +104,13 @@ def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         entries.append((1.0, 0.0, 0.0, 0.0, c2, s2, 0.0, -s2, c2, c1, s1, 0.0, -s1, c1, 0.0, 0.0, 0.0, 1.0))
     R21 = np.array(entries).reshape(-1, 2, 3, 3)
     R = np.swapaxes(R21[:, 0], 1, 2) @ np.swapaxes(R21[:, 1], 1, 2)
-    for radius, finite, Ri in zip(r.tolist(), np.isfinite(R).all(axis=(1, 2)).tolist(), R):
-        if radius <= _ORIGIN_EPS:
-            raise OriginError("the origin is excluded from the sphere bundle")
-        if not finite:
-            raise NumericalBlowupError("group matrix has non-finite entries")
-        groups._check_rotation(Ri.tolist())
+    rows = np.moveaxis(R, 0, -1)  # each entry as an array over the stack
+    defect = np.sqrt(groups._defect_sq(rows))
+    groups.raise_first_bad_row([
+        (r <= _ORIGIN_EPS, lambda i: OriginError("the origin is excluded from the sphere bundle")),
+        (~np.isfinite(R).all(axis=(1, 2)), lambda i: NumericalBlowupError("group matrix has non-finite entries")),
+        (defect > _ORTHO_TOL, lambda i: ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect[i]:.3e}")),
+        (groups._det3(rows) <= 0, lambda i: ProjectionFailureError("rotation block has non-positive determinant"))])
     return r, R
 
 

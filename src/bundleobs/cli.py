@@ -199,7 +199,7 @@ def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
     poses, measurements = systems.simulate_slam_poses(S0, L, twist, scen["n_steps"], scen["h"])
     if scen["noise"] > 0.0:  # one draw; C order gives each M_k its (3, N) block of the stream in turn
         measurements[:, :3] += rng.uniform(-scen["noise"], scen["noise"], size=measurements[:, :3].shape)
-    recovered = np.array([S.matrix for S in systems.recover_pose_chain(measurements)])
+    recovered = systems.recover_pose_chain(measurements)
     true_rel = inverse_matrix(poses[:-1]) @ poses[1:]
     D = (recovered - true_rel).reshape(-1, 1, 16)
     err = np.sqrt(D @ np.swapaxes(D, 1, 2))[:, 0, 0].tolist()  # np.linalg.norm of each difference

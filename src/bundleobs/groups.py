@@ -434,43 +434,47 @@ def inner(metric: Metric, zeta: AlgebraElement, eta: AlgebraElement) -> float:
     return float(metric.scale * np.dot(zeta.vec, eta.vec))
 
 
+def raise_first_bad_row(checks) -> None:
+    """Raise the error of a stack's first bad row, that of the first check it fails: ``checks`` are (bad, error)
+    pairs in check order, ``bad`` (k,) true on the rows that fail and ``error(i)`` row i's exception."""
+    bad = np.array([mask for mask, _ in checks])
+    for i in np.flatnonzero(bad.any(axis=0))[:1]:  # the first bad row, if there is one
+        raise checks[bad[:, i].argmax()][1](i)
+
+
 def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
     """Nearest group element via SVD orthonormalization of the rotation block.
 
     The input must be within Frobenius distance 0.5 of the group; reflections
     and badly corrupted blocks raise ProjectionFailureError.  For matrices built
-    off the group, such as a recovered pose; the integrators never call it.  One item of ``project_stack``.
+    off the group, such as a recovered pose; the integrators never call it.  Row 0 of ``project_stack``, wrapped.
     """
-    return project_stack(np.asarray(m, dtype=float)[None], kind)[0]
+    return GroupElement(kind, project_stack(np.asarray(m, dtype=float)[None], kind)[0])
 
 
-def project_stack(ms: np.ndarray, kind: str) -> list[GroupElement]:
-    """``project_to_group`` of each matrix of a stack (k, n, n): one SVD and one
-    U @ Vt for the whole stack, then the checks of each item, in order.  The
-    first non-finite matrix cuts the stack, as LAPACK's SVD may not return on it."""
+def project_stack(ms: np.ndarray, kind: str) -> np.ndarray:
+    """``project_to_group`` of each matrix of a stack (k, n, n), as a checked stack: one SVD and one U @ Vt,
+    then each item's checks, finiteness first, on the whole stack and with their bits; the first bad item
+    raises its first failing check, so that items fail in order."""
     n = _SIZE_OF_GROUP.get(kind)
     if n is None:
         raise KindMismatchError(f"unknown group kind {kind!r}")
     if ms.shape[1:] != (n, n):
         raise DimensionError(f"{kind} projection expects {n}x{n}, got {ms.shape[1:]}")
-    n_ok = len(ms) if np.isfinite(ms).all() else int(np.isfinite(ms).all(axis=(1, 2)).argmin())
-    blocks = ms[:n_ok, :3, :3]
+    finite = np.isfinite(ms).all(axis=(1, 2))
+    blocks = np.where(finite[:, None, None], ms[:, :3, :3], _I3)  # LAPACK's SVD may not return on a non-finite one
     U, _, Vt = np.linalg.svd(blocks)
-    out = []
-    for m, block, u, vt, R in zip(ms, blocks, U, Vt, U @ Vt):
-        if _det3(R.tolist()) < 0:
-            R = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-        if _det3(R.tolist()) <= 0:
-            raise ProjectionFailureError("orthonormalized block has non-positive determinant")
-        d = (R - block).ravel()
-        dist = math.sqrt(d @ d)  # Frobenius distance ||R - block||
-        if dist > 0.5:
-            raise ProjectionFailureError(f"matrix too far from {kind}: Frobenius distance {dist:.3e} > 0.5")
-        g = R
-        if kind == SE3:
-            g = np.eye(4)
-            g[:3, :3], g[:3, 3] = R, m[:3, 3]
-        out.append(GroupElement(kind, g))
-    if n_ok < len(ms):
-        raise NumericalBlowupError("matrix to project has non-finite entries")
-    return out
+    R = U @ Vt
+    rows = np.moveaxis(R, 0, -1)  # each entry as an array over the stack; a view, so it sees the flips
+    flip = _det3(rows) < 0
+    R[flip] = U[flip] @ np.diag([1.0, 1.0, -1.0]) @ Vt[flip]
+    dist, defect = np.sqrt(row_dot((R - blocks).reshape(-1, 9))), np.sqrt(_defect_sq(rows))  # ||R - block||, defect
+    raise_first_bad_row([
+        (~finite, lambda i: NumericalBlowupError("matrix to project has non-finite entries")),
+        (_det3(rows) <= 0, lambda i: ProjectionFailureError("orthonormalized block has non-positive determinant")),
+        (dist > 0.5, lambda i: ProjectionFailureError(
+            f"matrix too far from {kind}: Frobenius distance {dist[i]:.3e} > 0.5")),
+        (defect > _ORTHO_TOL, lambda i: ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect[i]:.3e}"))])
+    g = ms.astype(float)  # a copy that keeps the SE(3) translations; rotation blocks and bottom rows set below
+    g[:, :3, :3], g[:, 3:] = R, np.eye(n)[3:]
+    return g

@@ -208,7 +208,7 @@ def test_criterion_9_slam_discrete_recovery(capsys):
     worst = 0.0
     for k, Sk in enumerate(recovered):
         true_rel = inverse_matrix(poses[k]) @ poses[k + 1]
-        worst = max(worst, float(np.linalg.norm(Sk.matrix - true_rel)))
+        worst = max(worst, float(np.linalg.norm(Sk - true_rel)))
     planar = np.array(
         [
             [0.0, 1.0, 0.0, 1.0],

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bundleobs import integrate, systems
 from bundleobs.errors import (
     BranchAmbiguityError,
+    BundleobsError,
     DimensionError,
     KindMismatchError,
     NumericalBlowupError,
@@ -34,7 +35,7 @@ from bundleobs.groups import (
     row_dot,
     vee,
 )
-from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _so3_coeffs, skew
+from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _det3, _so3_coeffs, skew
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
@@ -208,21 +209,31 @@ _EXP_ANGLE = st.one_of(
 )
 
 
+def _scaled_coords(row):
+    """(rho, w) of a drawn row: signed entries, w scaled to the drawn angle and rho by the drawn shift."""
+    entries, angle, shift = row
+    w, rho = np.array(entries[3:]), shift * np.array(entries[:3])  # signed zeros stay signed zeros
+    norm = math.sqrt(w @ w)
+    return np.concatenate([rho, w * (angle / norm) if norm > 0.0 else w])
+
+
+# or general finite floats as drawn, whose sums of squares round where those of the scaled simple entries are
+# mostly exact; below 1e100 no cube of the angle overflows
+_EXP_COORDS = st.one_of(
+    st.tuples(st.lists(_SIGNED_ENTRY, min_size=6, max_size=6), _EXP_ANGLE, st.floats(0.0, 1e3)).map(_scaled_coords),
+    st.lists(st.floats(-1e100, 1e100), min_size=6, max_size=6).map(np.array),
+)
+
+
 class TestExpBits:
     """The per-item ``exp_matrix`` sums I + aW + bW^2 and V in Python floats; each matrix must have the bits
     of the numpy expressions it replaced, and of its row of a stacked call."""
 
     @settings(max_examples=300, deadline=None)
     @given(dim=st.sampled_from([3, 6]),
-           rows=st.lists(st.tuples(st.lists(_SIGNED_ENTRY, min_size=6, max_size=6), _EXP_ANGLE, st.floats(0.0, 1e3)),
-                         min_size=1, max_size=4))
+           rows=st.lists(_EXP_COORDS, min_size=1, max_size=4))
     def test_float_sums_keep_the_numpy_bits(self, dim, rows):
-        vecs = []
-        for entries, angle, shift in rows:
-            w, rho = np.array(entries[3:]), shift * np.array(entries[:3])  # signed zeros stay signed zeros
-            norm = math.sqrt(w @ w)
-            w = w * (angle / norm) if norm > 0.0 else w
-            vecs.append(w if dim == 3 else np.concatenate([rho, w]))
+        vecs = [v[3:] if dim == 3 else v for v in rows]
         stacked = exp_matrix(np.array(vecs))
         for vec, row in zip(vecs, stacked):
             got = exp_matrix(vec)
@@ -434,6 +445,71 @@ class TestProjectToGroup:
         m[:3, :3] += 1e-5 * rng.normal(size=(3, 3))
         proj = project_to_group(m, "SE3")
         assert np.array_equal(proj.matrix[3], np.array([0.0, 0.0, 0.0, 1.0]))
+
+
+def _project_item(m, kind):
+    """One item of ``project_stack`` checked alone, as the per-item loop that preceded the stacked checks did it:
+    the reference for the bits of each accepted item and for the error of a stack's first bad item."""
+    if not np.isfinite(m).all():
+        raise NumericalBlowupError("matrix to project has non-finite entries")
+    block = m[:3, :3]
+    u, _, vt = np.linalg.svd(block)
+    R = u @ vt
+    if _det3(R.tolist()) < 0:
+        R = u @ np.diag([1.0, 1.0, -1.0]) @ vt
+    if _det3(R.tolist()) <= 0:
+        raise ProjectionFailureError("orthonormalized block has non-positive determinant")
+    d = (R - block).ravel()
+    dist = math.sqrt(d @ d)  # Frobenius distance ||R - block||
+    if dist > 0.5:
+        raise ProjectionFailureError(f"matrix too far from {kind}: Frobenius distance {dist:.3e} > 0.5")
+    g = R
+    if kind == "SE3":
+        g = np.eye(4)
+        g[:3, :3], g[:3, 3] = R, m[:3, 3]
+    return GroupElement(kind, g).matrix
+
+
+def _stack_item(kind, spec, seed):
+    """One matrix of a drawn stack: a group element, exact or perturbed by up to 0.9 in Frobenius distance, a
+    perturbed reflection (which takes the flip), a far matrix (distance above 0.5), or one with a non-finite entry."""
+    rng = rng_from(seed)
+    m = random_group(kind, rng).matrix.copy()
+    if spec == "perturbed":
+        m[:3, :3] += rng.uniform(0.0, 0.9) * rng.uniform(-1.0, 1.0, size=(3, 3)) / 3.0
+    elif spec == "reflection":
+        m[:3, :3] = m[:3, :3] @ np.diag([1.0, 1.0, -1.0]) + rng.uniform(-1e-3, 1e-3, size=(3, 3))
+    elif spec == "far":
+        m[:3, :3] *= rng.uniform(1.3, 4.0)  # distance (s - 1) sqrt(3) > 0.5
+    elif spec == "non_finite":
+        m.flat[rng.integers(m.size)] = rng.choice([np.inf, -np.inf, np.nan])
+    return m
+
+
+_STACK_ITEM = st.tuples(st.sampled_from(["exact", "perturbed", "reflection", "far", "non_finite"]),
+                        st.integers(0, 2**32 - 1))
+
+
+class TestProjectStackOrder:
+    """``project_stack`` runs each check on the whole stack: every accepted item must have the bits of the
+    per-item code, and a stack with a bad item the error (class and message) of its first bad item."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(kind=st.sampled_from(["SO3", "SE3"]), items=st.lists(_STACK_ITEM, min_size=1, max_size=8))
+    @example(kind="SE3", items=[("exact", 1), ("reflection", 2), ("exact", 3), ("far", 4)])
+    @example(kind="SO3", items=[("perturbed", 5), ("far", 6), ("exact", 7), ("non_finite", 8)])
+    def test_items_as_the_per_item_code(self, kind, items):
+        ms = np.array([_stack_item(kind, spec, seed) for spec, seed in items])
+        expected = []
+        for m in ms:
+            try:
+                expected.append(_project_item(m, kind))
+            except BundleobsError as exc:
+                with pytest.raises(type(exc)) as got:
+                    project_stack(ms, kind)
+                assert str(got.value) == str(exc)
+                return
+        assert project_stack(ms, kind).tobytes() == np.array(expected).tobytes()
 
 
 class TestInvariants:

@@ -171,8 +171,8 @@ class TestStackedRecovery:
             recovered = systems.recover_pose_chain(chain)
         assert len(recovered) == len(pairs)
         for S, pair in zip(recovered, pairs):
-            assert S.matrix.tobytes() == _recover_pair(*pair).tobytes()
-            assert systems.slam_discrete_recover(*pair).matrix.tobytes() == S.matrix.tobytes()
+            assert S.tobytes() == _recover_pair(*pair).tobytes()
+            assert systems.slam_discrete_recover(*pair).matrix.tobytes() == S.tobytes()
 
 
 class TestSlamDiscrete:
@@ -262,7 +262,7 @@ class TestSlamDiscrete:
         worst = 0.0
         for k, Sk in enumerate(recovered):
             true_rel = groups.inverse_matrix(poses[k]) @ poses[k + 1]
-            worst = max(worst, np.linalg.norm(Sk.matrix - true_rel))
+            worst = max(worst, np.linalg.norm(Sk - true_rel))
         assert worst <= 1e-9
 
 
