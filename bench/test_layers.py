@@ -177,11 +177,20 @@ def test_rk4_cg_se3_step(benchmark):
     benchmark(integrate_system, rate, config, {"S": S0}, {"S": "left"})
 
 
-@pytest.mark.parametrize("kind", ["se3"])
-def test_exp_matrix_stack(benchmark, kind):
-    """``groups.exp_matrix`` of a stack of 800 se(3) vectors, ``us_per_item`` per vector.
-    A checkout whose ``exp_matrix`` takes no stack times the loop of single calls."""
-    vecs = np.random.default_rng(11).normal(size=(800, 6))
+@pytest.mark.parametrize("kind, items", [("se3", 800), ("se3", 448)], ids=["se3", "se3-448"])
+def test_exp_matrix_stack(benchmark, kind, items):
+    """``groups.exp_matrix`` of a stack of se(3) vectors, ``us_per_item`` per vector: 800 normal draws, or
+    448, the factors of one full rk4_cg block (64 steps of four final and three stage exponentials) of the
+    slam_discrete twist at h = 0.02.  A checkout whose ``exp_matrix`` takes no stack times the loop of single
+    calls."""
+    if items == 800:
+        vecs = np.random.default_rng(11).normal(size=(800, 6))
+    else:
+        h, stages, weights = 0.02, (2, 2, 1), (6, 3, 3, 6)
+        ts = [i * h + d for i in range(64) for d in (0.0, *(h / s for s in stages))]
+        twist = cli._omega_fn("standard", (0.3, -0.1, 0.2))(np.array(ts))
+        final = [h / weights[e % 4] * twist[e] for e in range(len(ts))]
+        vecs = np.array(final + [h / stages[e % 4] * twist[e] for e in range(len(ts)) if e % 4 < 3])
     try:
         groups.exp_matrix(vecs)
         fn = groups.exp_matrix
@@ -191,6 +200,18 @@ def test_exp_matrix_stack(benchmark, kind):
     benchmark.extra_info["items"] = len(vecs)
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_item"] = benchmark.stats.stats.median * 1e6 / len(vecs)
+
+
+@pytest.mark.parametrize("steps, landmarks", [(200, 107)], ids=["200x107"])
+def test_recover_pose_chain(benchmark, steps, landmarks):
+    """``systems.recover_pose_chain`` of the measurements of a slam_discrete run (``simulate_slam_poses``,
+    h = 0.02, the CLI's twist): the grams, crosses, checks, inverses and the projection of every pair;
+    ``us_per_row`` is per recovered pose."""
+    rng = rng_from(15)
+    L, S0 = random_landmarks(rng, landmarks), random_group("SE3", rng)
+    _, measurements = systems.simulate_slam_poses(S0, L, cli._omega_fn("standard", (0.3, -0.1, 0.2)), steps, 0.02)
+    benchmark(systems.recover_pose_chain, measurements)
+    benchmark.extra_info["items"] = steps
 
 
 def test_rk4_cg_se3_open_loop_200_steps(benchmark):

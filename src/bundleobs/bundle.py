@@ -24,7 +24,6 @@ from . import groups
 from .actions import ActionSpec, Point, act
 from .errors import KindMismatchError, NotFiberInjectiveError, NumericalBlowupError, OriginError, ProjectionFailureError
 from .groups import _ORTHO_TOL, SE3, SO3, AlgebraElement, GroupElement
-from .sampling import random_group, rng_from
 
 _ORIGIN_EPS = 1e-12
 _TINY = 2.2250738585072014e-308  # sys.float_info.min, the smallest normal float
@@ -190,8 +189,8 @@ def associated_section_from_output(H, s_Y: CrossSection, state_action: ActionSpe
 
     The resulting fiber coordinate is fiber_Y(H(p)); the section point is the
     orbit point whose image lands on the output section.  Fiber injectivity
-    of H is certified numerically on 20 random samples (seed 42): reconstruction
-    must reproduce the sampled states to 1e-8 relative.
+    of H is certified numerically on 20 random samples (seed 42, ``actions._worst``):
+    reconstruction must reproduce the sampled states to 1e-8 relative.
     """
 
     def fiber_of(p: Point) -> GroupElement:
@@ -207,24 +206,16 @@ def associated_section_from_output(H, s_Y: CrossSection, state_action: ActionSpe
 
     sec = CrossSection(f"associated_{s_Y.name}", state_action, base_of, section, fiber_of)
 
-    rng = rng_from(42)
-    sampler = state_action.sample_point
-    if sampler is None:
-        raise ValueError("state action needs a point sampler to certify fiber injectivity")
-    for _ in range(20):
-        p = sampler(rng)
-        g = random_group(state_action.group_kind, rng)
-        scale = max(1.0, ac.tangent_norm(ac.point_raw(p)))
-        resid = sec.reconstruction_residual(p)
+    def residual(rng, p, g):  # each relative to the sample's size
+        scale, resid = max(1.0, ac.tangent_norm(ac.point_raw(p))), sec.reconstruction_residual(p)
         # base must be constant along the orbit; a non-fiber-injective H
         # (e.g. a constant map) leaks the group motion into the base
-        orbit_resid = ac.point_distance(
-            sec.section(sec.base_of(act(state_action, g, p))), sec.section(sec.base_of(p))
-        )
-        if max(resid, orbit_resid) > 1e-8 * scale:
-            raise NotFiberInjectiveError(
-                f"output map failed fiber-injectivity probe: residual {max(resid, orbit_resid):.3e}"
-            )
+        orbit = ac.point_distance(sec.section(sec.base_of(act(state_action, g, p))), sec.section(sec.base_of(p)))
+        return resid / scale, orbit / scale
+
+    worst = ac._worst(state_action, 20, 42, residual)
+    if worst > 1e-8:
+        raise NotFiberInjectiveError(f"output map failed fiber-injectivity probe: scaled residual {worst:.3e}")
     return sec
 
 

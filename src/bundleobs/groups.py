@@ -1,10 +1,10 @@
 """Matrix Lie group primitives for SO(3) and SE(3).
 
-Elements are stored as plain numpy matrices (3x3 rotations, 4x4 homogeneous
-transforms) with membership checked at construction.  Algebra elements carry
-their coordinate vector, and ``AlgebraElement.matrix`` gives the matrix form.
-se(3) coordinates are ordered (linear, angular) to match the homogeneous block
-layout.
+Elements are plain numpy matrices (3x3 rotations, 4x4 homogeneous transforms) checked at construction; algebra
+elements carry their coordinate vector, and ``AlgebraElement.matrix`` gives the matrix form.  se(3) coordinates
+are ordered (linear, angular) to match the homogeneous block layout.  A stack (k, ...) of matrices or coordinates
+is checked, exponentiated or projected as whole arrays, not row by row, each item with the bits of its own call:
+``exp_matrix`` of a stack takes the angles, coefficients, skew matrices and products of all its rows at once.
 """
 
 from __future__ import annotations
@@ -295,6 +295,16 @@ def inverse_matrix(m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _series(t2):  # the 4-term Taylor series of the three coefficients at t^2 = t2, a float or a stack
+    return (1.0 - t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0)),
+            0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0))),
+            (1.0 / 6.0) * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0))))
+
+
+def _closed(theta, s, c, cube):  # the three coefficients' closed forms from t, sin t, cos t and t^3, or stacks
+    return s / theta, (1.0 - c) / (theta * theta), (theta - s) / cube
+
+
 def _so3_coeffs(theta: float) -> tuple[float, float, float]:
     """(sin t / t, (1 - cos t) / t^2, (t - sin t) / t^3) at t = theta.
 
@@ -302,16 +312,23 @@ def _so3_coeffs(theta: float) -> tuple[float, float, float]:
     theta, or one whose cube overflows, raises NumericalBlowupError.
     """
     if theta < _SMALL_ANGLE:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0))
-        b = 0.5 * (1.0 - t2 / 12.0 * (1.0 - t2 / 30.0 * (1.0 - t2 / 56.0)))
-        c = (1.0 / 6.0) * (1.0 - t2 / 20.0 * (1.0 - t2 / 42.0 * (1.0 - t2 / 72.0)))
-        return a, b, c
+        return _series(theta * theta)
     try:
-        s = math.sin(theta)
-        return s / theta, (1.0 - math.cos(theta)) / (theta * theta), (theta - s) / (theta ** 3)
+        return _closed(theta, math.sin(theta), math.cos(theta), theta ** 3)
     except (ValueError, OverflowError) as exc:  # sin(inf), theta ** 3 beyond the float range
         raise NumericalBlowupError(f"rotation angle {theta:.3g} overflows the exponential") from exc
+
+
+def _so3_coeff_stack(theta: np.ndarray) -> np.ndarray:
+    """``_so3_coeffs`` of each angle of a stack (k,), as (3, k), with its bits: ``np.float_power`` has the bits
+    of Python's ``**``, which numpy's ``**`` does not.  The first infinite or overflowing angle raises."""
+    with np.errstate(all="ignore"):  # 0 / 0 on the series' rows; an overflowing row raises below
+        cube = np.float_power(theta, 3)
+        out = np.where(theta < _SMALL_ANGLE, _series(theta * theta),
+                       _closed(theta, np.sin(theta), np.cos(theta), cube))
+    for i in np.flatnonzero(np.isinf(cube))[:1]:
+        raise NumericalBlowupError(f"rotation angle {theta[i]:.3g} overflows the exponential")
+    return out
 
 
 def _eye_plus(a: float, b: float, x: float, y: float, z: float, q) -> list:
@@ -353,9 +370,9 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
 
 
 def _exp_matrix_stack(vec: np.ndarray) -> np.ndarray:
-    """``exp_matrix`` of each row: per-row theta and coefficients, stacked skew, W @ W and V @ v."""
+    """``exp_matrix`` of each row: stacked theta, coefficients, skew, W @ W and V @ v."""
     w = vec[:, -3:]
-    a, b, c = np.array([_so3_coeffs(math.sqrt(s)) for s in row_dot(w).tolist()]).reshape(-1, 3).T[:, :, None, None]
+    a, b, c = _so3_coeff_stack(np.sqrt(row_dot(w)))[:, :, None, None]
     x, y, z = w.T
     W = np.zeros((len(w), 3, 3))
     W[:, 0, 1], W[:, 0, 2], W[:, 1, 0], W[:, 1, 2], W[:, 2, 0], W[:, 2, 1] = -z, y, z, -x, -y, x

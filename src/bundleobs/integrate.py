@@ -6,10 +6,10 @@ and its spatial part on side "right".  Its parts, length-checked once, step grou
 rule, m <- exp_matrix(h spatial) @ m @ exp_matrix(h body), in every stage and composition.  The
 general loop gives each new matrix the GroupElement constructor's checks once; above a defect
 ||R^T R - I|| of 1e-12 its drift gate takes one Björck step, instead of an SVD projection.  An
-``Input``'s or ``Cascade``'s ``u`` maps a block's read times to stacks, read once per block, which
-steps on raw matrices, checks each component's block once as a stack and writes it into the arrays,
-with the same bits; any failure, a matrix above the gate included, hands the block to the general
-loop, which reads ``u`` one read at a time."""
+``Input``'s or ``Cascade``'s ``u`` maps a block's read times to stacks, read once per block, whose
+exponentials are one stack per side; the block steps on raw matrices sliced from them, checks each
+component's block once as a stack and writes it into the arrays, with the same bits; any failure, a
+matrix above the gate included, hands the block to the general loop, which reads u one read at a time."""
 
 from __future__ import annotations
 
@@ -214,35 +214,40 @@ def _general_step(rate, method, t, state, h, sides):
     return _advance(state, ks, weights, h)
 
 
-def _factors(parts, m, stages, weights, memo) -> tuple[list, dict]:
-    """[E_s, E_b] of each of m reads' final and (by read) stage step, one ``exp_matrix`` per side of ``parts``'s
-    (spatial, body) stacks; one whose bytes (``tobytes``, so -0.0 is not 0.0) are in ``memo`` takes those there."""
-    n = len(weights)
-    jobs = [(e, weights[e % n]) for e in range(m)] + [(e, stages[e % n]) for e in range(m) if e % n < len(stages)]
-    out = [[None, None] for _ in jobs]
-    for side, P in enumerate(parts):
-        if P is not None:
-            x = np.array([w for _, w in jobs])[:, None] * P[[e for e, _ in jobs]]
-            key = (x.shape, x.tobytes())
-            for k, E in enumerate(memo[key] if key in memo else memo.setdefault(key, groups.exp_matrix(x))):
-                out[k][side] = E
-    return out[:m], {e: E for (e, _), E in zip(jobs[m:], out[m:])}
+def _factors(parts, m, stages, weights, memo) -> list:
+    """Each side's exponentials for ``parts``'s (spatial, body) stacks of m reads, a (J, n, n) stack or None: rows
+    :m each read's final step, then the stage step of each read with one, in read order.  One ``exp_matrix`` per
+    side; one whose argument's bytes (``tobytes``, so -0.0 is not 0.0) are in ``memo`` takes the stack there."""
+    n, e = len(weights), np.arange(m)
+    staged = e[e % n < len(stages)]
+    reads, hs = np.concatenate([e, staged]), np.concatenate([np.take(weights, e % n), np.take(stages, staged % n)])
+
+    def exp(x):
+        key = (x.shape, x.tobytes())
+        return memo[key] if key in memo else memo.setdefault(key, groups.exp_matrix(x))
+
+    return [P if P is None else exp(hs[:, None] * P[reads]) for P in parts]
 
 
 def _follow(rate: Cascade, m: np.ndarray, ys, times, F, q, stages, weights) -> np.ndarray:
     """The follower's matrices after each step of a block, from its matrix m, stepped on raw matrices by
-    ``follow``'s correction at each read, on side q of its feed factors F; ``follow`` reads the unsettled
-    matrix.  The steps, with the rk4_cg stage states, are checked once as a stack (``groups._gated``); a
-    stored bad row raises."""
-    (W, S), n, factors, out, staged, cur = F, len(weights), [], [], [], m
-    fill = lambda E, x: (groups.exp_matrix(x), E[1]) if q == 0 else (E[0], groups.exp_matrix(x))  # noqa: E731
+    ``follow``'s correction at each read, on side q of its feed factors F (``_factors``'s stacks); ``follow``
+    reads the unsettled matrix.  The steps, with the rk4_cg stage states, are checked once as a stack
+    (``groups._gated``); a stored bad row raises."""
+    n, factors, out, staged, cur = len(weights), [], [], [], m
+    S, B = (E if E is None else list(E) for E in F)  # each side's feed factors as rows, or None
+
+    def fill(r, x):  # row r of the feed factors, its side q the correction exp(x)
+        E = groups.exp_matrix(x)
+        return (E, B and B[r]) if q == 0 else (S and S[r], E)
+
     for e, y in enumerate(ys):
         if isinstance(y, Exception):
             raise y
         c = rate.follow(times[e], cur, y)
-        factors.append(fill(W[e], weights[e % n] * c))
+        factors.append(fill(e, weights[e % n] * c))
         if e % n < len(stages):
-            cur = _chain(m, [fill(S[e], stages[e % n] * c)])
+            cur = _chain(m, [fill(len(times) + len(staged), stages[e % n] * c)])
             staged.append(cur)
         else:
             m = cur = _chain(m, factors)
@@ -293,48 +298,47 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
     for i0 in range(0, n_steps, _BLOCK):
         i1 = min(i0 + _BLOCK, n_steps)
         times = [i * h + d for i in range(i0, i1) for d in (0.0, *stages)]
-        m, W, S, memo, at, feed, ys = len(times), {}, {}, {}, {}, None, []  # free the last block's first
+        m, memo, at, feed, ys = len(times), {}, {}, None, []  # free the last block's first
         try:  # the block pass: rows i0 + 1 .. i1 of every component
             if not isinstance(rate, Input):
                 raise TypeError("not an Input")
             raw = rate.u(read_ts := np.array(times))  # each stack's shape and finiteness checked once below
             driven = {k: x for k, x in state.items() if not cascade or k in raw}
             for k, x in driven.items():
-                A = arrays[k]
+                A, P = arrays[k], None
                 if k in kinds:
-                    W[k], S[k] = _factors(_as_split(raw[k], sides.get(k, "left"), x.kind, (m,)), m, stages, weights,
-                                          memo)
+                    F = _factors(_as_split(raw[k], sides.get(k, "left"), x.kind, (m,)), m, stages, weights, memo)
+                    steps = list(zip(*([None] * m if E is None else E[:m] for E in F)))  # (E_s, E_b) of each read
                     A[i0 + 1:i1 + 1] = groups._gated(np.array(list(accumulate(
-                        [W[k][e:e + n] for e in range(0, m, n)], _chain, initial=A[i0]))[1:]))
+                        [steps[e:e + n] for e in range(0, m, n)], _chain, initial=A[i0]))[1:]))
+                    if n > 1:  # the stage states E_s g E_b at each step's start g, with _chain's bits, checked finite
+                        P, (E_s, E_b) = np.repeat(A[i0:i1], n - 1, axis=0), (E if E is None else E[m:] for E in F)
+                        P = P if E_s is None else E_s @ P
+                        P = P if E_b is None else P @ E_b
+                        if not np.isfinite(P).all():
+                            raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
                 else:
                     V = np.asarray(raw[k])
                     if V.shape != (m, *np.shape(x)) or not np.isfinite(V).all():
                         raise NumericalBlowupError(f"bad rate stack for component {k!r}")
                     ks = [V[j::n] for j in range(n)]
                     A[i0 + 1:i1 + 1] = np.cumsum(np.concatenate([A[i0:i0 + 1], _increment(h, ks)]), axis=0)[1:]
-                if cascade:  # the states at each read, for sense: a step's start, or an rk4_cg stage state
-                    P = A[i0:i1].copy()
-                    if n > 1:
-                        P = groups._gated(np.array([P[e // n] if e % n == 0 else _chain(P[e // n], [S[k][e - 1]])
-                                                    for e in range(m)]))  # as _step settles them
-                    at[k] = P
+                if cascade:  # the states at each read, for sense: a step's start, or a stage state as _step settles it
+                    at[k] = np.repeat(A[i0:i1], n, axis=0)
+                    if n > 1:  # (a vector's P is None: its stage states take the general loop)
+                        at[k][np.arange(m) % n > 0] = P
+                        at[k] = groups._gated(at[k])
             if cascade:
                 f = next(k for k in state if k not in driven)
                 feed, ys = rate.sense(read_ts, {k: raw[k] for k in driven}, at)
                 q = 0 if feed.spatial is None else 1  # the side of the feedback
                 F = _factors((feed.spatial, feed.body), m, stages, weights, memo)
                 arrays[f][i0 + 1:i1 + 1] = _follow(rate, state[f].matrix, ys, times, F, q, stages, weights)
-            for k, stage in S.items() if stages and not cascade else ():  # as the constructor would check them
-                P = arrays[k][[i0 + e // n for e in stage]]
-                eye = np.eye(P.shape[-1])
-                S_s, S_b = (np.array([eye if f[q] is None else f[q] for f in stage.values()]) for q in (0, 1))
-                if not np.isfinite(S_s @ P @ S_b).all():
-                    raise NumericalBlowupError(f"non-finite rk4_cg stage state of component {k!r}")
             samples = () if record is None else zip(ts[i0 + 1:i1 + 1].tolist(),
                                                     [_Sample(arrays, kinds, i) for i in range(i0 + 1, i1 + 1)])
         except Exception:  # noqa: BLE001 -- the general loop takes the block and raises its error
             samples = None
-        raw = W = S = memo = at = F = P = V = ks = None  # freed before the records
+        raw = memo = at = F = P = V = ks = steps = None  # freed before the records
         if samples is None:  # the general loop, from the block's start, the block's sensed rows replayed
             for i in range(i0, i1):
                 state = _general_step(_replay(rate, feed, ys, (i - i0) * n) if cascade else rate,

@@ -318,14 +318,12 @@ def recover_pose_chain(measurements) -> np.ndarray:
     stack (k, 4, 4) of ``groups.project_stack``.  A failing check cuts the stack at its first
     bad pair and raises once the pairs before it are through, so pairs fail in order."""
     Ms = [np.asarray(M, dtype=float) for M in measurements]
-    grams, crosses, error = [], [], None
-    for M_k, M_k1 in zip(Ms, Ms[1:]):
-        if M_k.shape != M_k1.shape or M_k.shape[0] != 4 or M_k.shape[1] < 4:
-            error = DimensionError("measurement matrices must be matching 4xN with N >= 4")
-            break
-        grams.append(M_k1 @ M_k1.T)
-        crosses.append(M_k @ M_k1.T)
-    gram, cross = np.array(grams).reshape(-1, 4, 4), np.array(crosses).reshape(-1, 4, 4)
+    k = next((k for k, (M_k, M_k1) in enumerate(zip(Ms, Ms[1:]))  # the first pair of bad shapes, or the count
+              if M_k.shape != M_k1.shape or M_k.shape[0] != 4 or M_k.shape[1] < 4), max(len(Ms) - 1, 0))
+    error = DimensionError("measurement matrices must be matching 4xN with N >= 4") if k < len(Ms) - 1 else None
+    M = np.asarray(measurements[:k + 1], dtype=float) if k else np.zeros((1, 4, 4))  # those of the pairs before it
+    Mt = np.swapaxes(M[1:], 1, 2)
+    gram, cross = M[1:] @ Mt, M[:-1] @ Mt  # M_k+1 M_k+1^T and M_k M_k+1^T of each pair, stacked
     # non-finite M_k or M_k+1: LAPACK would print to stdout and call it rank deficient, or fail to converge
     bad = ~np.isfinite(np.concatenate([gram, cross], axis=2)).all(axis=(1, 2))
     if bad.any():

@@ -565,7 +565,8 @@ def test_clean_demo_runs_take_no_general_step(tmp_path):
     noisy = write_scenario(tmp_path / "noisy.scn", name="noisy_1s", h="1e-3", t_final="1.0", noise="0.02",
                            initial_error="0 0.6283185307179586 0.8377580409572781", seed="42")
     with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
-        for path in (SCENARIOS / "slam_continuous.scn", noisy):
+        for path in (SCENARIOS / "slam_continuous.scn", SCENARIOS / "slam_discrete.scn", SCENARIOS / "sphere_split.scn",
+                     noisy):
             assert cli.run_scenario(path, tmp_path) == 0
 
 

@@ -1,6 +1,7 @@
 """Group/algebra primitives: hat/vee, exp/log, adjoint, metric, projection."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ from bundleobs.groups import (
     row_dot,
     vee,
 )
-from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _det3, _so3_coeffs, skew
+from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _det3, _so3_coeff_stack, _so3_coeffs, skew
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
@@ -249,6 +250,68 @@ class TestExpBits:
                   [1e-200, 0.0, -1e-200], [1e-300, -1e-300, 0.0], [-0.0, -1e-200, 1e-200], [-1e-300, -0.0, 1e-300]):
             vec = np.array(w if dim == 3 else [-0.0, 0.0, -0.0, *w])
             assert exp_matrix(vec).tobytes() == _numpy_exp_matrix(vec).tobytes(), w
+
+
+_CUBE_EDGE = 5.643803094122361e102  # the largest float whose cube Python's ** keeps finite
+
+
+def _sweep_angles() -> np.ndarray:
+    """118,007 angles: uniform in [0, 30], log-uniform in [1e-300, 1] and in [1, the cube edge], each float within
+    1,000 ulps of ``_SMALL_ANGLE``, the last 1,000 floats up to the edge, and the ends themselves."""
+    rng = np.random.default_rng(20261020)
+    ulps = np.arange(-1000, 1001)
+    return np.concatenate([
+        rng.uniform(0.0, 30.0, 50_000),
+        10.0 ** rng.uniform(-300.0, 0.0, 40_000),
+        10.0 ** rng.uniform(0.0, math.log10(_CUBE_EDGE), 25_000),
+        (np.float64(_SMALL_ANGLE).view(np.int64) + ulps).view(np.float64),
+        (np.float64(_CUBE_EDGE).view(np.int64) - ulps[1001:]).view(np.float64),
+        [0.0, 5e-324, _SMALL_ANGLE, 1.0, math.pi, _CUBE_EDGE]])
+
+
+class TestCoeffSweep:
+    """The stacked coefficients (``np.sin``, ``np.cos``, ``np.float_power``, the series) against the per-item
+    ``_so3_coeffs`` (``math``, ``**``), and one stacked ``exp_matrix`` against the per-item calls, bit for bit
+    over the whole range that does not overflow; an overflowing row raises the per-item error."""
+
+    def test_edge_is_the_cube_overflow(self):
+        assert math.isfinite(_CUBE_EDGE ** 3)
+        with pytest.raises(OverflowError):
+            math.nextafter(_CUBE_EDGE, math.inf) ** 3
+
+    def test_stacked_coefficients_have_the_per_item_bits(self):
+        theta = _sweep_angles()
+        got = _so3_coeff_stack(theta)
+        want = np.array([_so3_coeffs(t) for t in theta.tolist()]).T
+        bad = np.flatnonzero((got.view(np.int64) != want.view(np.int64)).any(axis=0))
+        assert len(theta) >= 100_000 and bad.size == 0, theta[bad[:5]]
+
+    def test_stacked_exp_matrix_has_the_per_item_bits(self):
+        theta = _sweep_angles()
+        rng = np.random.default_rng(7)
+        axes = rng.normal(size=(len(theta), 3))
+        w = theta[:, None] * (axes / np.sqrt(row_dot(axes))[:, None])
+        vecs = np.concatenate([rng.normal(size=(len(theta), 3)), w], axis=1)
+        vecs = vecs[np.sqrt(row_dot(w)) <= _CUBE_EDGE]  # rounding may push an edge row's |w| past the edge
+        rows = exp_matrix(vecs)  # se(3): the rotation block is the so(3) exponential
+        bad = [i for i, vec in enumerate(vecs) if exp_matrix(vec).tobytes() != rows[i].tobytes()]
+        assert len(vecs) >= 100_000 and not bad, vecs[bad[:5]]
+
+    @pytest.mark.parametrize("angle", [math.nextafter(_CUBE_EDGE, math.inf), 1e200, math.inf])
+    def test_overflow_names_the_first_bad_row(self, angle):
+        theta = np.array([0.5, 0.0, angle, 2.0, 1e300])
+        with pytest.raises(NumericalBlowupError) as per_item:
+            _so3_coeffs(angle)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning leaks from the stacked forms
+            with pytest.raises(NumericalBlowupError) as stacked:
+                _so3_coeff_stack(theta)
+            if angle * angle < math.inf:  # |w| = angle, its square finite: the stacked exp_matrix raises the same
+                with pytest.raises(NumericalBlowupError) as exp_error:
+                    exp_matrix(np.outer(theta, [0.0, 0.0, 1.0])[:4])
+                assert str(exp_error.value) == str(per_item.value)
+        assert type(stacked.value) is type(per_item.value)
+        assert str(stacked.value) == str(per_item.value) == f"rotation angle {angle:.3g} overflows the exponential"
 
 
 _DOT_ENTRY = st.one_of(
