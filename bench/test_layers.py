@@ -14,8 +14,8 @@ Where a checkout lacks the stacked ``exp_matrix`` (before ``BENCH_12.json``),
 or ``observer.error_columns`` (before ``BENCH_13.json``), their benchmarks
 time the work they replace; ``write_csv`` is called with row dicts or columns,
 and ``error_columns`` with matrix stacks or element lists, whichever its
-signature takes.  The two observer runs (since ``BENCH_15.json``) use only
-the public simulators.
+signature takes.  The observer runs (since ``BENCH_15.json``; the 2,048-step
+one since ``BENCH_25.json``) use only the public simulators.
 """
 
 import inspect
@@ -239,6 +239,16 @@ def test_attitude_observer_1000_steps(benchmark):
     R0 = random_rotation(rng_from(13))
     benchmark(systems.simulate_attitude_observer, R0, GroupElement.identity("SO3"), scen, config)
     benchmark.extra_info["items"] = 1000
+
+
+def test_attitude_observer_2048_steps(benchmark):
+    """``simulate_attitude_observer`` as above for 2,048 steps: four block passes of 512 steps, or 32 of
+    64, so it shows what a block pass's fixed cost adds per step; ``us_per_row`` is per step."""
+    scen = systems.AttitudeScenario(omega=cli._omega_fn("standard"))
+    config = IntegratorConfig(method="lie_euler", h=1e-3, t_final=2.048)
+    R0 = random_rotation(rng_from(13))
+    benchmark(systems.simulate_attitude_observer, R0, GroupElement.identity("SO3"), scen, config)
+    benchmark.extra_info["items"] = 2048
 
 
 def test_slam_observer_24_landmarks_200_steps(benchmark):

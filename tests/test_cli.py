@@ -105,8 +105,9 @@ class TestRun:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     def test_sphere_demo_reads_velocities_once_per_block(self, tmp_path, monkeypatch, method):
         # the integrator reads the velocity once per block of read times, the split once at the sample times
+        n_steps = 2 * integrate._BLOCK + 22  # blocks of _BLOCK, _BLOCK and 22 steps
         scen = cli.parse_scenario(write_scenario(tmp_path / "a.scn", name="sph", system="sphere_split_demo",
-                                                 method=method, h="0.01", t_final="1.5"))
+                                                 method=method, h="0.01", t_final=str(n_steps / 100)))
         times = []
 
         class CountingNumpy:
@@ -120,9 +121,9 @@ class TestRun:
         monkeypatch.setattr(cli, "np", CountingNumpy())
         (t, *_), _ = cli._run_sphere_split_demo(scen)
         reads = 1 if method == "lie_euler" else 4
-        assert len(t) == 151 and integrate._BLOCK == 64  # 150 steps: blocks of 64, 64 and 22
+        assert len(t) == n_steps + 1
         assert all(isinstance(ts, np.ndarray) and ts.ndim == 1 for ts in times)
-        assert [len(ts) for ts in times] == [64 * reads, 64 * reads, 22 * reads, 151]
+        assert [len(ts) for ts in times] == [k * reads for k in (integrate._BLOCK, integrate._BLOCK, 22)] + [n_steps + 1]
         assert times[-1].tobytes() == t.tobytes()
 
     def test_scenarios_run_one_after_another(self, tmp_path):

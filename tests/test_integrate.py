@@ -684,15 +684,38 @@ class TestCascade:
         assert got.arrays["g"].tobytes() == want.arrays["g"].tobytes()
         assert got.arrays["x"].tobytes() != want.arrays["x"].tobytes()
 
-    def test_array_components_take_the_general_loop(self):
+    def test_array_components_take_the_block_path(self):
         cascade = integrate.Cascade(lambda ts: {"v": np.ones((len(ts), 2))},
                                     lambda t, r, s: (SplitRate(body=np.tile([0.1, 0, 0], (len(t), 1))), [None] * len(t)),
                                     lambda t, m, y: np.array([0, 0, 0.2]))
         config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.3)
-        traj = integrate_system(cascade, config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
+        with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+            traj = integrate_system(cascade, config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
         want = integrate_system(lambda t, s: cascade(t, s), config, {"v": np.zeros(2), "x": GroupElement.identity("SO3")})
         assert traj.states[-1]["v"].tobytes() == want.states[-1]["v"].tobytes()
         assert traj.states[-1]["x"].matrix.tobytes() == want.states[-1]["x"].matrix.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["lie_euler", "rk4_cg"]),
+           n_steps=st.integers(1, 140), block=st.sampled_from([1, 2, 4, integrate._BLOCK]))
+    @example(seed=0, method="rk4_cg", n_steps=128, block=integrate._BLOCK)
+    def test_vector_stage_states_take_the_block_path(self, seed, method, n_steps, block):
+        # u drives x (R^3) and R (SO(3)); the follower Rhat reads x at every read, so an rk4_cg block
+        # must sense x at its stage states with the general loop's bits
+        rng = rng_from(seed)
+        amp, freq, phase = rng.normal(size=(3, 6))
+        state0 = {"x": rng.normal(size=3), "R": random_rotation(rng), "Rhat": random_rotation(rng)}
+        cascade = integrate.Cascade(lambda ts: {"x": (v := amp * np.sin(freq * ts[:, None] + phase))[:, :3], "R": v[:, 3:]},
+                                    lambda ts, r, s: (SplitRate(body=r["R"]), list(s["x"])),
+                                    lambda t, m, y: 0.5 * np.cross(m[:, 0], y))
+        config = IntegratorConfig(method=method, h=0.01, t_final=n_steps * 0.01)
+        with mock.patch.object(integrate, "_BLOCK", block):
+            with mock.patch.object(integrate, "_general_step", side_effect=AssertionError("general step")):
+                got = integrate_system(cascade, config, state0)
+            want = integrate_system(lambda t, s: cascade(t, s), config, state0)
+        assert len(got) == n_steps + 1
+        for name in state0:
+            assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
 
 
 def _signed_zero_exp_matrix(vec):
@@ -907,7 +930,8 @@ class TestBlockReads:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     @pytest.mark.parametrize("loop", ["input", "cascade"])
     def test_u_is_read_once_per_block(self, method, loop):
-        config = IntegratorConfig(method=method, h=0.01, t_final=1.5)  # 150 steps: blocks of 64, 64 and 22
+        n_steps = 2 * integrate._BLOCK + 22  # blocks of _BLOCK, _BLOCK and 22 steps
+        config = IntegratorConfig(method=method, h=0.01, t_final=n_steps * 0.01)
         sides = None
         if loop == "cascade":
             state0, rate = _cascade_case(6, "SE3", "left", 0.01, False, None, 2.0)
@@ -926,9 +950,9 @@ class TestBlockReads:
             integrate_system(counted_rate, config, state0, sides)
         stages = [0.01 / d for d in integrate._STAGES[method][0]]
         reads = 1 + len(stages)
-        assert integrate._BLOCK == 64
-        assert [(type(ts), ts.shape) for ts in calls] == [(np.ndarray, (k * reads,)) for k in (64, 64, 22)]
-        times = [i * 0.01 + d for i in range(150) for d in (0.0, *stages)]
+        blocks = (integrate._BLOCK, integrate._BLOCK, 22)
+        assert [(type(ts), ts.shape) for ts in calls] == [(np.ndarray, (k * reads,)) for k in blocks]
+        times = [i * 0.01 + d for i in range(n_steps) for d in (0.0, *stages)]
         assert np.concatenate(calls).tobytes() == np.array(times).tobytes()
 
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])

@@ -882,3 +882,34 @@ class TestCascadeObserverRun:
         for fail, cls in (("nan_u", NumericalBlowupError), ("nan_y", KindMismatchError), ("raise_y", ValueError)):
             got, (samples, _) = _run_observer(False, lambda: _observer_case("attitude", 1, fail, 9), config, 0.01)
             assert isinstance(got, cls) and 1 < len(samples) < 11, (fail, got)
+
+
+class TestBlockLength:
+    """A run's bytes and draws do not depend on the block length: 1,100 noisy observer steps cross
+    block boundaries and end in a partial block, at 64 steps per block and at the shipped length."""
+
+    @pytest.mark.parametrize("system", ["attitude", "slam"])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_bytes_and_draws_do_not_depend_on_the_block_length(self, system, method):
+        config = IntegratorConfig(method, 0.005, 5.5)  # 1,100 steps
+        rng = rng_from(23)
+        L = random_landmarks(rng, 6)
+        g0, g_est0 = (random_group("SO3" if system == "attitude" else "SE3", rng) for _ in range(2))
+        profile = lambda ts: np.column_stack([np.sin(ts), np.cos(2.0 * ts), np.full_like(ts, 0.5)])  # noqa: E731
+        runs = []
+        for block in (64, integrate_module._BLOCK):
+            made = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(integrate_module, "_BLOCK", block)
+                mp.setattr(integrate_module, "_general_step", _no_reference)
+                mp.setattr(systems, "rng_from", lambda seed: made.append(rng_from(seed)) or made[-1])
+                if system == "attitude":
+                    traj = systems.simulate_attitude_observer(
+                        g0, g_est0, systems.AttitudeScenario(profile, noise_amp=0.01, seed=5), config)
+                else:
+                    twist = lambda ts: np.column_stack([np.tile((0.3, -0.1, 0.2), (len(ts), 1)), profile(ts)])  # noqa: E731
+                    traj = systems.simulate_slam_observer(g0, g_est0, L, twist, 0.375, config, 0.01, 5)
+            runs.append(({k: a.tobytes() for k, a in traj.arrays.items()},
+                         {k: a.tobytes() for k, a in traj.extras.items()}, made[0].bit_generator.state))
+        assert len(traj) == 1101 and integrate_module._BLOCK > 64 and len(made) == 1
+        assert runs[0] == runs[1]
