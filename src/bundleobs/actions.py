@@ -1,6 +1,6 @@
 """Group actions, infinitesimal generators, and equivariance certification.
 
-An ActionSpec defines each action by one map, ``lift(g, t)``, on raw arrays.
+An ActionSpec defines each action by one map, ``lift(m, t)``, on raw arrays.
 All concrete actions here are linear in the raw arrays of the point, so that
 map is both the action (``act`` applies it to the point's arrays and rebuilds
 the point) and its differential on tangents.  Its infinitesimal generator is
@@ -97,10 +97,12 @@ def check_point_stack(kind: str, value):
 class ActionSpec:
     """A left or right action of SO(3)/SE(3) on one point kind.
 
-    ``lift(g, t)`` is the one map of the action.  Every action here is linear
-    in the point's raw arrays, so the same map sends a point's raw arrays
-    (``point_raw(p)``) to those of phi_g(p), which ``act`` rebuilds into a
-    point, and sends a tangent t at any p to T_p(phi_g) t.  ``generator(zeta,
+    ``lift(m, t)`` is the one map of the action, at g's matrix m.  Every
+    action here is linear in the point's raw arrays, so the same map sends a
+    point's raw arrays (``point_raw(p)``) to those of phi_g(p), which ``act``
+    rebuilds into a point, and sends a tangent t at any p to T_p(phi_g) t.
+    A stack of matrices (k, n, n) sends one point's arrays to the stack of
+    their images, each item with the bits of its own call.  ``generator(zeta,
     p)`` is the closed-form infinitesimal generator.
     """
 
@@ -108,7 +110,7 @@ class ActionSpec:
     handedness: str  # "left" | "right"
     group_kind: str
     point_kind: str
-    lift: Callable[[GroupElement, object], object]
+    lift: Callable[[np.ndarray, object], object]
     generator: Callable[[AlgebraElement, Point], object]
     sample_point: Optional[Callable[[np.random.Generator], Point]] = None
 
@@ -120,7 +122,7 @@ def act(a: ActionSpec, g: GroupElement, p: Point) -> Point:
         raise KindMismatchError(f"action {a.name} acts on {a.point_kind} points, got {p.kind}")
     if p.kind == GROUP and p.value.kind != a.group_kind:
         raise KindMismatchError(f"action {a.name} acts on {a.group_kind} points, got {p.value.kind}")
-    return _point_from_raw(a, a.lift(g, point_raw(p)))
+    return _point_from_raw(a, a.lift(g.matrix, point_raw(p)))
 
 
 def _point_from_raw(a: ActionSpec, raw) -> Point:
@@ -168,8 +170,8 @@ def point_distance(p1: Point, p2: Point) -> float:
 
 # -- concrete actions --
 
-def _left_multiply(g, t):
-    return g.matrix @ t
+def _left_multiply(m, t):
+    return m @ t
 
 
 def _algebra_times_point(zeta, p):
@@ -197,8 +199,8 @@ def so3_on_direction_pair(handedness: str = "left") -> ActionSpec:
     """Rotations on a pair of unit directions: y -> (gy2, gy3) as a left
     action, y -> (g^-1 y2, g^-1 y3) as a right action."""
 
-    def lift(g, t):
-        m = g.matrix if handedness == "left" else g.matrix.T
+    def lift(m, t):
+        m = m if handedness == "left" else np.swapaxes(m, -1, -2)
         return (m @ t[0], m @ t[1])
 
     def gen(zeta, p):
@@ -221,8 +223,8 @@ def so3_on_direction_pair(handedness: str = "left") -> ActionSpec:
 def trivial_action(group_kind: str, point_kind: str, handedness: str, sample_point=None) -> ActionSpec:
     """The action that fixes every point (e.g. the SLAM output action)."""
 
-    def lift(g, t):
-        return t
+    def lift(m, t):  # a stack of matrices gives the stack of k copies, as every action's lift does
+        return t if np.ndim(m) == 2 else tangent_map(lambda x: np.broadcast_to(x, (len(m), *x.shape)), t)
 
     def gen(zeta, p):
         return tangent_map(lambda x: 0.0 * x, point_raw(p))
@@ -233,8 +235,8 @@ def trivial_action(group_kind: str, point_kind: str, handedness: str, sample_poi
 def group_translation(group_kind: str, handedness: str) -> ActionSpec:
     """The group acting on itself by left or right multiplication."""
 
-    def lift(g, t):
-        return g.matrix @ t if handedness == "left" else t @ g.matrix
+    def lift(m, t):
+        return m @ t if handedness == "left" else t @ m
 
     def gen(zeta, p):
         h = p.value.matrix
@@ -251,8 +253,8 @@ def group_translation(group_kind: str, handedness: str) -> ActionSpec:
 def slam_action(n_landmarks: int = 6) -> ActionSpec:
     """Right SE(3) action on (pose, landmarks): phi_g(p) = (g^-1 S, g^-1 Lbar_i)."""
 
-    def lift(g, t):
-        gi = groups.inverse_matrix(g.matrix)
+    def lift(m, t):
+        gi = groups.inverse_matrix(m)
         return (gi @ t[0], gi @ t[1])
 
     def gen(zeta, p):
@@ -327,7 +329,7 @@ def check_equivariance_vf(
 
     def residual(rng, p, g):
         u = sample_input(rng) if sample_input is not None else None
-        lifted = state_action.lift(g, X(p, u))
+        lifted = state_action.lift(g.matrix, X(p, u))
         direct = X(act(state_action, g, p), u if input_action is None else input_action(g, u))
         return (tangent_norm(tangent_map(np.subtract, lifted, direct)),)
 
@@ -355,7 +357,7 @@ def check_ad_equivariance(a: ActionSpec, samples: int = 100, seed=42) -> float:
 
     def residual(rng, p, g):
         zeta = random_algebra("so3" if a.group_kind == SO3 else "se3", rng)
-        lifted = a.lift(g, infinitesimal_generator(a, zeta, p))
+        lifted = a.lift(g.matrix, infinitesimal_generator(a, zeta, p))
         conj = g if a.handedness == "left" else g.inverse()
         direct = infinitesimal_generator(a, groups.adjoint(conj, zeta), act(a, g, p))
         return (tangent_norm(tangent_map(np.subtract, lifted, direct)),)

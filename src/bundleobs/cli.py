@@ -260,55 +260,19 @@ def run_scenario(path: Path, out_dir: Path | None = None) -> int:
 # -- audits --
 
 def _audit_equivariance(samples: int, seed: int) -> list[tuple[str, float, float]]:
-    att_state = ac.group_translation("SO3", "right")
-
-    def att_input(g, om):
-        return inverse_matrix(g.matrix) @ om
-
-    att_out = ac.so3_on_direction_pair("right")
-
-    def att_vf(p, u):
-        return systems.attitude_vector_field(p, AlgebraElement("so3", u))
-
-    slam_act = ac.slam_action(6)
-    slam_out = ac.trivial_action("SE3", ac.LANDMARKS, "right")
-
-    def _sample_omega(rng):
-        return rng.normal(size=3)
-
-    return [
-        (
-            "attitude vector field",
-            ac.check_equivariance_vf(
-                att_vf, att_state, att_input, samples=samples, seed=seed,
-                sample_input=_sample_omega,
-            ),
-            1e-10,
-        ),
-        (
-            "attitude output",
-            ac.check_equivariance_output(
-                lambda p: systems.measure_attitude(p.value), att_state, att_out,
-                samples=samples, seed=seed,
-            ),
-            1e-10,
-        ),
-        (
-            "slam vector field",
-            ac.check_equivariance_vf(
-                systems.slam_vector_field, slam_act, None, samples=samples, seed=seed,
-                sample_input=_sample_slam_input,
-            ),
-            1e-10,
-        ),
-        (
-            "slam output",
-            ac.check_equivariance_output(
-                lambda p: systems.measure_landmarks(*p.value), slam_act, slam_out, samples=samples, seed=seed
-            ),
-            1e-10,
-        ),
+    att_state, slam_act, kw = ac.group_translation("SO3", "right"), ac.slam_action(6), dict(samples=samples, seed=seed)
+    residuals = [
+        ("attitude vector field", ac.check_equivariance_vf(
+            lambda p, u: systems.attitude_vector_field(p, AlgebraElement("so3", u)), att_state,
+            lambda g, om: inverse_matrix(g.matrix) @ om, sample_input=lambda rng: rng.normal(size=3), **kw)),
+        ("attitude output", ac.check_equivariance_output(
+            lambda p: systems.measure_attitude(p.value), att_state, ac.so3_on_direction_pair("right"), **kw)),
+        ("slam vector field", ac.check_equivariance_vf(
+            systems.slam_vector_field, slam_act, None, sample_input=_sample_slam_input, **kw)),
+        ("slam output", ac.check_equivariance_output(lambda p: systems.measure_landmarks(*p.value), slam_act,
+                                                     ac.trivial_action("SE3", ac.LANDMARKS, "right"), **kw)),
     ]
+    return [(name, residual, 1e-10) for name, residual in residuals]
 
 
 def _sample_slam_input(rng):

@@ -346,13 +346,14 @@ def exp_matrix(vec: np.ndarray) -> np.ndarray:
 
     Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.  The se(3) branch shares theta,
     skew(w) and its square between the rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
-    (k, 3, 3) or (k, 4, 4) by stacked ``@``, each item with the bits of its own call.  One item reads its
-    coordinates once, as floats, for the finiteness check and the skew; its w w, W W and V v are each one
-    ``ndarray.dot``, the BLAS routine of 2-D ``@`` with less dispatch and the same bits (pinned by
-    ``TestDotBits``; Python floats differ), and it sums R and V in floats in numpy's order (``_eye_plus``).
+    (k, 3, 3) or (k, 4, 4) by stacked ``@``, each item with the bits of its own call; a stack's finiteness is one
+    ``np.isfinite``.  One item reads its coordinates once, as floats, for the finiteness check and the skew; its
+    w w, W W and V v are each one ``ndarray.dot``, the BLAS routine of 2-D ``@`` with less dispatch and the same
+    bits (pinned by ``TestDotBits``; Python floats differ), and it sums R and V in floats in numpy's order
+    (``_eye_plus``).
     """
-    coords = vec.tolist() if vec.ndim == 1 else vec.ravel().tolist()  # one read: the finiteness check, the skew
-    if not all(map(math.isfinite, coords)):
+    coords = vec.tolist() if vec.ndim == 1 else ()  # an item's one read: the finiteness check, the skew
+    if not all(map(math.isfinite, coords)) or (vec.ndim != 1 and not np.isfinite(vec).all()):
         raise NumericalBlowupError("algebra coordinates are non-finite")
     if vec.shape not in ((3,), (6,)):
         if vec.ndim == 2 and vec.shape[1] in (3, 6):

@@ -7,7 +7,7 @@ measurement, which is what makes the error dynamics autonomous.  An analytic
 differential can be registered and is dualized through the metric like the
 central-difference gradient over the algebra basis, which is used otherwise.
 Nothing the run reports feeds back into it, so ``error_columns`` computes the
-V^e and ||zeta_e|| columns after the run, from stacked passes.
+V^e and ||zeta_e|| columns after the run, from stacked passes of both terms.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import groups
-from .actions import ActionSpec, Point, act
+from .actions import DIRECTION_PAIR, LANDMARKS, ActionSpec, Point, act, check_point_stack
 from .errors import BundleobsError, KindMismatchError, NumericalBlowupError
 from .groups import AlgebraElement, GroupElement, Metric
 
@@ -30,6 +30,7 @@ _CHUNK = 128  # samples per stacked pass of ``error_columns``, which bounds its 
 
 LEFT = "left"
 RIGHT = "right"
+_STACKED_KINDS = (DIRECTION_PAIR, LANDMARKS)  # output kinds checked by check_point_stack alone, no rebuild
 
 
 def _basis(kind: str):
@@ -39,21 +40,17 @@ def _basis(kind: str):
 
 @dataclass(frozen=True)
 class ObserverProblem:
-    """A left- or right-observed kinematic system on SO(3) or SE(3)."""
+    """A left- or right-observed kinematic system on SO(3) or SE(3).  V^y, ``cost(y, y_ref)``, and zeta_e's
+    coordinates before the metric, ``zeta_e_analytic(m, y)`` at the estimate's matrix, take raw ``Point.value``s;
+    on a direction pair or landmarks also stacks y (k, ...) and m (k, n, n), a row each with its own call's bits."""
 
     group_kind: str
     handedness: str  # "left" | "right" observed
     output_action: ActionSpec
     y0: Point
-    cost: Callable[[Point, Point], float]
+    cost: Callable[[object, object], object]
     metric: Metric = Metric()
-    # zeta_e's coordinates before the metric, at the estimate's matrix and a measurement's raw ``Point.value``
     zeta_e_analytic: Optional[Callable[[np.ndarray, object], np.ndarray]] = None
-    # stacked forms for ``error_columns``, each row with the bits of the per-sample call: the
-    # error_cost of group errors (k, n, n), and zeta_e_analytic's coordinates, before the metric,
-    # at the noiseless measurements, from the stacks (g~, g)
-    error_cost_stack: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    zeta_e_stack: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.handedness not in (LEFT, RIGHT):
@@ -72,7 +69,7 @@ class ObserverProblem:
 
     def error_cost(self, e_g: GroupElement) -> float:
         """V^e(e_g) = V^y(varphi_{e_g}(y0), y0)."""
-        return self.cost(act(self.output_action, e_g, self.y0), self.y0)
+        return self.cost(act(self.output_action, e_g, self.y0).value, self.y0.value)
 
     @cached_property
     def fd_probes(self) -> list[tuple[Point, Point]]:
@@ -85,20 +82,36 @@ class ObserverProblem:
 
     def _check_critical_point(self):
         # V^e must vanish at I and be non-degenerate there (probe each basis
-        # direction with a 3-point quadratic fit)
+        # direction with a 3-point quadratic fit); on a stacked kind both terms must take the probes' stack
         if abs(self.error_cost(GroupElement.identity(self.group_kind))) > 1e-10:
             raise KindMismatchError("cost does not vanish at zero error")
-        eps = 1e-4
-        for xi in _basis(self.algebra_kind):
-            plus = self.error_cost(groups.exp(eps * xi))
-            minus = self.error_cost(groups.exp(-eps * xi))
-            if plus + minus < 1e-3 * eps * eps:
+        eps, dim = 1e-4, 3 if self.algebra_kind == "so3" else 6
+        E = groups.exp_matrix(eps * np.concatenate([np.eye(dim), -np.eye(dim)]))  # exp(+-eps xi_i), one stack
+        costs = [self.error_cost(GroupElement(self.group_kind, e)) for e in E]
+        for i in range(dim):
+            if costs[i] + costs[dim + i] < 1e-3 * eps * eps:
                 warnings.warn(
                     "error cost looks degenerate at the identity along "
-                    f"direction {xi.vec}; convergence is not guaranteed",
+                    f"direction {np.eye(dim)[i]}; convergence is not guaranteed",
                     stacklevel=3,
                 )
                 break
+        if self.y0.kind not in _STACKED_KINDS:
+            return
+        msg = "cost and zeta_e_analytic must take stacks of outputs and give a row each"
+        try:  # the terms of error_columns' stacked pass, on the probes; the cost's rows near its calls on each
+            y = self._lifted_y0(E)
+            v = self.cost(y, self.y0.value)
+            z = np.zeros((len(E), dim)) if self.zeta_e_analytic is None else self.zeta_e_analytic(E, y)
+        except (ArithmeticError, LookupError, TypeError, ValueError, BundleobsError) as exc:
+            raise KindMismatchError(msg) from exc
+        if (np.shape(v) != (len(E),) or np.shape(z) != (len(E), dim)
+                or not abs(np.subtract(v, costs)).max() <= 1e-6 * max(map(abs, costs))):  # fails closed on NaN
+            raise KindMismatchError(msg)
+
+    def _lifted_y0(self, G: np.ndarray):
+        """The raw values of varphi_G(y0) for a stack G (k, n, n), checked by ``check_point_stack``."""
+        return check_point_stack(self.y0.kind, self.output_action.lift(G, self.y0.value))
 
 
 def group_error(prob: ObserverProblem, g, g_est):
@@ -124,8 +137,8 @@ def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> Alge
     g_inv = g_est.inverse()
     coords = np.empty(len(prob.fd_probes))
     for i, (plus, minus) in enumerate(prob.fd_probes):
-        f_plus = prob.cost(act(prob.output_action, g_inv, plus), y)
-        f_minus = prob.cost(act(prob.output_action, g_inv, minus), y)
+        f_plus = prob.cost(act(prob.output_action, g_inv, plus).value, y.value)
+        f_minus = prob.cost(act(prob.output_action, g_inv, minus).value, y.value)
         coords[i] = (f_plus - f_minus) / (2.0 * FD_STEP)
     return AlgebraElement(prob.algebra_kind, coords / prob.metric.scale)
 
@@ -180,9 +193,10 @@ def error_columns(prob: ObserverProblem, times, G, G_est, measure=None) -> dict[
     """The ``Ve`` column of a run and, given ``measure``, its ``zeta_e_norm`` column, after the run.
 
     ``G`` and ``G_est`` stack each sample's true and estimate matrices (n, k, k), as a ``Trajectory``
-    does.  ``_CHUNK`` samples at a time, ``prob``'s stacked forms take ``group_error`` of them.  A
-    problem without them, or a chunk where they raise or give a non-finite value, takes the
-    per-sample reference on its rows instead, which raises the error of the first bad sample.
+    does.  ``_CHUNK`` samples at a time, ``prob``'s two terms take stacks: the cost at varphi_E(y0) of the group
+    errors E and, given ``measure``, the analytic zeta_e at the noiseless outputs varphi_{g^-1}(y0).  Another
+    output kind, a numeric zeta_e with ``measure``, or a chunk that fails a check or gives a non-finite value
+    takes the per-sample reference on its rows instead, which raises the error of the first bad sample.
     """
     chunks = []
     for i in range(0, len(times), _CHUNK):
@@ -196,13 +210,14 @@ def error_columns(prob: ObserverProblem, times, G, G_est, measure=None) -> dict[
 
 def _stacked_columns(prob: ObserverProblem, G, G_est, measure) -> Optional[np.ndarray]:
     """``error_columns``' stacked pass over one chunk, or None where it cannot stand for the reference."""
-    if prob.error_cost_stack is None or (measure is not None and prob.zeta_e_stack is None):
+    if prob.y0.kind not in _STACKED_KINDS or (measure is not None and prob.zeta_e_analytic is None):
         return None
     try:
         with np.errstate(all="ignore"):  # the reference reports what goes wrong
-            cols = [prob.error_cost_stack(group_error(prob, G, G_est))]
+            cols = [prob.cost(prob._lifted_y0(group_error(prob, G, G_est)), prob.y0.value)]
             if measure is not None:
-                z, scale = prob.zeta_e_stack(G_est, G), prob.metric.scale
+                y = prob._lifted_y0(groups.inverse_matrix(G))
+                z, scale = prob.zeta_e_analytic(G_est, y), prob.metric.scale
                 cols.append(np.sqrt(groups.row_dot(z if scale == 1.0 else z / scale)))
     except BundleobsError:
         return None

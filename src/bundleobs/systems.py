@@ -82,9 +82,12 @@ def simulate_observer(
 
 # -- attitude --
 
-def attitude_cost(y: Point, y_est: Point) -> float:
-    """Sum of squared distances between the two measured directions."""
-    (a2, a3), (b2, b3) = y.value, y_est.value
+def attitude_cost(y, y_ref):
+    """Sum of squared distances between the two measured directions, at two pairs of vectors, or at a pair
+    of (k, 3) stacks and one pair, each row with the bits of its own call."""
+    (a2, a3), (b2, b3) = y, y_ref
+    if a2.ndim == 2:
+        return groups.row_dot(a2 - b2) + groups.row_dot(a3 - b3)
     return float(np.dot(a2 - b2, a2 - b2) + np.dot(a3 - b3, a3 - b3))
 
 
@@ -105,17 +108,6 @@ def attitude_zeta_e(R_est, y):
     return np.array([-2.0 * (u3 - v2), -2.0 * v1, -2.0 * -u1])  # scaled as floats: the same products, cheaper
 
 
-def _directions(M: np.ndarray) -> tuple:
-    """(M e2, M e3) for a stack M (k, 3, 3), checked as a direction pair."""
-    return ac.check_point_stack(ac.DIRECTION_PAIR, (M @ E2, M @ E3))
-
-
-def _attitude_cost_stack(E: np.ndarray) -> np.ndarray:
-    """``attitude_cost`` of phi_{e_g}(y0) = (E e2, E e3) against y0 for a stack of group errors."""
-    y2, y3 = _directions(E)
-    return groups.row_dot(y2 - E2) + groups.row_dot(y3 - E3)
-
-
 def attitude_problem(metric: Metric = Metric(), analytic: bool = True) -> ObserverProblem:
     """Left-observed attitude estimation from two inertial directions."""
     return ObserverProblem(
@@ -126,9 +118,6 @@ def attitude_problem(metric: Metric = Metric(), analytic: bool = True) -> Observ
         cost=attitude_cost,
         metric=metric,
         zeta_e_analytic=attitude_zeta_e if analytic else None,
-        error_cost_stack=_attitude_cost_stack,
-        zeta_e_stack=(lambda R_est, R: attitude_zeta_e(R_est, _directions(groups.inverse_matrix(R))))
-        if analytic else None,
     )
 
 
@@ -206,13 +195,14 @@ def slam_vector_field(p: Point, v):
     return (S.matrix @ V.matrix, S.matrix @ vbar)
 
 
-def slam_landmark_cost(y: Point, y_est: Point) -> float:
-    """Sum of squared landmark column distances."""
-    A, B = np.asarray(y.value), np.asarray(y_est.value)
-    if A.shape != B.shape:
+def slam_landmark_cost(y, y_ref):
+    """Sum of squared landmark column distances, at two (4, N) matrices, or at a stack (k, 4, N) and one
+    matrix, each row with the bits of its own call."""
+    A, B = np.asarray(y), np.asarray(y_ref)
+    if A.shape[-2:] != B.shape:
         raise DimensionError(f"landmark count mismatch: {A.shape} vs {B.shape}")
-    d = A[:3] - B[:3]
-    return float((d * d).sum())
+    d = A[..., :3, :] - B[:3]
+    return (d * d).reshape(len(d), -1).sum(axis=1) if A.ndim == 3 else float((d * d).sum())
 
 
 def slam_zeta_e(landmarks: np.ndarray, S_est, y):
@@ -241,11 +231,6 @@ def slam_problem(landmarks) -> ObserverProblem:
     measurements; zeta_e is ``slam_zeta_e`` (Vasconcelos et al., Systems & Control Letters 2010).
     """
     L = np.asarray(landmarks, dtype=float)
-
-    def cost_stack(E):  # slam_landmark_cost of phi_{e_g}(y0) against y0
-        d = ac.check_point_stack(ac.LANDMARKS, E @ L)[:, :3] - L[:3]
-        return (d * d).reshape(len(d), -1).sum(axis=1)
-
     return ObserverProblem(
         group_kind=SE3,
         handedness="left",
@@ -253,9 +238,6 @@ def slam_problem(landmarks) -> ObserverProblem:
         y0=Point(ac.LANDMARKS, L),
         cost=slam_landmark_cost,
         zeta_e_analytic=lambda S_est, y: slam_zeta_e(L, S_est, y),
-        error_cost_stack=cost_stack,
-        zeta_e_stack=lambda S_est, S: slam_zeta_e(
-            L, S_est, ac.check_point_stack(ac.LANDMARKS, groups.inverse_matrix(S) @ L)),
     )
 
 

@@ -107,6 +107,22 @@ class TestSingleMap:
             if a.point_kind == ac.LANDMARK_TUPLE:
                 assert out.value[0].kind == "SE3"
 
+    @pytest.mark.parametrize("a", [
+        ac.so3_on_direction_pair("left"), ac.so3_on_direction_pair("right"), ac.se3_on_landmarks(12),
+        ac.trivial_action("SE3", ac.LANDMARKS, "right", lambda rng: Point(ac.LANDMARKS, random_landmarks(rng, 6))),
+    ], ids=lambda a: a.name)
+    def test_lift_of_a_stack_is_the_stack_of_lifts(self, a):
+        # error_columns lifts y0 by stacks of matrices; each row must have the bits of its own call
+        rng = rng_from(9)
+        t = ac.point_raw(a.sample_point(rng))
+        G = np.array([random_group(a.group_kind, rng).matrix for _ in range(300)])
+        got, want = a.lift(G, t), [a.lift(m, t) for m in G]
+        if isinstance(t, tuple):
+            for i, x in enumerate(got):
+                assert x.tobytes() == np.array([w[i] for w in want]).tobytes()
+        else:
+            assert got.tobytes() == np.array(want).tobytes()
+
     @pytest.mark.parametrize("a", SHIPPED_ACTIONS, ids=lambda a: a.name + "_" + a.group_kind)
     def test_kind_mismatch(self, a):
         rng = rng_from(10)

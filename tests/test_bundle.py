@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bundleobs import actions as ac
@@ -38,6 +38,24 @@ class TestGivensSection:
     def test_origin_excluded(self):
         with pytest.raises(OriginError):
             bundle.givens_section([0.0, 0.0, 0.0])
+
+    @settings(max_examples=500, deadline=None)
+    @given(axis=st.integers(0, 2), sign=st.sampled_from([-1.0, 1.0]), log_scale=st.floats(-3.0, 3.0),
+           log_offset=st.floats(-13.0, 0.0), seed=st.integers(0, 2**32 - 1))
+    def test_continuous_near_the_axes(self, axis, sign, log_scale, log_offset, seed):
+        # ||R(q + d) - R(q)|| <= c ||d|| / h23(q), h23 = hypot(q2, q3), near +-e1, +-e2 and +-e3: each of the two
+        # Givens angles moves by at most ||d|| / h23 and a rotation by a small angle a moves by sqrt(2) a
+        # (Frobenius), so c = 2 sqrt(2) to first order, and c = 4 leaves room.  On the e1 axis itself (h23 = 0)
+        # the section has no continuous limit, since SO(3) -> S^2 has no global section, so points with
+        # h23 < 1e-12 |q| are left out
+        rng = rng_from(seed)
+        q = 10.0**log_scale * (sign * np.eye(3)[axis] + 10.0**log_offset * rng.normal(size=3))
+        h23, norm = math.hypot(q[1], q[2]), np.linalg.norm(q)
+        assume(h23 >= 1e-12 * norm)
+        d = rng.normal(size=3)
+        d *= 1e-9 * norm / np.linalg.norm(d)
+        R, R_moved = (bundle.givens_section(x)[1].matrix for x in (q, q + d))
+        assert np.linalg.norm(R_moved - R) <= 4.0 * np.linalg.norm(d) / h23
 
     @pytest.mark.parametrize("q", [(1.0, 5e-324, 5e-324), (1.0, 1e-320, -1e-320), (-3.0, 5e-324, -2e-310)])
     def test_subnormal_pair_gives_a_frame(self, q):

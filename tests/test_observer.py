@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from bundleobs import actions as ac
 from bundleobs import groups, observer
 from bundleobs.actions import Point, act
+from bundleobs.errors import KindMismatchError
 from bundleobs.groups import AlgebraElement, GroupElement, Metric, adjoint, exp, hat, inner, log
 from bundleobs.integrate import IntegratorConfig
 from bundleobs.observer import ObserverProblem
@@ -53,7 +54,7 @@ class TestGroupError:
             g, g_est = random_rotation(rng), random_rotation(rng)
             e = observer.group_error(prob, g, g_est)
             y, y_est = prob.output(g), prob.output(g_est)
-            assert abs(prob.error_cost(e) - prob.cost(y, y_est)) <= 1e-10
+            assert abs(prob.error_cost(e) - prob.cost(y.value, y_est.value)) <= 1e-10
 
 
 class TestZetaE:
@@ -116,7 +117,7 @@ class TestZetaE:
             z2 = observer.zeta_e_numeric(prob, g_est2, measure_attitude(e @ g_est2))
             # zeta_e depends on the pair (g_est, y) only through e_g up to
             # conjugation-free matching of the cost level; compare V-levels
-            assert abs(prob.error_cost(e) - attitude_cost(measure_attitude(g), prob.output(g_est))) <= 1e-10
+            assert abs(prob.error_cost(e) - attitude_cost(measure_attitude(g).value, prob.output(g_est).value)) <= 1e-10
             assert abs(z.norm() - z2.norm()) <= 1e-8
 
 
@@ -226,8 +227,8 @@ class TestProblemValidation:
     def test_degenerate_cost_warns(self):
         base = attitude_problem()
 
-        def one_direction_cost(y, y_est):
-            return float(np.sum((np.asarray(y.value[0]) - np.asarray(y_est.value[0])) ** 2))
+        def one_direction_cost(y, y_ref):  # one item, or a stack of the first directions against one
+            return np.sum((y[0] - y_ref[0]) ** 2, axis=-1)
 
         with pytest.warns(UserWarning):
             ObserverProblem(
@@ -243,14 +244,55 @@ class TestProblemValidation:
         for _ in range(20):
             a = measure_attitude(random_rotation(rng))
             b = measure_attitude(random_rotation(rng))
-            assert abs(prob.cost(a, b) - prob.cost(b, a)) <= 1e-12
+            assert abs(prob.cost(a.value, b.value) - prob.cost(b.value, a.value)) <= 1e-12
             g = random_rotation(rng)
             ga = act(prob.output_action, g, a)
             gb = act(prob.output_action, g, b)
-            assert abs(prob.cost(ga, gb) - prob.cost(a, b)) <= 1e-10
+            assert abs(prob.cost(ga.value, gb.value) - prob.cost(a.value, b.value)) <= 1e-10
 
     def test_error_cost_zero_at_identity(self, prob):
         assert prob.error_cost(GroupElement.identity("SO3")) == 0.0
+
+    @pytest.mark.parametrize("system", ["attitude", "slam"])
+    @pytest.mark.parametrize("term", ["cost", "zeta_e_analytic"])
+    def test_single_item_term_refused_when_built(self, system, term):
+        # error_columns takes both terms on stacks of outputs; a term written for one item is refused
+        # when the problem is built, not after a run
+        rng = rng_from(12)
+        if system == "attitude":
+            base = attitude_problem()
+            cost = lambda y, r: float(np.dot(y[0] - r[0], y[0] - r[0]) + np.dot(y[1] - r[1], y[1] - r[1]))  # noqa: E731
+            ze = lambda m, y: -2.0 * (np.cross(E2, m @ y[0]) + np.cross(E3, m @ y[1]))  # noqa: E731
+            g_est, y = random_rotation(rng), measure_attitude(random_rotation(rng))
+        else:
+            L = random_landmarks(rng, 6)
+            base = slam_problem(L)
+            cost = lambda y, r: float(((y[:3] - r[:3]) ** 2).sum())  # noqa: E731
+
+            def ze(m, y):
+                A = L[:3] - m[:3, 3:] - m[:3, :3] @ y[:3]
+                return 2.0 * np.concatenate([A.sum(axis=1), np.cross(L[:3].T, A.T).sum(axis=0)])
+
+            g_est, y = random_group("SE3", rng), measure_landmarks(random_group("SE3", rng), L)
+        # each is the shipped term on one item
+        assert abs(cost(y.value, base.y0.value) - base.cost(y.value, base.y0.value)) <= 1e-12
+        np.testing.assert_allclose(ze(g_est.matrix, y.value), base.zeta_e_analytic(g_est.matrix, y.value), atol=1e-12)
+        with pytest.raises(KindMismatchError, match="stacks of outputs"):
+            dataclasses.replace(base, **{term: cost if term == "cost" else ze})
+
+    def test_cost_of_one_row_for_the_whole_stack_refused(self):
+        base = attitude_problem()
+        with pytest.raises(KindMismatchError, match="a row each"):
+            dataclasses.replace(base, cost=lambda y, r: np.sum(base.cost(y, r)))
+
+    def test_other_output_kinds_keep_single_item_terms(self):
+        # an S2 output is renormalized item by item, so error_columns takes the per-sample reference there
+        # and never stacks the cost
+        with pytest.warns(UserWarning):  # one direction leaves the rotation about it unobserved
+            prob = ObserverProblem("SO3", "left", ac.so3_on_s2(), Point(ac.S2, E3),
+                                   lambda y, r: float(np.dot(y - r, y - r)))
+        e = exp(hat([0.3, -0.2, 0.1]))
+        assert prob.error_cost(e) == pytest.approx(float(np.sum((e.matrix @ E3 - E3) ** 2)), abs=1e-15)
 
 
 def _zeta_e_rebuilding_probes(prob, g_est, y):
@@ -261,12 +303,12 @@ def _zeta_e_rebuilding_probes(prob, g_est, y):
     for i in range(dim):
         xi = AlgebraElement(prob.algebra_kind, np.eye(dim)[i])
         f_plus = prob.cost(
-            act(prob.output_action, g_inv, act(prob.output_action, exp(observer.FD_STEP * xi), prob.y0)),
-            y,
+            act(prob.output_action, g_inv, act(prob.output_action, exp(observer.FD_STEP * xi), prob.y0)).value,
+            y.value,
         )
         f_minus = prob.cost(
-            act(prob.output_action, g_inv, act(prob.output_action, exp(-observer.FD_STEP * xi), prob.y0)),
-            y,
+            act(prob.output_action, g_inv, act(prob.output_action, exp(-observer.FD_STEP * xi), prob.y0)).value,
+            y.value,
         )
         coords[i] = (f_plus - f_minus) / (2.0 * observer.FD_STEP)
     return coords / prob.metric.scale

@@ -23,7 +23,7 @@ from bundleobs.errors import (
 )
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, log
 from bundleobs.integrate import IntegratorConfig, SplitRate, integrate_system
-from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
+from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, random_unit, rng_from
 
 E2 = np.array([0.0, 1.0, 0.0])
 E3 = np.array([0.0, 0.0, 1.0])
@@ -32,13 +32,13 @@ E3 = np.array([0.0, 0.0, 1.0])
 class TestAttitudeCost:
     def test_zero_at_equal(self):
         rng = rng_from(0)
-        y = systems.measure_attitude(random_rotation(rng))
+        y = systems.measure_attitude(random_rotation(rng)).value
         assert systems.attitude_cost(y, y) == 0.0
 
     def test_antipodal_half_turn(self):
         y = systems.measure_attitude(GroupElement.identity("SO3"))
         y_flip = systems.measure_attitude(exp(hat([np.pi, 0.0, 0.0])))
-        assert abs(systems.attitude_cost(y, y_flip) - 8.0) <= 1e-12
+        assert abs(systems.attitude_cost(y.value, y_flip.value) - 8.0) <= 1e-12
 
     def test_definition_unfolding(self):
         rng = rng_from(1)
@@ -50,7 +50,7 @@ class TestAttitudeCost:
             np.sum((E3 - E.T @ E3) ** 2) + np.sum((E2 - E.T @ E2) ** 2)
         )
         # cost on outputs equals the error-matrix form
-        got = systems.attitude_cost(y, y_est)
+        got = systems.attitude_cost(y.value, y_est.value)
         assert abs(got - direct) <= 1e-10
 
     def test_measurement_consistency_with_output_action(self):
@@ -247,6 +247,29 @@ class TestSlamDiscrete:
         with pytest.raises(NumericalBlowupError):
             systems.recover_pose_chain(chain)
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 12), log_eps=st.floats(-14.0, -1.0))
+    def test_conditioning_bound_near_coplanar(self, seed, n, log_eps):
+        # n landmarks at distances up to eps = 10**log_eps either side of a random plane, seen from two random
+        # poses: recovery refuses exactly the pairs whose Gram matrix M M^T has cond >= 1e12, and otherwise
+        # is off the true relative pose by at most 4 cond(M M^T) machine epsilons (Frobenius)
+        rng = rng_from(seed)
+        normal = random_unit(rng)
+        u = np.cross(normal, random_unit(rng))
+        u /= np.linalg.norm(u)
+        plane = rng.normal(size=(3, 1)) + np.outer(u, rng.uniform(-1.0, 1.0, n)) \
+            + np.outer(np.cross(normal, u), rng.uniform(-1.0, 1.0, n))
+        L = np.vstack([plane + np.outer(normal, 10.0**log_eps * rng.uniform(-1.0, 1.0, n)), np.ones(n)])
+        S = np.array([random_group("SE3", rng).matrix for _ in range(2)])
+        M = groups.inverse_matrix(S) @ L
+        cond = np.linalg.cond(M[1:] @ np.swapaxes(M[1:], 1, 2))[0]  # M_k+1 M_k+1^T as recover_pose_chain forms it
+        if cond >= 1e12:
+            with pytest.raises(RankDeficiencyError):
+                systems.recover_pose_chain(M)
+        else:
+            err = np.linalg.norm(systems.recover_pose_chain(M)[0] - groups.inverse_matrix(S[0]) @ S[1])
+            assert err <= 4.0 * cond * np.finfo(float).eps
+
     def test_chain_recovery_50_steps(self):
         rng = rng_from(10)
         L = random_landmarks(rng, 6)
@@ -309,7 +332,7 @@ class TestSlamVectorField:
 class TestSlamLandmarkCost:
     def test_zero_at_equal(self):
         rng = rng_from(15)
-        y = Point(ac.LANDMARKS, random_landmarks(rng, 6))
+        y = Point(ac.LANDMARKS, random_landmarks(rng, 6)).value
         assert systems.slam_landmark_cost(y, y) == 0.0
 
     def test_single_offset(self):
@@ -317,7 +340,7 @@ class TestSlamLandmarkCost:
         L = random_landmarks(rng, 4)
         L2 = L.copy()
         L2[0, 0] += 1.0
-        cost = systems.slam_landmark_cost(Point(ac.LANDMARKS, L), Point(ac.LANDMARKS, L2))
+        cost = systems.slam_landmark_cost(L, L2)
         assert abs(cost - 1.0) <= 1e-12
 
     def test_brute_force_sum(self):
@@ -326,16 +349,13 @@ class TestSlamLandmarkCost:
         expected = sum(
             float(np.sum((A[:3, i] - B[:3, i]) ** 2)) for i in range(5)
         )
-        got = systems.slam_landmark_cost(Point(ac.LANDMARKS, A), Point(ac.LANDMARKS, B))
+        got = systems.slam_landmark_cost(A, B)
         assert abs(got - expected) <= 1e-12
 
     def test_size_mismatch(self):
         rng = rng_from(18)
         with pytest.raises(DimensionError):
-            systems.slam_landmark_cost(
-                Point(ac.LANDMARKS, random_landmarks(rng, 4)),
-                Point(ac.LANDMARKS, random_landmarks(rng, 5)),
-            )
+            systems.slam_landmark_cost(random_landmarks(rng, 4), random_landmarks(rng, 5))
 
 
 class TestSlamZetaE:
@@ -557,6 +577,21 @@ class TestStackedKernels:
         want = np.array([observer.group_error(prob, a, b).matrix for a, b in zip(g, g_est)])
         assert E.tobytes() == want.tobytes()
 
+    def test_attitude_cost(self):
+        rng, y0 = rng_from(43), systems.attitude_problem().y0.value
+        ys = [systems.measure_attitude(random_rotation(rng), 0.05, rng).value for _ in range(300)]
+        got = systems.attitude_cost(tuple(np.array(y) for y in zip(*ys)), y0)
+        assert got.tobytes() == np.array([systems.attitude_cost(y, y0) for y in ys]).tobytes()
+
+    def test_slam_landmark_cost(self):
+        rng = rng_from(44)
+        L = random_landmarks(rng, 24)
+        ys = np.array([systems.measure_landmarks(random_group("SE3", rng), L, 0.05, rng).value for _ in range(300)])
+        got = systems.slam_landmark_cost(ys, L)
+        assert got.tobytes() == np.array([systems.slam_landmark_cost(y, L) for y in ys]).tobytes()
+        with pytest.raises(DimensionError):
+            systems.slam_landmark_cost(ys, L[:, :5])
+
     def test_attitude_zeta_e(self):
         rng = rng_from(41)
         R_est, R = ([random_rotation(rng) for _ in range(500)] for _ in range(2))
@@ -615,18 +650,33 @@ class TestErrorColumns:
         assert traj.extras["Ve"].tobytes() == ve.tobytes()
         assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
 
-    @pytest.mark.parametrize("problem", ["numeric", "custom"])
-    def test_problem_without_stacked_forms_loops_per_sample(self, problem):
-        base = systems.attitude_problem()
-        prob = systems.attitude_problem(analytic=False) if problem == "numeric" else observer.ObserverProblem(
-            group_kind="SO3", handedness="left", output_action=base.output_action, y0=base.y0,
-            cost=lambda a, b: 3.0 * systems.attitude_cost(a, b))
-        assert prob.zeta_e_stack is None
+    @staticmethod
+    def _short_run(prob):
         config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
         u = lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1))  # noqa: E731
         state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
         traj = systems.simulate_observer(prob, systems.measure_attitude, u, state0, 1.0, config)
-        ve, zn = _reference_columns(prob, traj, "R", "Rhat", systems.measure_attitude)
+        return traj, _reference_columns(prob, traj, "R", "Rhat", systems.measure_attitude)
+
+    def test_user_problem_on_direction_pairs_takes_the_stacked_pass(self, monkeypatch):
+        # a problem built outside ``systems`` registers only its two terms, and those take stacks
+        base = systems.attitude_problem()
+        prob = observer.ObserverProblem(
+            group_kind="SO3", handedness="left", output_action=base.output_action, y0=base.y0,
+            cost=lambda a, b: 3.0 * systems.attitude_cost(a, b),
+            zeta_e_analytic=lambda m, y: 3.0 * systems.attitude_zeta_e(m, y))
+        monkeypatch.setattr(observer, "_sample_row", _no_reference)
+        traj, (ve, zn) = self._short_run(prob)
+        assert traj.extras["Ve"].tobytes() == ve.tobytes()
+        assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
+
+    def test_numeric_zeta_e_with_a_measure_takes_the_reference(self, monkeypatch):
+        # zeta_e_numeric has no stacked form, so the run's ||zeta_e|| column comes one sample at a time
+        prob, rows = systems.attitude_problem(analytic=False), []
+        real_row = observer._sample_row
+        monkeypatch.setattr(observer, "_sample_row", lambda *args: rows.append(args[1]) or real_row(*args))
+        traj, (ve, zn) = self._short_run(prob)
+        assert rows == list(traj.times)
         assert traj.extras["Ve"].tobytes() == ve.tobytes()
         assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
 
@@ -677,7 +727,10 @@ class TestErrorColumns:
             scen = systems.AttitudeScenario(omega=lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1)), noise_amp=noise)
             traj = systems.simulate_attitude_observer(exp(hat([0.3, -0.4, 0.5])), GroupElement.identity("SO3"), scen, config)
             assert len(traj.extras["Ve"]) == len(traj) == 7
-        for prob in (systems.attitude_problem(), dataclasses.replace(systems.attitude_problem(), error_cost_stack=None)):
+        prob = systems.attitude_problem()
+        for reference in (False, True):  # the stacked pass, then the per-sample reference
+            if reference:
+                monkeypatch.setattr(observer, "_stacked_columns", lambda *args: None)
             traj = systems.simulate_error_dynamics(prob, exp(hat([0.3, -0.5, 0.2])), 1.0, config)
             assert len(traj.extras["Ve"]) == 7
 
