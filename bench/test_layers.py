@@ -74,6 +74,16 @@ def test_project_stack(benchmark, kind, items):
     benchmark.extra_info["items"] = items
 
 
+@pytest.mark.parametrize("kind, items", [("SO3", 512), ("SE3", 1024)], ids=["SO3-512", "SE3-1024"])
+def test_check_stack(benchmark, kind, items):
+    """``groups.check_stack`` of a clean stack, the check each block pass pays on its products (SO(3): 512
+    rows, one block; SE(3): 1,024 rows); ``us_per_row`` is per item."""
+    rng = rng_from(17)
+    ms = np.array([random_group(kind, rng).matrix for _ in range(items)])
+    benchmark(groups.check_stack, ms)
+    benchmark.extra_info["items"] = items
+
+
 @pytest.mark.parametrize("rows", [1001])
 def test_givens_frames(benchmark, rows):
     """``bundle.givens_frames`` of a sphere trajectory's points, as ``sphere_splits`` takes them: the Givens

@@ -22,8 +22,8 @@ import numpy as np
 from . import actions as ac
 from . import groups
 from .actions import ActionSpec, Point, act
-from .errors import KindMismatchError, NotFiberInjectiveError, NumericalBlowupError, OriginError, ProjectionFailureError
-from .groups import _ORTHO_TOL, SE3, SO3, AlgebraElement, GroupElement
+from .errors import DimensionError, KindMismatchError, NotFiberInjectiveError, OriginError
+from .groups import SE3, SO3, AlgebraElement, GroupElement
 
 _ORIGIN_EPS = 1e-12
 _TINY = 2.2250738585072014e-308  # sys.float_info.min, the smallest normal float
@@ -89,8 +89,10 @@ def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Radii r (N,) and canonical fiber rotations R (N, 3, 3) with q_i = r_i R_i e1, for points q (N, 3).
 
     R = R2^T R1^T: R2 zeroes the 3rd component against the 2nd, then R1 the 2nd against the 1st.
-    Rows are checked as one stack, the origin then ``GroupElement(SO3, R_i)``'s checks: the first bad row raises."""
-    r = np.sqrt(q[:, None, :] @ q[:, :, None])[:, 0, 0]  # np.linalg.norm of each row
+    Refuses q that is not (N, 3); the rows are checked as one stack, the origin, then ``groups.check_stack``."""
+    if q.ndim != 2 or q.shape[1] != 3:
+        raise DimensionError(f"givens_frames expects points (N, 3), got shape {q.shape}")
+    r = np.sqrt(groups.row_dot(q))  # np.linalg.norm of each row
     entries = []  # R2, then R1, row by row
     for x, y, z in q.tolist():
         h23 = math.hypot(y, z)
@@ -103,14 +105,8 @@ def givens_frames(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         entries.append((1.0, 0.0, 0.0, 0.0, c2, s2, 0.0, -s2, c2, c1, s1, 0.0, -s1, c1, 0.0, 0.0, 0.0, 1.0))
     R21 = np.array(entries).reshape(-1, 2, 3, 3)
     R = np.swapaxes(R21[:, 0], 1, 2) @ np.swapaxes(R21[:, 1], 1, 2)
-    rows = np.moveaxis(R, 0, -1)  # each entry as an array over the stack
-    defect = np.sqrt(groups._defect_sq(rows))
-    groups.raise_first_bad_row([
-        (r <= _ORIGIN_EPS, lambda i: OriginError("the origin is excluded from the sphere bundle")),
-        (~np.isfinite(R).all(axis=(1, 2)), lambda i: NumericalBlowupError("group matrix has non-finite entries")),
-        (defect > _ORTHO_TOL, lambda i: ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect[i]:.3e}")),
-        (groups._det3(rows) <= 0, lambda i: ProjectionFailureError("rotation block has non-positive determinant"))])
-    return r, R
+    return r, groups.check_stack(R, [
+        (r <= _ORIGIN_EPS, lambda i: OriginError("the origin is excluded from the sphere bundle"))])
 
 
 def givens_section(q) -> tuple[float, GroupElement]:
@@ -147,7 +143,9 @@ def sphere_split(q, v) -> tuple[float, AlgebraElement]:
 
 def sphere_splits(q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``sphere_split`` of velocities v (N, 3) at points q (N, 3), stacked: returns
-    the radii r, Givens rotations R of ``givens_frames``, and hor (N,) and ver (N, 3)."""
+    the radii r, Givens rotations R of ``givens_frames``, and hor (N,) and ver (N, 3).  Refuses v unlike q."""
+    if v.shape != q.shape:
+        raise DimensionError(f"velocities must have the points' shape {q.shape}, got {v.shape}")
     r, R = givens_frames(q)
     w = (np.swapaxes(R, 1, 2) @ v[:, :, None])[:, :, 0]
     u = w[:, 1:] / r[:, None]  # (w - hor e1) / r without its zero first entry

@@ -201,8 +201,7 @@ def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
         measurements[:, :3] += rng.uniform(-scen["noise"], scen["noise"], size=measurements[:, :3].shape)
     recovered = systems.recover_pose_chain(measurements)
     true_rel = inverse_matrix(poses[:-1]) @ poses[1:]
-    D = (recovered - true_rel).reshape(-1, 1, 16)
-    err = np.sqrt(D @ np.swapaxes(D, 1, 2))[:, 0, 0].tolist()  # np.linalg.norm of each difference
+    err = np.sqrt(row_dot((recovered - true_rel).reshape(-1, 16))).tolist()  # np.linalg.norm of each difference
     ve = [e**2 for e in err]  # C pow; np.square differs in the last bit of some values
     columns = (np.arange(len(err)) * scen["h"], true_rel.reshape(-1, 16), recovered.reshape(-1, 16), ve, err)
     return columns, _report(ve, "max_recovery_error", max(err), 1e-12)
@@ -222,8 +221,7 @@ def _run_sphere_split_demo(scen: dict) -> tuple[tuple, list[str]]:
     col = np.stack([np.zeros(len(r)), ver[:, 2], -ver[:, 1]], axis=1)  # hat(ver) e1
     rec = hor[:, None] * R[:, :, 0] + r[:, None] * (R @ col[:, :, None])[:, :, 0]
     d = rec - v
-    ve = (d[:, None, :] @ d[:, :, None])[:, 0, 0]
-    norms = np.sqrt(ver[:, None, :] @ ver[:, :, None])[:, 0, 0]
+    ve, norms = row_dot(d), np.sqrt(row_dot(ver))
     return (traj.times, q, rec, ve, norms), _report(ve, "max_split_residual", np.sqrt(ve).max(), 1e-12)
 
 

@@ -133,29 +133,33 @@ class GroupElement:
         return self.kind == other.kind and np.linalg.norm(self.matrix - other.matrix) <= tol
 
 
-def check_stack(ms: np.ndarray) -> np.ndarray:
+def check_stack(ms: np.ndarray, first=()) -> np.ndarray:
     """The GroupElement constructor's checks on each matrix of a stack (k, 3, 3) or (k, 4, 4), in
-    whole-array arithmetic: finite entries, the defect (``_defect_sq``) and determinant of each
-    rotation block, and an SE(3) bottom row within 1e-12 of (0, 0, 0, 1), set exactly where it is
-    not.  Raises the constructor's error for the first of these checks that some item fails."""
-    _stack_defects(ms)
+    whole-array arithmetic, after the caller's own row checks ``first`` ((bad, error) pairs, as
+    ``raise_first_bad_row`` takes them): finite entries, the defect (``_defect_sq``) and determinant of
+    each rotation block, and an SE(3) bottom row within 1e-12 of (0, 0, 0, 1), set exactly where it is
+    not.  The first bad row raises its first failing check, the constructor's error after the caller's."""
+    _stack_defects(ms, first)
     return ms
 
 
-def _stack_defects(ms: np.ndarray) -> np.ndarray:
-    """``check_stack``'s checks of ms, in place; returns each item's defect."""
-    if not np.isfinite(ms).all():
-        raise NumericalBlowupError("group matrix has non-finite entries")
-    rows = np.moveaxis(ms[:, :3, :3], 0, -1)  # each entry as an array over the stack
-    defect = np.sqrt(_defect_sq(rows))
-    if (defect > _ORTHO_TOL).any():
-        raise ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect.max():.3e}")
-    if (_det3(rows) <= 0).any():
-        raise ProjectionFailureError("rotation block has non-positive determinant")
+def _stack_defects(ms: np.ndarray, first=()) -> np.ndarray:
+    """``check_stack(ms, first)``, in place; returns each item's defect.  A clean stack takes one whole-array
+    finiteness test and one ``any`` per check; only a stack with a bad row takes the masks of its finiteness."""
+    rows = ms[:, :3, :3].transpose(1, 2, 0)  # each entry as an array over the stack
+    with np.errstate(all="ignore"):  # a non-finite row's NaNs pass the checks below; its finiteness check fails
+        defect, det = np.sqrt(_defect_sq(rows)), _det3(rows)
+    checks = [(defect > _ORTHO_TOL,
+               lambda i: ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect[i]:.3e}")),
+              (det <= 0, lambda i: ProjectionFailureError("rotation block has non-positive determinant"))]
     if ms.shape[-1] == 4:
         d = ms[:, 3] - (0.0, 0.0, 0.0, 1.0)
-        if (np.sqrt(row_dot(d)) > 1e-12).any():
-            raise ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")
+        checks.append((np.sqrt(row_dot(d)) > 1e-12,
+                       lambda i: ProjectionFailureError("bottom row of SE3 matrix is not (0,0,0,1)")))
+    if not np.isfinite(ms).all() or any(bad.any() for bad, _ in (*first, *checks)):
+        raise_first_bad_row([*first, (~np.isfinite(ms).all(axis=(1, 2)),
+                                      lambda i: NumericalBlowupError("group matrix has non-finite entries")), *checks])
+    if ms.shape[-1] == 4 and d.any():
         ms[(d != 0.0).any(axis=1), 3] = (0.0, 0.0, 0.0, 1.0)
     return defect
 
@@ -471,9 +475,9 @@ def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
 
 
 def project_stack(ms: np.ndarray, kind: str) -> np.ndarray:
-    """``project_to_group`` of each matrix of a stack (k, n, n), as a checked stack: one SVD and one U @ Vt,
-    then each item's checks, finiteness first, on the whole stack and with their bits; the first bad item
-    raises its first failing check, so that items fail in order."""
+    """``project_to_group`` of each matrix of a stack (k, n, n), as a checked stack: one SVD and one U @ Vt, then
+    ``check_stack`` of the projections after its own checks (finiteness, the orthonormalized determinant, the 0.5
+    distance), with their bits; the first bad item raises its first failing check, so that items fail in order."""
     n = _SIZE_OF_GROUP.get(kind)
     if n is None:
         raise KindMismatchError(f"unknown group kind {kind!r}")
@@ -483,16 +487,14 @@ def project_stack(ms: np.ndarray, kind: str) -> np.ndarray:
     blocks = np.where(finite[:, None, None], ms[:, :3, :3], _I3)  # LAPACK's SVD may not return on a non-finite one
     U, _, Vt = np.linalg.svd(blocks)
     R = U @ Vt
-    rows = np.moveaxis(R, 0, -1)  # each entry as an array over the stack; a view, so it sees the flips
+    rows = R.transpose(1, 2, 0)  # each entry as an array over the stack; a view, so it sees the flips
     flip = _det3(rows) < 0
     R[flip] = U[flip] @ np.diag([1.0, 1.0, -1.0]) @ Vt[flip]
-    dist, defect = np.sqrt(row_dot((R - blocks).reshape(-1, 9))), np.sqrt(_defect_sq(rows))  # ||R - block||, defect
-    raise_first_bad_row([
+    dist = np.sqrt(row_dot((R - blocks).reshape(-1, 9)))  # ||R - block||
+    g = ms.astype(float)  # a copy that keeps the SE(3) translations; rotation blocks and bottom rows set below
+    g[:, :3, :3], g[:, 3:] = R, np.eye(n)[3:]
+    return check_stack(g, [
         (~finite, lambda i: NumericalBlowupError("matrix to project has non-finite entries")),
         (_det3(rows) <= 0, lambda i: ProjectionFailureError("orthonormalized block has non-positive determinant")),
         (dist > 0.5, lambda i: ProjectionFailureError(
-            f"matrix too far from {kind}: Frobenius distance {dist[i]:.3e} > 0.5")),
-        (defect > _ORTHO_TOL, lambda i: ProjectionFailureError(f"not orthogonal: ||R^T R - I|| = {defect[i]:.3e}"))])
-    g = ms.astype(float)  # a copy that keeps the SE(3) translations; rotation blocks and bottom rows set below
-    g[:, :3, :3], g[:, 3:] = R, np.eye(n)[3:]
-    return g
+            f"matrix too far from {kind}: Frobenius distance {dist[i]:.3e} > 0.5"))])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from bundleobs import actions as ac
 from bundleobs import bundle
 from bundleobs.actions import Point, act
-from bundleobs.errors import BundleobsError, KindMismatchError, NotFiberInjectiveError, OriginError
+from bundleobs.errors import BundleobsError, DimensionError, KindMismatchError, NotFiberInjectiveError, OriginError
 from bundleobs.groups import AlgebraElement, GroupElement, exp, hat
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import slam_vector_field, sphere_vector_field
@@ -38,6 +38,17 @@ class TestGivensSection:
     def test_origin_excluded(self):
         with pytest.raises(OriginError):
             bundle.givens_section([0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("call", [
+        lambda: bundle.givens_section([1.0, 2.0]),
+        lambda: bundle.givens_frames(np.ones((2, 2))),
+        lambda: bundle.sphere_split([1.0, 2.0, 3.0], [1.0, 2.0]),
+        lambda: bundle.sphere_splits(np.ones((2, 3)), np.ones((3, 3))),
+    ], ids=["givens_section", "givens_frames", "sphere_split", "sphere_splits"])
+    def test_bad_shape_refused(self, call):
+        # points must be (N, 3) and velocities must have the points' shape
+        with pytest.raises(DimensionError):
+            call()
 
     @settings(max_examples=500, deadline=None)
     @given(axis=st.integers(0, 2), sign=st.sampled_from([-1.0, 1.0]), log_scale=st.floats(-3.0, 3.0),

@@ -645,9 +645,36 @@ def _bad_matrix(kind, name):
 _BAD = [(kind, name) for kind in ("SO3", "SE3") for name in ("non_finite", "defect", "det")] + [
     ("SE3", "bottom_row"), ("SE3", "bottom_row_close")]
 
+# a stack of good rows (each from its seed) and ``_bad_matrix`` rows of the kind's faults
+_MIXED_STACK = st.sampled_from(["SO3", "SE3"]).flatmap(lambda kind: st.tuples(st.just(kind), st.lists(st.tuples(
+    st.sampled_from(["good"] + [name for k, name in _BAD if k == kind]), st.integers(0, 2**32 - 1)),
+    min_size=1, max_size=8)))
+
 
 class TestCheckStack:
     """``check_stack``: the constructor's checks on a stack, whole-array, with its error classes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_MIXED_STACK)
+    @example(case=("SE3", [("defect", 1), ("non_finite", 2)]))
+    def test_mixed_faults_as_the_constructor_row_by_row(self, case):
+        # the first bad row raises the constructor's error (class and message); a stack without one has the
+        # constructor's bytes; a non-finite row raises without a RuntimeWarning from the arithmetic of the others
+        kind, items = case
+        ms = np.array([random_group(kind, rng_from(seed)).matrix if name == "good" else _bad_matrix(kind, name)
+                       for name, seed in items])
+        expected = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for m in ms:
+                try:
+                    expected.append(GroupElement(kind, m).matrix)
+                except BundleobsError as exc:
+                    with pytest.raises(type(exc)) as got:
+                        check_stack(ms)
+                    assert str(got.value) == str(exc)
+                    return
+            assert check_stack(ms).tobytes() == np.array(expected).tobytes()
 
     @pytest.mark.parametrize("kind", ["SO3", "SE3"])
     def test_valid_stack_passes_unchanged(self, kind):
