@@ -158,6 +158,24 @@ def test_act_attitude_direction_pair(benchmark):
     benchmark(actions.act, prob.output_action, random_rotation(rng), systems.measure_attitude(random_rotation(rng)))
 
 
+def test_act_slam_right_action(benchmark):
+    """The SLAM state action, right SE(3) on (pose, landmarks), at a 24-landmark point: the lift and the
+    image point's checks."""
+    rng = rng_from(19)
+    a = actions.slam_action(24)
+    benchmark(actions.act, a, random_group("SE3", rng), a.sample_point(rng))
+
+
+@pytest.mark.parametrize("system", ["attitude", "slam24"])
+def test_problem_construction(benchmark, system):
+    """``systems.attitude_problem()`` or ``systems.slam_problem(L)`` on 24 landmarks: the critical-point
+    probe builds 7 or 13 output points through ``error_cost``, then checks the stacked terms."""
+    if system == "attitude":
+        benchmark(systems.attitude_problem)
+    else:
+        benchmark(systems.slam_problem, random_landmarks(rng_from(20), 24))
+
+
 def test_lie_euler_attitude_step(benchmark):
     """One noiseless attitude observer step, as ``simulate_observer``
     takes it (plus integrate_system's fixed cost for a one-step run): the

@@ -1,11 +1,12 @@
 """Group actions, infinitesimal generators, and equivariance certification.
 
-An ActionSpec defines each action by one map, ``lift(m, t)``, on raw arrays.
-All concrete actions here are linear in the raw arrays of the point, so that
-map is both the action (``act`` applies it to the point's arrays and rebuilds
-the point) and its differential on tangents.  Its infinitesimal generator is
-a required closed form.  Points are tagged unions; a tangent mirrors the point
-payload as an array or a pair of arrays (no invariant checks).
+A Point is a tagged union of raw arrays: a vector, a group matrix, landmark
+columns, or a pair of arrays.  An ActionSpec defines each action by one map,
+``lift(m, t)``, on those arrays.  All concrete actions here are linear in
+them, so that map is both the action (``act`` applies it to ``p.value`` and
+builds the image point) and its differential on tangents.  Its infinitesimal
+generator is a required closed form.  A tangent has its point's layout, an
+array or a pair of arrays (no invariant checks).
 """
 
 from __future__ import annotations
@@ -33,11 +34,15 @@ GROUP = "group"
 LANDMARK_TUPLE = "landmark_tuple"
 LANDMARKS = "landmarks"
 DIRECTION_PAIR = "direction_pair"
+_GROUP_OF_SHAPE = {(3, 3): SO3, (4, 4): SE3}
 
 
 @dataclass(frozen=True)
 class Point:
-    """A point of one of the supported homogeneous spaces."""
+    """A point of one of the supported homogeneous spaces, as its raw arrays: a 3-vector (r3, s2 of unit norm),
+    a group matrix (3x3 for SO(3), 4x4 for SE(3), checked and frozen by the ``GroupElement`` constructor),
+    homogeneous landmark columns (4, N), or a tuple: (an SE(3) pose matrix, landmarks), or two unit 3-vectors.
+    Landmarks and direction pairs are checked by ``check_point_stack``, as a stack of one."""
 
     kind: str
     value: object
@@ -51,44 +56,40 @@ class Point:
             if k == S2 and not abs(math.sqrt(v @ v) - 1.0) <= 1e-12:  # fails closed on NaN
                 raise KindMismatchError("s2 point must have unit norm")
         elif k == GROUP:
-            if not isinstance(v, GroupElement):
-                raise KindMismatchError("group point must wrap a GroupElement")
+            group_kind = _GROUP_OF_SHAPE.get(np.shape(v))
+            if group_kind is None:
+                raise KindMismatchError("group point must hold a 3x3 or 4x4 matrix")
+            v = GroupElement(group_kind, v).matrix
         elif k == LANDMARK_TUPLE:
-            S, L = v
-            if not (isinstance(S, GroupElement) and S.kind == SE3):
-                raise KindMismatchError("landmark tuple needs an SE3 pose in the first slot")
-            L = np.asarray(L, dtype=float)
-            if L.ndim != 2 or L.shape[0] != 4 or not (L[3] == 1.0).all():
-                raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
-            v = (S, L)
+            if not (isinstance(v, tuple) and len(v) == 2 and np.shape(v[0]) == (4, 4)):
+                raise KindMismatchError("landmark tuple needs an SE3 pose matrix, then landmarks")
+            v = (GroupElement(SE3, v[0]).matrix, Point(LANDMARKS, v[1]).value)
         elif k == LANDMARKS:
-            L = np.asarray(v, dtype=float)
-            if L.ndim != 2 or L.shape[0] != 4 or not (L[3] == 1.0).all():
-                raise KindMismatchError("landmark columns must be homogeneous (last entry 1)")
-            v = L
+            v = check_point_stack(k, np.asarray(v, dtype=float)[None])[0]
         elif k == DIRECTION_PAIR:
-            a, b = (np.asarray(x, dtype=float) for x in v)
-            for x in (a, b):
-                if x.shape != (3,) or not abs(math.sqrt(x @ x) - 1.0) <= 1e-12:
-                    raise KindMismatchError("direction pair entries must be unit 3-vectors")
-            v = (a, b)
+            pair = tuple(np.asarray(x, dtype=float)[None] for x in v) if isinstance(v, tuple) else v
+            v = tuple(x[0] for x in check_point_stack(k, pair))
         else:
             raise KindMismatchError(f"unknown point kind {k!r}")
         object.__setattr__(self, "value", v)
 
 
 def check_point_stack(kind: str, value):
-    """The Point constructor's check of each point of a stack, returning ``value``: a direction
-    pair as two (k, 3) stacks of unit vectors (norms by ``groups.row_dot``, within 1e-12), else
-    landmarks as (k, 4, N) with a homogeneous last row.  The error's ``row`` is the first bad point."""
+    """The Point rule of a direction pair or landmarks on each point of a stack, returning ``value``: a direction
+    pair is a tuple of two (k, 3) stacks of unit vectors (norms by ``groups.row_dot``, within 1e-12), landmarks a
+    (k, 4, N) stack whose last row is 1.  The error's ``row`` is the first bad point, 0 for a stack of another
+    shape."""
+    ok = np.zeros((1, 1), bool)  # one bad point, row 0, unless the stack has the kind's shape
     if kind == DIRECTION_PAIR:
-        ok = np.logical_and(*(abs(np.sqrt(groups.row_dot(x)) - 1.0) <= 1e-12 for x in value))
-    else:
-        ok = (value[:, 3] == 1.0).all(axis=1)
+        if isinstance(value, tuple) and len(value) == 2 and all(
+                isinstance(x, np.ndarray) and x.shape[1:] == (3,) and x.shape == value[0].shape for x in value):
+            ok = (abs(np.sqrt(groups.row_dot(np.concatenate(value))) - 1.0) <= 1e-12).reshape(2, -1).T
+    elif isinstance(value, np.ndarray) and value.ndim == 3 and value.shape[1] == 4:
+        ok = value[:, 3] == 1.0
     if not ok.all():
         exc = KindMismatchError("direction pair entries must be unit 3-vectors" if kind == DIRECTION_PAIR
                                 else "landmark columns must be homogeneous (last entry 1)")
-        exc.row = int(ok.argmin())
+        exc.row = int(ok.all(axis=1).argmin())
         raise exc
     return value
 
@@ -98,9 +99,9 @@ class ActionSpec:
     """A left or right action of SO(3)/SE(3) on one point kind.
 
     ``lift(m, t)`` is the one map of the action, at g's matrix m.  Every
-    action here is linear in the point's raw arrays, so the same map sends a
-    point's raw arrays (``point_raw(p)``) to those of phi_g(p), which ``act``
-    rebuilds into a point, and sends a tangent t at any p to T_p(phi_g) t.
+    action here is linear in the point's raw arrays, so the same map sends
+    ``p.value`` to the value of phi_g(p), which ``act`` builds into a point,
+    and sends a tangent t at any p to T_p(phi_g) t.
     A stack of matrices (k, n, n) sends one point's arrays to the stack of
     their images, each item with the bits of its own call.  ``generator(zeta,
     p)`` is the closed-form infinitesimal generator.
@@ -120,24 +121,13 @@ def act(a: ActionSpec, g: GroupElement, p: Point) -> Point:
         raise KindMismatchError(f"action {a.name} expects {a.group_kind} elements, got {g.kind}")
     if p.kind != a.point_kind:
         raise KindMismatchError(f"action {a.name} acts on {a.point_kind} points, got {p.kind}")
-    if p.kind == GROUP and p.value.kind != a.group_kind:
-        raise KindMismatchError(f"action {a.name} acts on {a.group_kind} points, got {p.value.kind}")
-    return _point_from_raw(a, a.lift(g.matrix, point_raw(p)))
+    if p.kind == GROUP and p.value.shape != g.matrix.shape:
+        raise KindMismatchError(f"action {a.name} acts on {a.group_kind} points, got a {p.value.shape} matrix")
+    raw = a.lift(g.matrix, p.value)
+    return Point(a.point_kind, raw / np.linalg.norm(raw) if a.point_kind == S2 else raw)
 
 
-def _point_from_raw(a: ActionSpec, raw) -> Point:
-    """The point of ``a``'s kind whose raw arrays are ``raw``: an S2 vector is
-    renormalized, and group poses go through the validating constructor."""
-    if a.point_kind == S2:
-        raw = raw / np.linalg.norm(raw)
-    elif a.point_kind == GROUP:
-        raw = GroupElement(a.group_kind, raw)
-    elif a.point_kind == LANDMARK_TUPLE:
-        raw = (GroupElement(SE3, raw[0]), raw[1])
-    return Point(a.point_kind, raw)
-
-
-# -- tangent arithmetic (a tangent is an array, or a pair of arrays like a point's payload) --
+# -- tangent arithmetic (a tangent is an array, or a pair of arrays, in its point's layout) --
 
 def tangent_map(f, *ts):
     """f applied to the arrays of the tangents ``ts``, slot by slot for pairs."""
@@ -152,20 +142,10 @@ def tangent_norm(t) -> float:
     return float(np.linalg.norm(t))
 
 
-def point_raw(p: Point):
-    """Payload of p as raw arrays, shaped like a tangent at p."""
-    if p.kind == GROUP:
-        return p.value.matrix
-    if p.kind == LANDMARK_TUPLE:
-        S, L = p.value
-        return (S.matrix, L)
-    return p.value  # an array, or the direction pair's two arrays
-
-
 def point_distance(p1: Point, p2: Point) -> float:
     if p1.kind != p2.kind:
         raise KindMismatchError(f"cannot compare {p1.kind} with {p2.kind}")
-    return tangent_norm(tangent_map(np.subtract, point_raw(p1), point_raw(p2)))
+    return tangent_norm(tangent_map(np.subtract, p1.value, p2.value))
 
 
 # -- concrete actions --
@@ -227,7 +207,7 @@ def trivial_action(group_kind: str, point_kind: str, handedness: str, sample_poi
         return t if np.ndim(m) == 2 else tangent_map(lambda x: np.broadcast_to(x, (len(m), *x.shape)), t)
 
     def gen(zeta, p):
-        return tangent_map(lambda x: 0.0 * x, point_raw(p))
+        return tangent_map(lambda x: 0.0 * x, p.value)
 
     return ActionSpec(f"trivial_on_{point_kind}", handedness, group_kind, point_kind, lift, gen, sample_point)
 
@@ -239,11 +219,11 @@ def group_translation(group_kind: str, handedness: str) -> ActionSpec:
         return m @ t if handedness == "left" else t @ m
 
     def gen(zeta, p):
-        h = p.value.matrix
+        h = p.value
         return zeta.matrix @ h if handedness == "left" else h @ zeta.matrix
 
     def sample(rng):
-        return Point(GROUP, random_group(group_kind, rng))
+        return Point(GROUP, random_group(group_kind, rng).matrix)
 
     return ActionSpec(
         f"{group_kind.lower()}_{handedness}_translation", handedness, group_kind, GROUP, lift, gen, sample
@@ -260,10 +240,10 @@ def slam_action(n_landmarks: int = 6) -> ActionSpec:
     def gen(zeta, p):
         S, L = p.value
         W = zeta.matrix
-        return (-W @ S.matrix, -W @ L)
+        return (-W @ S, -W @ L)
 
     def sample(rng):
-        return Point(LANDMARK_TUPLE, (random_group(SE3, rng), random_landmarks(rng, n_landmarks)))
+        return Point(LANDMARK_TUPLE, (random_group(SE3, rng).matrix, random_landmarks(rng, n_landmarks)))
 
     return ActionSpec("slam_right_action", "right", SE3, LANDMARK_TUPLE, lift, gen, sample)
 

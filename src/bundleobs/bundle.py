@@ -31,8 +31,8 @@ _TINY = 2.2250738585072014e-308  # sys.float_info.min, the smallest normal float
 
 @dataclass(frozen=True)
 class BaseCoordinate:
-    """Coordinate on the quotient: a radius, a SLAM body-frame tuple, or a
-    generic section point."""
+    """Coordinate on the quotient: a radius, a SLAM body-frame tuple (a ``landmark_tuple``
+    Point whose pose matrix is within 1e-9 of I), or a generic section point."""
 
     kind: str  # "radius" | "slam" | "point"
     value: object
@@ -43,7 +43,7 @@ class BaseCoordinate:
                 raise OriginError("sphere base coordinate must be a positive radius")
         elif self.kind == "slam":
             S, _ = self.value.value
-            if not S.is_close(GroupElement.identity(SE3), 1e-9):
+            if not np.linalg.norm(S - np.eye(4)) <= 1e-9:
                 raise KindMismatchError("SLAM base coordinate must carry an identity pose slot")
         elif self.kind != "point":
             raise KindMismatchError(f"unknown base coordinate kind {self.kind!r}")
@@ -161,15 +161,14 @@ def slam_bundle(n_landmarks: int = 6) -> CrossSection:
         S, L = p.value
         return BaseCoordinate(
             "slam",
-            Point(ac.LANDMARK_TUPLE, (GroupElement.identity(SE3), groups.inverse_matrix(S.matrix) @ L)),
+            Point(ac.LANDMARK_TUPLE, (np.eye(4), groups.inverse_matrix(S) @ L)),
         )
 
     def section(b: BaseCoordinate) -> Point:
         return b.value
 
     def fiber_of(p: Point) -> GroupElement:
-        S, _ = p.value
-        return S
+        return GroupElement(SE3, p.value[0])
 
     return CrossSection("slam_identity_slot", action, base_of, section, fiber_of)
 
@@ -205,7 +204,7 @@ def associated_section_from_output(H, s_Y: CrossSection, state_action: ActionSpe
     sec = CrossSection(f"associated_{s_Y.name}", state_action, base_of, section, fiber_of)
 
     def residual(rng, p, g):  # each relative to the sample's size
-        scale, resid = max(1.0, ac.tangent_norm(ac.point_raw(p))), sec.reconstruction_residual(p)
+        scale, resid = max(1.0, ac.tangent_norm(p.value)), sec.reconstruction_residual(p)
         # base must be constant along the orbit; a non-fiber-injective H
         # (e.g. a constant map) leaks the group motion into the base
         orbit = ac.point_distance(sec.section(sec.base_of(act(state_action, g, p))), sec.section(sec.base_of(p)))
@@ -233,7 +232,7 @@ def reduce_system(X, sec: CrossSection, p: Point, u=None):
         raise KindMismatchError(f"no closed-form split for section {sec.name!r}")
     S, L = p.value
     Sdot, Ldot = X(p, u)
-    Sinv = groups.inverse_matrix(S.matrix)
+    Sinv = groups.inverse_matrix(S)
     Vhat = Sinv @ Sdot
     base_rate = (np.zeros((4, 4)), -Vhat @ (Sinv @ L) + Sinv @ Ldot)
     return base_rate, AlgebraElement("se3", groups.vee(Vhat))

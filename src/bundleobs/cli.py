@@ -264,11 +264,13 @@ def _audit_equivariance(samples: int, seed: int) -> list[tuple[str, float, float
             lambda p, u: systems.attitude_vector_field(p, AlgebraElement("so3", u)), att_state,
             lambda g, om: inverse_matrix(g.matrix) @ om, sample_input=lambda rng: rng.normal(size=3), **kw)),
         ("attitude output", ac.check_equivariance_output(
-            lambda p: systems.measure_attitude(p.value), att_state, ac.so3_on_direction_pair("right"), **kw)),
+            lambda p: systems.measure_attitude(GroupElement("SO3", p.value)), att_state,
+            ac.so3_on_direction_pair("right"), **kw)),
         ("slam vector field", ac.check_equivariance_vf(
             systems.slam_vector_field, slam_act, None, sample_input=_sample_slam_input, **kw)),
-        ("slam output", ac.check_equivariance_output(lambda p: systems.measure_landmarks(*p.value), slam_act,
-                                                     ac.trivial_action("SE3", ac.LANDMARKS, "right"), **kw)),
+        ("slam output", ac.check_equivariance_output(
+            lambda p: systems.measure_landmarks(GroupElement("SE3", p.value[0]), p.value[1]), slam_act,
+            ac.trivial_action("SE3", ac.LANDMARKS, "right"), **kw)),
     ]
     return [(name, residual, 1e-10) for name, residual in residuals]
 

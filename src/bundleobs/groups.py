@@ -129,9 +129,6 @@ class GroupElement:
             raise KindMismatchError(f"cannot compose {self.kind} with {other.kind}")
         return GroupElement(self.kind, self.matrix @ other.matrix)
 
-    def is_close(self, other: "GroupElement", tol: float = 1e-9) -> bool:
-        return self.kind == other.kind and np.linalg.norm(self.matrix - other.matrix) <= tol
-
 
 def check_stack(ms: np.ndarray, first=()) -> np.ndarray:
     """The GroupElement constructor's checks on each matrix of a stack (k, 3, 3) or (k, 4, 4), in
@@ -476,8 +473,8 @@ def project_to_group(m: np.ndarray, kind: str) -> GroupElement:
 
 def project_stack(ms: np.ndarray, kind: str) -> np.ndarray:
     """``project_to_group`` of each matrix of a stack (k, n, n), as a checked stack: one SVD and one U @ Vt, then
-    ``check_stack`` of the projections after its own checks (finiteness, the orthonormalized determinant, the 0.5
-    distance), with their bits; the first bad item raises its first failing check, so that items fail in order."""
+    ``check_stack`` of the projections after its own checks (finiteness, the 0.5 distance; after the flip a finite
+    row's det is +1 up to rounding), with their bits; the first bad item raises its first failing check, in order."""
     n = _SIZE_OF_GROUP.get(kind)
     if n is None:
         raise KindMismatchError(f"unknown group kind {kind!r}")
@@ -495,6 +492,5 @@ def project_stack(ms: np.ndarray, kind: str) -> np.ndarray:
     g[:, :3, :3], g[:, 3:] = R, np.eye(n)[3:]
     return check_stack(g, [
         (~finite, lambda i: NumericalBlowupError("matrix to project has non-finite entries")),
-        (_det3(rows) <= 0, lambda i: ProjectionFailureError("orthonormalized block has non-positive determinant")),
         (dist > 0.5, lambda i: ProjectionFailureError(
             f"matrix too far from {kind}: Frobenius distance {dist[i]:.3e} > 0.5"))])

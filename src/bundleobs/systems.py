@@ -136,7 +136,7 @@ def measure_attitude(R, noise_amp=0.0, rng=None):
 
 def attitude_vector_field(p: Point, omega: AlgebraElement):
     """Right-translation-equivariant kinematics R' = R Omega^."""
-    return p.value.matrix @ omega.matrix
+    return p.value @ omega.matrix
 
 
 @dataclass(frozen=True)
@@ -192,7 +192,7 @@ def slam_vector_field(p: Point, v):
     vbar = np.asarray(vbar, dtype=float)
     if vbar.shape != L.shape:
         raise DimensionError(f"landmark velocity shape {vbar.shape} != {L.shape}")
-    return (S.matrix @ V.matrix, S.matrix @ vbar)
+    return (S @ V.matrix, S @ vbar)
 
 
 def slam_landmark_cost(y, y_ref):

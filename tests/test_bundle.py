@@ -12,7 +12,7 @@ from bundleobs import actions as ac
 from bundleobs import bundle
 from bundleobs.actions import Point, act
 from bundleobs.errors import BundleobsError, DimensionError, KindMismatchError, NotFiberInjectiveError, OriginError
-from bundleobs.groups import AlgebraElement, GroupElement, exp, hat
+from bundleobs.groups import AlgebraElement, GroupElement, exp, hat, inverse_matrix
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
 from bundleobs.systems import slam_vector_field, sphere_vector_field
 
@@ -204,7 +204,7 @@ class TestSlamSection:
     def test_identity_pose(self):
         rng = rng_from(2)
         L = random_landmarks(rng, 4)
-        p = Point(ac.LANDMARK_TUPLE, (GroupElement.identity("SE3"), L))
+        p = Point(ac.LANDMARK_TUPLE, (np.eye(4), L))
         bp = bundle.slam_section(p)
         np.testing.assert_allclose(bp.fiber.matrix, np.eye(4))
         S_base, L_base = bp.base.value.value
@@ -215,9 +215,10 @@ class TestSlamSection:
         sec = bundle.slam_bundle(4)
         S = random_group("SE3", rng)
         L = random_landmarks(rng, 4)
-        p = Point(ac.LANDMARK_TUPLE, (S, L))
+        p = Point(ac.LANDMARK_TUPLE, (S.matrix, L))
         assert sec.reconstruction_residual(p) <= 1e-12
-        assert bundle.slam_section(p).fiber.is_close(S, 1e-12)
+        fiber = bundle.slam_section(p).fiber
+        assert fiber.kind == "SE3" and np.linalg.norm(fiber.matrix - S.matrix) <= 1e-12
 
     def test_orbit_invariant_base(self):
         rng = rng_from(4)
@@ -279,7 +280,7 @@ class TestReduceSystem:
         V = random_algebra("se3", rng)
         vbar = np.vstack([rng.normal(size=(3, 6)), np.zeros((1, 6))])
         base_rate, fiber_rate = bundle.reduce_system(slam_vector_field, sec, p, (V, vbar))
-        Sinv = S.inverse().matrix
+        Sinv = inverse_matrix(S)
         np.testing.assert_allclose(base_rate[0], np.zeros((4, 4)), atol=1e-12)
         np.testing.assert_allclose(base_rate[1], -V.matrix @ (Sinv @ L) + vbar, atol=1e-10)
         np.testing.assert_allclose(fiber_rate.vec, V.vec, atol=1e-10)

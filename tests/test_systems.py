@@ -308,7 +308,7 @@ class TestSlamVectorField:
         base_rate, _ = bundle.reduce_system(
             systems.slam_vector_field, sec, p, (V, np.zeros((4, 6)))
         )
-        expected = -V.matrix @ (S.inverse().matrix @ L)
+        expected = -V.matrix @ (groups.inverse_matrix(S) @ L)
         np.testing.assert_allclose(base_rate[1], expected, atol=1e-10)
 
     def test_inverse_pose_rate(self):
@@ -552,6 +552,24 @@ class TestValidationPerStep:
         # the observer problem's construction checks a few elements before the run
         for name, count in counts.items():
             assert count <= 2 * n_steps + 10, (name, count)
+
+
+    @pytest.mark.parametrize("system", ["attitude", "slam"])
+    def test_a_measure_of_another_shape_is_refused(self, system):
+        # a measure that drops a coordinate ends the run in the point check's error, not in an IndexError
+        config = IntegratorConfig(method="rk4_cg", h=1e-2, t_final=0.1)
+        if system == "attitude":
+            prob, state0 = systems.attitude_problem(), {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
+            measure = lambda G, *noise: tuple(y[:, :2] for y in systems.measure_attitude(G, *noise))  # noqa: E731
+            u = lambda ts: np.tile((0.1, 0.2, 0.3), (len(ts), 1))  # noqa: E731
+        else:
+            L = random_landmarks(rng_from(25), 6)
+            prob, state0 = systems.slam_problem(L), {"S": exp(hat([0.2, -0.1, 0.3, 0.3, -0.2, 0.4])),
+                                                     "Shat": GroupElement.identity("SE3")}
+            measure = lambda S, *noise: systems.measure_landmarks(S, L, *noise)[:, :3]  # noqa: E731
+            u = lambda ts: np.tile((0.1, 0.0, 0.05, 0.2, -0.1, 0.3), (len(ts), 1))  # noqa: E731
+        with pytest.raises(KindMismatchError):
+            systems.simulate_observer(prob, measure, u, state0, 1.5, config)
 
 
 def _reference_columns(prob, traj, true, est, measure):
