@@ -15,11 +15,14 @@ or ``observer.error_columns`` (before ``BENCH_13.json``), their benchmarks
 time the work they replace; ``write_csv`` is called with row dicts or columns,
 and ``error_columns`` with matrix stacks or element lists, whichever its
 signature takes.  The observer runs (since ``BENCH_15.json``; the 2,048-step
-one since ``BENCH_25.json``) use only the public simulators.
+one since ``BENCH_25.json``) use only the public simulators.  ``test_follower_step``
+(since ``BENCH_29.json``) times the private ``integrate._follow`` on a block built by
+``integrate._factors``, with the ``follow`` that ``simulate_observer`` builds.
 """
 
 import inspect
 import operator
+from unittest import mock
 from pathlib import Path
 
 import numpy as np
@@ -101,25 +104,36 @@ def test_attitude_zeta_e(benchmark):
 
 @pytest.mark.parametrize("system", ["attitude", "slam"])
 def test_follower_step(benchmark, system):
-    """One serial observer correction as the block pass takes it, at fixed inputs: zeta_e's coordinates at the
-    estimate's matrix, the checked ``exp_matrix`` of h times the gain-weighted correction, and
-    ``integrate._chain`` by it and a fixed feed-forward factor (attitude: h = 1e-3, gain 1; SLAM: 24
-    landmarks, h = 5e-3, gain 0.375, as ``slam_track``'s 24-landmark runs)."""
-    rng = rng_from(15)
+    """The serial observer correction as ``integrate._follow`` takes it, per step of one 512-read lie_euler block
+    at fixed measurements: the ``follow`` that ``simulate_observer`` builds (zeta_e's coordinates, scaled by the
+    gain), the exponential of h times it, the chain by it and the feed-forward factor, and the block's one
+    ``_gated`` check (attitude: h = 1e-3, gain 1; SLAM: 24 landmarks, h = 5e-3, gain 0.375, as ``slam_track``'s
+    24-landmark runs).  ``follow`` is taken from the Cascade that ``simulate_observer`` hands to the integrator."""
+    rng, k = rng_from(15), 512
     if system == "attitude":
-        prob, h, gain, kind = systems.attitude_problem(), 1e-3, 1.0, "SO3"
-        y = systems.measure_attitude(random_rotation(rng)).value
+        h, kind, gain, L = 1e-3, "SO3", 1.0, None
+        run = lambda g0, g1, config: systems.simulate_observer(  # noqa: E731
+            systems.attitude_problem(), systems.measure_attitude, lambda ts: np.zeros((len(ts), 3)),
+            {"R": g0, "Rhat": g1}, gain, config)
     else:
-        L = random_landmarks(rng, 24)
-        prob, h, gain, kind = systems.slam_problem(L), 5e-3, 0.375, "SE3"
-        y = systems.measure_landmarks(random_group(kind, rng), L).value
-    m, E_b = random_group(kind, rng).matrix, groups.exp_matrix(h * rng.normal(size=3 if kind == "SO3" else 6))
+        h, kind, gain, L = 5e-3, "SE3", 0.375, random_landmarks(rng, 24)
+        run = lambda g0, g1, config: systems.simulate_slam_observer(  # noqa: E731
+            g0, g1, L, lambda ts: np.zeros((len(ts), 6)), gain, config)
+    g0, g1 = random_group(kind, rng), random_group(kind, rng)
+    captured = []
 
-    def step():
-        E_s = groups.exp_matrix(h * (gain * observer.zeta_e_coords(prob, m, y)))
-        return integrate._chain(m, [(E_s, E_b)])
+    def capture(rate, *args):
+        captured.append(rate)
+        raise StopIteration
 
-    benchmark(step)
+    with mock.patch.object(systems, "integrate_system", capture), pytest.raises(StopIteration):
+        run(g0, g1, IntegratorConfig(h=h, t_final=k * h))
+    cascade, times = captured[0], [i * h for i in range(k)]
+    ts = np.array(times)
+    feed, ys = cascade.sense(ts, cascade.u(ts), {next(iter(cascade.u(ts))): np.repeat(g0.matrix[None], k, axis=0)})
+    F = integrate._factors((feed.spatial, feed.body), k, [], [h], {})
+    benchmark(integrate._follow, cascade, g1.matrix, ys, times, F, 0 if feed.spatial is None else 1, [], [h])
+    benchmark.extra_info["rows"] = k
 
 
 def test_zeta_e_numeric_slam6(benchmark):

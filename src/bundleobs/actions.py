@@ -39,10 +39,9 @@ _GROUP_OF_SHAPE = {(3, 3): SO3, (4, 4): SE3}
 
 @dataclass(frozen=True)
 class Point:
-    """A point of one of the supported homogeneous spaces, as its raw arrays: a 3-vector (r3, s2 of unit norm),
-    a group matrix (3x3 for SO(3), 4x4 for SE(3), checked and frozen by the ``GroupElement`` constructor),
-    homogeneous landmark columns (4, N), or a tuple: (an SE(3) pose matrix, landmarks), or two unit 3-vectors.
-    Landmarks and direction pairs are checked by ``check_point_stack``, as a stack of one."""
+    """A point of one of the supported homogeneous spaces as its raw arrays, each a frozen copy: a 3-vector (r3, s2 of
+    unit norm), a group matrix (3x3 SO(3), 4x4 SE(3), checked by the ``GroupElement`` constructor), landmark columns
+    (4, N), a tuple (SE(3) pose matrix, landmarks), or two unit 3-vectors (these two by ``check_point_stack``)."""
 
     kind: str
     value: object
@@ -50,7 +49,7 @@ class Point:
     def __post_init__(self):
         k, v = self.kind, self.value
         if k in (R3, S2):
-            v = np.asarray(v, dtype=float)
+            v = np.array(v, dtype=float)
             if v.shape != (3,):
                 raise KindMismatchError(f"{k} point must be a 3-vector")
             if k == S2 and not abs(math.sqrt(v @ v) - 1.0) <= 1e-12:  # fails closed on NaN
@@ -65,12 +64,14 @@ class Point:
                 raise KindMismatchError("landmark tuple needs an SE3 pose matrix, then landmarks")
             v = (GroupElement(SE3, v[0]).matrix, Point(LANDMARKS, v[1]).value)
         elif k == LANDMARKS:
-            v = check_point_stack(k, np.asarray(v, dtype=float)[None])[0]
+            v = check_point_stack(k, np.array(v, dtype=float)[None])[0]
         elif k == DIRECTION_PAIR:
-            pair = tuple(np.asarray(x, dtype=float)[None] for x in v) if isinstance(v, tuple) else v
+            pair = tuple(np.array(x, dtype=float)[None] for x in v) if isinstance(v, tuple) else v
             v = tuple(x[0] for x in check_point_stack(k, pair))
         else:
             raise KindMismatchError(f"unknown point kind {k!r}")
+        for x in v if isinstance(v, tuple) else (v,):  # copies, frozen
+            x.setflags(write=False)
         object.__setattr__(self, "value", v)
 
 

@@ -343,31 +343,32 @@ def _eye_plus(a: float, b: float, x: float, y: float, z: float, q) -> list:
 
 
 def exp_matrix(vec: np.ndarray) -> np.ndarray:
-    """Matrix exponential of so(3) or se(3) coordinates (Rodrigues / closed SE(3) form).
-
-    Returns a plain 3x3 or 4x4 array; ``exp`` wraps it as a GroupElement.  The se(3) branch shares theta,
-    skew(w) and its square between the rotation block and the left Jacobian V.  A stack (k, 3) or (k, 6) gives
-    (k, 3, 3) or (k, 4, 4) by stacked ``@``, each item with the bits of its own call; a stack's finiteness is one
-    ``np.isfinite``.  One item reads its coordinates once, as floats, for the finiteness check and the skew; its
-    w w, W W and V v are each one ``ndarray.dot``, the BLAS routine of 2-D ``@`` with less dispatch and the same
-    bits (pinned by ``TestDotBits``; Python floats differ), and it sums R and V in floats in numpy's order
-    (``_eye_plus``).
-    """
-    coords = vec.tolist() if vec.ndim == 1 else ()  # an item's one read: the finiteness check, the skew
+    """Matrix exponential of so(3) or se(3) coordinates as a plain 3x3 or 4x4 array (``exp`` wraps it), checked; a
+    stack (k, 3) or (k, 6) gives (k, 3, 3) or (k, 4, 4) by stacked ``@``, each item with its ``_exp_item`` bits."""
+    coords = vec.tolist() if vec.ndim == 1 else ()  # an item's one read: the finiteness check, the exponential
     if not all(map(math.isfinite, coords)) or (vec.ndim != 1 and not np.isfinite(vec).all()):
         raise NumericalBlowupError("algebra coordinates are non-finite")
     if vec.shape not in ((3,), (6,)):
         if vec.ndim == 2 and vec.shape[1] in (3, 6):
             return _exp_matrix_stack(vec)
         raise DimensionError(f"exp expects a length-3 or length-6 vector, got shape {vec.shape}")
-    w, (x, y, z) = vec[-3:], coords[-3:]
-    a, b, c = _so3_coeffs(math.sqrt(w.dot(w)))
-    W = skew((x, y, z))  # from Python floats, which np.array takes faster than numpy scalars; -z is exact
-    W2 = W.dot(W).tolist()
+    return _exp_item(coords)
+
+
+def _exp_item(v: list) -> np.ndarray:
+    """Rodrigues / closed SE(3) form of 3 or 6 coordinates as floats, unchecked (a non-finite one gives non-finite
+    entries or raises).  w w, W W and V v are ``ndarray.dot``s (BLAS bits, ``TestDotBits``) on rows of one array;
+    R and the left Jacobian V share theta, W = skew(w) and W W, and are summed in floats in numpy's order."""
+    *_, x, y, z = v
+    q = np.array([*v, 0.0, -z, y, z, 0.0, -x, -y, x, 0.0]).reshape(-1, 3)  # rows: (rho,) w, W; -z is exact
+    a, b, c = _so3_coeffs(math.sqrt((w := q[-4]).dot(w)))
+    W2 = (W := q[-3:]).dot(W).tolist()
     R = _eye_plus(a, b, x, y, z, W2)
-    if vec.shape == (3,):
+    if len(v) == 3:
         return np.array(R).reshape(3, 3)
-    p0, p1, p2 = np.array(_eye_plus(b, c, x, y, z, W2)).reshape(3, 3).dot(vec[:3]).tolist()
+    if len(v) != 6:
+        raise DimensionError(f"exp expects 3 or 6 coordinates, got {len(v)}")
+    p0, p1, p2 = np.array(_eye_plus(b, c, x, y, z, W2)).reshape(3, 3).dot(q[0]).tolist()
     return np.array([*R[0:3], p0, *R[3:6], p1, *R[6:9], p2, 0.0, 0.0, 0.0, 1.0]).reshape(4, 4)
 
 

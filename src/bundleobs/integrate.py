@@ -59,8 +59,8 @@ class Cascade(Input):
     the follower's feed-forward, a SplitRate of (k, d) stacks with one part None, and the k measured rows, a bad
     one as its exception, last; each row must have the bits of a one-read block's, or the general loop's bytes
     differ, and a sense that raises is called again one read at a time.  ``follow(t, m, y)``, at the follower's
-    matrix (a block pass's raw product) and a row, gives the feedback's coordinates for the other part.  As a
-    rate, the merge of a one-read block."""
+    matrix (a block pass's raw product) and a row, gives the feedback's coordinates for the other part, an array
+    or a list of floats.  As a rate, the merge of a one-read block."""
 
     sense: Callable
     follow: Callable
@@ -164,11 +164,17 @@ def _step(g: GroupElement, steps) -> GroupElement:
 
 
 def _chain(m: np.ndarray, factors) -> np.ndarray:
-    """The stepping rule: m stepped by each (E_s, E_b) in turn, E_s m E_b, one ``ndarray.dot`` each; None skips."""
+    """The stepping rule: m stepped by each (E_s, E_b) in turn, E_s m E_b (``_sandwich``)."""
     for E_s, E_b in factors:
-        m = m if E_s is None else E_s.dot(m)
-        m = m if E_b is None else m.dot(E_b)
+        m = _sandwich(m, E_s, E_b)
     return m
+
+
+def _sandwich(m: np.ndarray, E, f, q=0) -> np.ndarray:
+    """E m f (q = 0) or f m E (q = 1), one ``ndarray.dot`` each; None skips."""
+    E_s, E_b = (E, f) if q == 0 else (f, E)
+    m = m if E_s is None else E_s.dot(m)
+    return m if E_b is None else m.dot(E_b)
 
 
 def lie_step(g: GroupElement, xi: AlgebraElement | np.ndarray, h: float, side: str = "left") -> GroupElement:
@@ -230,29 +236,23 @@ def _factors(parts, m, stages, weights, memo) -> list:
 
 
 def _follow(rate: Cascade, m: np.ndarray, ys, times, F, q, stages, weights) -> np.ndarray:
-    """The follower's matrices after each step of a block, from its matrix m, stepped on raw matrices by
-    ``follow``'s correction at each read, on side q of its feed factors F (``_factors``'s stacks); ``follow``
-    reads the unsettled matrix.  The steps, with the rk4_cg stage states, are checked once as a stack
-    (``groups._gated``); a stored bad row raises."""
-    n, factors, out, staged, cur = len(weights), [], [], [], m
-    S, B = (E if E is None else list(E) for E in F)  # each side's feed factors as rows, or None
-
-    def fill(r, x):  # row r of the feed factors, its side q the correction exp(x)
-        E = groups.exp_matrix(x)
-        return (E, B and B[r]) if q == 0 else (S and S[r], E)
-
+    """A block's follower matrices from m, stepped on raw matrices by ``follow``'s correction at each read (its
+    floats times a step weight, into the unchecked ``groups._exp_item``) on side q and the feed factors F on the other.
+    The steps and rk4_cg stage states are checked once as a stack (``groups._gated``); a stored bad row raises."""
+    n, k, out, staged, g, cur, exp = len(weights), len(times), [], [], m, m, groups._exp_item
+    feed = [None] * 2 * k if F[1 - q] is None else list(F[1 - q])  # each row's feed factor
     for e, y in enumerate(ys):
         if isinstance(y, Exception):
             raise y
-        c = rate.follow(times[e], cur, y)
-        factors.append(fill(e, weights[e % n] * c))
-        if e % n < len(stages):
-            cur = _chain(m, [fill(len(times) + len(staged), stages[e % n] * c)])
+        c, j = rate.follow(times[e], cur, y), e % n
+        c = c.tolist() if isinstance(c, np.ndarray) else c
+        g = _sandwich(g, exp([weights[j] * x for x in c]), feed[e], q)  # the step so far
+        if j < len(stages):  # the stage state, from the step's start m
+            cur = _sandwich(m, exp([stages[j] * x for x in c]), feed[k + len(staged)], q)
             staged.append(cur)
         else:
-            m = cur = _chain(m, factors)
+            m = cur = g
             out.append(m)
-            factors = []
     return groups._gated(np.array(staged + out))[len(staged):]
 
 

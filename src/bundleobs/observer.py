@@ -81,31 +81,32 @@ class ObserverProblem:
         ]
 
     def _check_critical_point(self):
-        # V^e must vanish at I and be non-degenerate there (probe each basis
-        # direction with a 3-point quadratic fit); on a stacked kind both terms must take the probes' stack
-        if abs(self.error_cost(GroupElement.identity(self.group_kind))) > 1e-10:
-            raise KindMismatchError("cost does not vanish at zero error")
-        eps, dim = 1e-4, 3 if self.algebra_kind == "so3" else 6
-        E = groups.exp_matrix(eps * np.concatenate([np.eye(dim), -np.eye(dim)]))  # exp(+-eps xi_i), one stack
-        costs = [self.error_cost(GroupElement(self.group_kind, e)) for e in E]
-        for i in range(dim):
-            if costs[i] + costs[dim + i] < 1e-3 * eps * eps:
-                warnings.warn(
-                    "error cost looks degenerate at the identity along "
-                    f"direction {np.eye(dim)[i]}; convergence is not guaranteed",
-                    stacklevel=3,
-                )
-                break
-        if self.y0.kind not in _STACKED_KINDS:
-            return
+        # V^e must vanish at I and be non-degenerate there (a 3-point quadratic fit along each basis direction); on a
+        # stacked kind the costs are those of one lifted stack's rows, and both terms must take that stack
+        eps, dim, stacked = 1e-4, 3 if self.algebra_kind == "so3" else 6, self.y0.kind in _STACKED_KINDS
+        G = groups.exp_matrix(eps * np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)]))  # I, exp(+-eps xi)
         msg = "cost and zeta_e_analytic must take stacks of outputs and give a row each"
-        try:  # the terms of error_columns' stacked pass, on the probes; the cost's rows near its calls on each
-            y = self._lifted_y0(E)
-            v = self.cost(y, self.y0.value)
-            z = np.zeros((len(E), dim)) if self.zeta_e_analytic is None else self.zeta_e_analytic(E, y)
+        try:
+            y = self._lifted_y0(G) if stacked else None
         except (ArithmeticError, LookupError, TypeError, ValueError, BundleobsError) as exc:
             raise KindMismatchError(msg) from exc
-        if (np.shape(v) != (len(E),) or np.shape(z) != (len(E), dim)
+        costs = ([self.error_cost(GroupElement(self.group_kind, g)) for g in G] if y is None else
+                 [self.cost(r, self.y0.value) for r in (zip(*y) if self.y0.kind == DIRECTION_PAIR else y)])
+        if abs(costs[0]) > 1e-10:
+            raise KindMismatchError("cost does not vanish at zero error")
+        for i in range(dim):
+            if costs[1 + i] + costs[1 + dim + i] < 1e-3 * eps * eps:
+                warnings.warn("error cost looks degenerate at the identity along "
+                              f"direction {np.eye(dim)[i]}; convergence is not guaranteed", stacklevel=3)
+                break
+        if not stacked:
+            return
+        try:
+            v = self.cost(y, self.y0.value)
+            z = np.zeros((len(G), dim)) if self.zeta_e_analytic is None else self.zeta_e_analytic(G, y)
+        except (ArithmeticError, LookupError, TypeError, ValueError, BundleobsError) as exc:
+            raise KindMismatchError(msg) from exc
+        if (np.shape(v) != (len(G),) or np.shape(z) != (len(G), dim)
                 or not abs(np.subtract(v, costs)).max() <= 1e-6 * max(map(abs, costs))):  # fails closed on NaN
             raise KindMismatchError(msg)
 
@@ -144,15 +145,9 @@ def zeta_e_numeric(prob: ObserverProblem, g_est: GroupElement, y: Point) -> Alge
 
 
 def zeta_e(prob: ObserverProblem, g_est: GroupElement, y: Point) -> AlgebraElement:
-    return AlgebraElement(prob.algebra_kind, zeta_e_coords(prob, g_est.matrix, y.value))
-
-
-def zeta_e_coords(prob: ObserverProblem, m: np.ndarray, y) -> np.ndarray:
-    """``zeta_e``'s coordinates at the estimate's matrix m and a measurement's raw value y."""
     if prob.zeta_e_analytic is None:
-        return zeta_e_numeric(prob, GroupElement(prob.group_kind, m), Point(prob.y0.kind, y)).vec
-    ze, scale = prob.zeta_e_analytic(m, y), prob.metric.scale
-    return ze if scale == 1.0 else ze / scale  # x / 1.0 is x
+        return zeta_e_numeric(prob, g_est, y)
+    return AlgebraElement(prob.algebra_kind, prob.zeta_e_analytic(g_est.matrix, y.value) / prob.metric.scale)
 
 
 def innovation(prob: ObserverProblem, g_est: GroupElement, y: Point, gain: float = 1.0) -> AlgebraElement:

@@ -74,7 +74,10 @@ def simulate_observer(
             v, noise = v + noise[:, :v.shape[1]], noise[:, v.shape[1]:]
         return SplitRate(**{side: v}), rows(states[true], noise)
 
-    follow = lambda t, m, y: gain * observer.zeta_e_coords(prob, m, y)  # noqa: E731
+    term, scale = prob.zeta_e_analytic, prob.metric.scale
+    if term is None:  # the numeric zeta_e, dualized already
+        term, scale = (lambda m, y: observer.zeta_e(prob, GroupElement(prob.group_kind, m), Point(kind, y)).vec), 1.0
+    follow = lambda t, m, y: [gain * (x / scale) for x in term(m, y).tolist()]  # noqa: E731 -- in numpy's order
     traj = integrate_system(Cascade(lambda ts: {true: u(ts)}, sense, follow), config, state0)
     traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est], measure))
     return traj
@@ -221,7 +224,7 @@ def slam_zeta_e(landmarks: np.ndarray, S_est, y):
     lbar = landmarks[:3]
     A = lbar - S_est[:3, 3:] - S_est[:3, :3].dot(y[:3])
     (_, m01, m02), (m10, _, m12), (m20, m21, _) = (A @ lbar.T).tolist()  # not dot: at N = 1 dot keeps a -0.0 product
-    return np.array([2.0 * x for x in (*A.sum(axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01)])
+    return np.array([2.0 * x for x in (*np.add.reduce(A, axis=1).tolist(), m21 - m12, m02 - m20, m10 - m01)])
 
 
 def slam_problem(landmarks) -> ObserverProblem:

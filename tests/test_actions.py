@@ -8,7 +8,7 @@ from bundleobs.actions import Point, act
 from bundleobs.errors import KindMismatchError
 from bundleobs.groups import AlgebraElement, GroupElement, adjoint, exp, hat, inverse_matrix
 from bundleobs.sampling import random_algebra, random_group, random_landmarks, random_rotation, rng_from
-from bundleobs.systems import attitude_vector_field
+from bundleobs.systems import E2, E3, attitude_vector_field
 
 
 class TestAct:
@@ -307,6 +307,20 @@ class TestAdEquivariance:
 
 
 class TestPointValidation:
+    @pytest.mark.parametrize("kind", [ac.R3, ac.S2, ac.LANDMARKS, ac.DIRECTION_PAIR, ac.LANDMARK_TUPLE])
+    def test_the_callers_arrays_are_copied(self, kind):
+        # a point keeps its own frozen arrays, as a group point does: writing into the caller's arrays after
+        # building it must leave it as built, homogeneous row and unit norms included
+        L = np.vstack([np.arange(12.0).reshape(3, 4), np.ones((1, 4))])
+        args = {ac.R3: [E3.copy()], ac.S2: [E3.copy()], ac.LANDMARKS: [L], ac.DIRECTION_PAIR: [E2.copy(), E3.copy()],
+                ac.LANDMARK_TUPLE: [np.eye(4), L]}[kind]
+        p = Point(kind, args[0] if len(args) == 1 else tuple(args))
+        before = [np.array(x) for x in (p.value if isinstance(p.value, tuple) else [p.value])]
+        for x in args:
+            x[-1] = 2.0
+        after = p.value if isinstance(p.value, tuple) else [p.value]
+        assert all(a.tobytes() == b.tobytes() and not a.flags.writeable for a, b in zip(after, before))
+
     def test_s2_unit_norm_enforced(self):
         with pytest.raises(Exception):
             Point(ac.S2, np.array([1.0, 1.0, 0.0]))

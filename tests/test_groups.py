@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -36,7 +36,7 @@ from bundleobs.groups import (
     row_dot,
     vee,
 )
-from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _det3, _so3_coeff_stack, _so3_coeffs, skew
+from bundleobs.groups import _I3, _PI_EXCLUSION, _SMALL_ANGLE, _det3, _exp_item, _so3_coeff_stack, _so3_coeffs, skew
 from bundleobs.sampling import random_algebra, random_group, random_rotation, rng_from
 
 
@@ -253,6 +253,26 @@ class TestExpBits:
 
 
 _CUBE_EDGE = 5.643803094122361e102  # the largest float whose cube Python's ** keeps finite
+
+
+class TestFollowerExpBits:
+    """A Cascade's follower scales its correction's floats by a step weight and takes ``groups._exp_item`` of
+    them, unchecked; each matrix must have the bits of ``exp_matrix`` of the scaled array, of the numpy
+    reference and of its row of a stacked call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dim=st.sampled_from([3, 6]), weight=st.sampled_from([1.0, 1e-3, 0.025, 5e-3 / 6.0]),
+           row=st.one_of(_EXP_COORDS, st.tuples(st.lists(_SIGNED_ENTRY, min_size=6, max_size=6),
+                                                st.floats(0.5 * _CUBE_EDGE, _CUBE_EDGE), st.floats(0.0, 1e3))
+                         .map(_scaled_coords)))  # up to the cube-overflow edge
+    @example(dim=3, weight=1e-3, row=np.array([0.0, -0.0, 0.0, -0.0, 1e-7, -0.0]))  # the Taylor branch
+    def test_floats_have_exp_matrix_bits(self, dim, weight, row):
+        vec = row[-dim:]
+        assume(math.sqrt(vec[-3:] @ vec[-3:]) <= _CUBE_EDGE)  # rounding may push |w| past the edge
+        scaled = weight * vec
+        got = _exp_item([weight * x for x in vec.tolist()])
+        assert got.tobytes() == exp_matrix(scaled).tobytes() == _numpy_exp_matrix(scaled).tobytes()
+        assert got.tobytes() == exp_matrix(scaled[None])[0].tobytes()
 
 
 def _sweep_angles() -> np.ndarray:

@@ -544,17 +544,33 @@ class TestOpenLoop:
         assert Input(u)(0.5, {"x": np.zeros(1)})["x"][0] == 0.5
 
 
-_EXP_MATRIX = groups.exp_matrix
+_EXP_MATRIX, _EXP_ITEM = groups.exp_matrix, groups._exp_item
 
 
 def _drifting_exp_matrix(vec, by=1e-8):
-    """``exp_matrix`` with entry (0, 0) of each result moved by ``by`` where its vector is marked
+    """``exp_matrix`` with entry (0, 0) of each result of a stack moved by ``by`` where its vector is marked
     (x[0] == 2 x[1] != 0, which scaling by a step weight keeps): by default a drift the constructor
-    rejects; 1e-11 gives one between the drift gate and the constructor's tolerance."""
+    rejects; 1e-11 gives one between the drift gate and the constructor's tolerance.  One item's result is
+    ``groups._exp_item``'s, which ``_drifting_exp_item`` moves."""
     out = _EXP_MATRIX(vec)
-    rows, ms = np.reshape(vec, (-1, np.shape(vec)[-1])), out.reshape(-1, *out.shape[-2:])
-    ms[(rows[:, 0] == 2.0 * rows[:, 1]) & (rows[:, 1] != 0.0), 0, 0] += by
+    if np.ndim(vec) == 2:
+        out[(vec[:, 0] == 2.0 * vec[:, 1]) & (vec[:, 1] != 0.0), 0, 0] += by
     return out
+
+
+def _drifting_exp_item(v, by=1e-8):
+    """``groups._exp_item``, the one-item exponential of ``exp_matrix`` and of a Cascade's follower, with
+    ``_drifting_exp_matrix``'s mark and drift."""
+    out = _EXP_ITEM(v)
+    if v[0] == 2.0 * v[1] and v[1] != 0.0:
+        out[0, 0] += by
+    return out
+
+
+def _drifting(by=1e-8):
+    """Both patches: every exponential, a stack's or one item's, drifts where its vector is marked."""
+    return mock.patch.multiple(groups, exp_matrix=lambda vec: _drifting_exp_matrix(vec, by),
+                               _exp_item=lambda v: _drifting_exp_item(v, by))
 
 
 def _marked(v):
@@ -571,8 +587,8 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
     ``sense`` takes blocks of reads and draws each block's noise at once, each read's feed-forward
     noise before its measurement's.  The feed-forward is affine in the rate, so each row has the bits of
     a one-read block's, which another kernel of a stack need not give.  From t = fail_at on, ``fail``
-    makes u NaN, the measurement NaN, or marks the rate of g (``drift_g``) or the correction of x
-    (``drift_x``) for ``_drifting_exp_matrix``."""
+    makes u NaN, the measurement NaN, the correction of x NaN (``nan_x``) or 1e200 (``big_x``), or marks the
+    rate of g (``drift_g``) or the correction of x (``drift_x``) for ``_drifting``."""
     rng = rng_from(seed)
     dim = 3 if kind == "SO3" else 6
     amp, freq, phase = rng.normal(size=(3, dim))
@@ -597,6 +613,8 @@ def _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at):
 
     def follow(t, m, y):
         c = 0.8 * np.resize(np.cross(m[:3, :3].T @ axis, y), dim)
+        if fail in ("nan_x", "big_x") and t >= fail_at:  # a NaN, or an overflowing, correction
+            c[dim - 1] = np.nan if fail == "nan_x" else 1e200
         return _marked(c) if fail == "drift_x" and t >= fail_at else c
 
     return state0, integrate.Cascade(u, sense, follow)
@@ -624,7 +642,7 @@ class TestCascade:
         self, seed, method, kind, hand, noise, follower_first, n_steps, block, fail, fail_at
     ):
         config = IntegratorConfig(method=method, h=0.05, t_final=n_steps * 0.05)
-        with mock.patch.object(integrate, "_BLOCK", block), mock.patch.object(groups, "exp_matrix", _drifting_exp_matrix):
+        with mock.patch.object(integrate, "_BLOCK", block), _drifting():
             state0, cascade = _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at)
             got, got_calls = _run(cascade, config, state0, {})
             state0, cascade = _cascade_case(seed, kind, hand, noise, follower_first, fail, fail_at)
@@ -645,7 +663,7 @@ class TestCascade:
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     def test_each_failure_stops_the_run_where_injected(self, fail, cls, method):
         config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
-        with mock.patch.object(integrate, "_BLOCK", 4), mock.patch.object(groups, "exp_matrix", _drifting_exp_matrix):
+        with mock.patch.object(integrate, "_BLOCK", 4), _drifting():
             got, calls = _run(_cascade_case(3, "SE3", "left", 0.01, False, fail, 0.2)[1], config,
                               _cascade_case(3, "SE3", "left", 0.01, False, fail, 0.2)[0], {})
         assert isinstance(got, cls) and len(calls) in (4, 5), (got, calls)
@@ -716,6 +734,37 @@ class TestCascade:
         assert len(got) == n_steps + 1
         for name in state0:
             assert got.arrays[name].tobytes() == want.arrays[name].tobytes()
+
+
+class TestNonFiniteCorrection:
+    """The block path exponentiates the follower's corrections unchecked; a NaN one, or one whose exponential
+    overflows, read inside a block must still raise the general loop's error, at its time."""
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")  # |w|^2 of big_x, both paths
+    @pytest.mark.parametrize("fail", ["nan_x", "big_x"])
+    @pytest.mark.parametrize("fail_at", [0.05, 0.125, 0.35])  # reads 1, 2 or 3 of a 4-step block
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_raises_the_general_loops_error(self, method, kind, fail_at, fail):
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        runs = []
+        for wrap in (lambda c: c, lambda c: lambda t, s: c(t, s)):
+            state0, cascade = _cascade_case(7, kind, "left", 0.01, False, fail, fail_at)
+            with mock.patch.object(integrate, "_BLOCK", 4):
+                runs.append(_run(wrap(cascade), config, state0, {}))
+        (got, got_calls), (want, want_calls) = runs
+        assert isinstance(want, NumericalBlowupError) and got_calls == want_calls
+        assert (type(got), str(got), getattr(got, "t", None)) == (type(want), str(want), getattr(want, "t", None))
+
+    @pytest.mark.parametrize("kind", ["SO3", "SE3"])
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    def test_a_clean_run_takes_no_general_step(self, method, kind):
+        config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
+        state0, cascade = _cascade_case(7, kind, "left", 0.01, False, None, 1.0)
+        with mock.patch.object(integrate, "_BLOCK", 4), \
+                mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
+            integrate_system(cascade, config, state0)
+        assert general.call_count == 0
 
 
 def _signed_zero_exp_matrix(vec):
@@ -804,11 +853,10 @@ class TestStorage:
         # block holding step 6 (steps 4-7) and the last one (8-9) must take the general loop, which
         # settles each step by a Björck step
         config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
-        drift = lambda vec: _drifting_exp_matrix(vec, by=1e-11)  # noqa: E731
         runs = []
         for wrap in (lambda c: c, lambda c: lambda t, s: c(t, s)):
             state0, cascade = _cascade_case(3, "SO3", "left", 0.0, False, "drift_g", 0.3)
-            with mock.patch.object(integrate, "_BLOCK", 4), mock.patch.object(groups, "exp_matrix", drift), \
+            with mock.patch.object(integrate, "_BLOCK", 4), _drifting(1e-11), \
                     mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
                 runs.append((*_stored(wrap(cascade), config, state0), general.call_count))
         (got, seen, general_steps), (want, _, _) = runs
@@ -832,7 +880,7 @@ class TestStorage:
             for wrap in (lambda c: c, lambda c: lambda t, s: c(t, s)):
                 state0, cascade = _cascade_case(3, "SO3", "left", 0.0, False, "drift_x", 0.3)
                 with mock.patch.object(integrate, "_BLOCK", 4), \
-                        mock.patch.object(groups, "exp_matrix", lambda vec: _drifting_exp_matrix(vec, by)), \
+                        _drifting(by), \
                         mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
                     runs.append((*_run(wrap(cascade), config, state0, {}), general.call_count))
             (got, got_calls, general_steps), (want, want_calls, _) = runs
@@ -912,7 +960,7 @@ class TestBlockRecord:
         config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
         state0, cascade = _cascade_case(3, "SE3", "left", 0.0, False, "drift_g", 0.3)
         with mock.patch.object(integrate, "_BLOCK", 4), \
-                mock.patch.object(groups, "exp_matrix", lambda vec: _drifting_exp_matrix(vec, by=1e-11)), \
+                _drifting(1e-11), \
                 mock.patch.object(integrate, "_general_step", wraps=integrate._general_step) as general:
             traj = integrate_system(cascade, config, state0)
         carried = general.call_args_list[0].args[3]
