@@ -13,8 +13,8 @@ block's read times to stacks, ``u(ts)``, which older checkouts do not take.
 Where a checkout lacks the stacked ``exp_matrix`` (before ``BENCH_12.json``),
 or ``observer.error_columns`` (before ``BENCH_13.json``), their benchmarks
 time the work they replace; ``write_csv`` is called with row dicts or columns,
-and ``error_columns`` with matrix stacks or element lists, whichever its
-signature takes.  The observer runs (since ``BENCH_15.json``; the 2,048-step
+and ``error_columns`` with matrix stacks or element lists, and with or
+without a ``measure``, whichever its signature takes.  The observer runs (since ``BENCH_15.json``; the 2,048-step
 one since ``BENCH_25.json``) use only the public simulators.  ``test_follower_step``
 (since ``BENCH_29.json``) times the private ``integrate._follow`` on a block built by
 ``integrate._factors``, with the ``follow`` that ``simulate_observer`` builds.
@@ -331,9 +331,11 @@ def test_error_columns(benchmark, system, rows):
     row; a checkout without it times the per-sample calls its step loop made instead."""
     prob, times, G, G_est, measure = _observer_samples(system, rows)
     fn = getattr(observer, "error_columns", _per_sample_columns)
-    if "G" not in inspect.signature(fn).parameters:  # it takes lists of elements
+    params = inspect.signature(fn).parameters
+    if "G" not in params:  # it takes lists of elements
         G, G_est = ([GroupElement(prob.group_kind, m) for m in ms] for ms in (G, G_est))
-    benchmark(fn, prob, times, G, G_est, measure)
+    args = (measure,) if "measure" in params else ()  # an older error_columns took zeta_e at measure(g, 0.0, None)
+    benchmark(fn, prob, times, G, G_est, *args)
     benchmark.extra_info["rows"] = rows
 
 

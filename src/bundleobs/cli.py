@@ -123,13 +123,6 @@ def parse_scenario(path: Path) -> dict:
     return scen
 
 
-def _integrator_config(scen: dict) -> IntegratorConfig:
-    try:
-        return IntegratorConfig(method=scen["method"], h=scen["h"], t_final=scen["t_final"])
-    except BundleobsError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _omega_fn(omega, lin=()):
     """omega(ts), stacked at a block's read times: for "standard", the constants ``lin`` then the profile
     (sin t, cos 2t, 0.5), each row with the bits of one read's; else the constant vector, broadcast."""
@@ -171,7 +164,7 @@ def _report(ve, label: str, value: float, slack: float) -> list[str]:
 
 def _run_observer(scen: dict) -> tuple[tuple, list[str]]:
     """The gradient observer run of the attitude and slam_continuous systems."""
-    config = _integrator_config(scen)
+    config = IntegratorConfig(scen["method"], scen["h"], scen["t_final"])
     if scen["system"] == "attitude":
         prob, measure = systems.attitude_problem(), systems.measure_attitude
         u = _omega_fn(scen["omega"])
@@ -208,7 +201,7 @@ def _run_slam_discrete(scen: dict) -> tuple[tuple, list[str]]:
 
 
 def _run_sphere_split_demo(scen: dict) -> tuple[tuple, list[str]]:
-    config = _integrator_config(scen)
+    config = IntegratorConfig(scen["method"], scen["h"], scen["t_final"])
     q0 = ac.Point(ac.R3, np.array([2.0, 1.0, -0.5]) + scen["initial_error"]).value
 
     def velocity(ts):

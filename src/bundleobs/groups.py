@@ -280,8 +280,6 @@ def vee(zeta) -> np.ndarray:
 def inverse_matrix(m: np.ndarray) -> np.ndarray:
     """Inverse of an SO(3) or SE(3) matrix: R^T, or the block form (R^T, -R^T p).
     A stack (k, 3, 3) or (k, 4, 4) takes the same operations through stacked @: each item has the 2-D bits."""
-    if m.shape == (3, 3):
-        return m.T
     if m.shape == (4, 4):
         out = np.eye(4)
         out[:3, :3] = m[:3, :3].T

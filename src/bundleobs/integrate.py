@@ -65,13 +65,17 @@ class Cascade(Input):
     sense: Callable
     follow: Callable
 
+    @staticmethod
+    def _follower(rates, state) -> str:
+        """The one component of ``state`` that u's ``rates`` do not drive, a group element; the block pass's too."""
+        f = [k for k in state if k not in rates]
+        if len(f) != 1 or not isinstance(state[f[0]], GroupElement):
+            raise KindMismatchError(f"a Cascade's follower is the one group element that u does not drive; got {f}")
+        return f[0]
+
     def __call__(self, t, state):
         rates = self.u(ts := np.array([t]))
-        f = next((k for k in state if k not in rates), None)
-        if f is None:
-            raise KindMismatchError("a Cascade needs one component that u does not drive, its follower")
-        if not isinstance(state[f], GroupElement):
-            raise KindMismatchError(f"the follower {f!r} of a Cascade must be a group element")
+        f = self._follower(rates, state)
         feed, ys = self.sense(ts, rates, {k: np.array([getattr(state[k], "matrix", state[k])]) for k in rates})
         if isinstance(ys[0], Exception):
             raise ys[0]
@@ -135,8 +139,9 @@ class Trajectory(Sequence):
     def __len__(self):
         return len(self.times)
 
-    def __getitem__(self, i) -> dict:
-        return dict(_Sample(self.arrays, self.kinds, range(len(self))[i]))  # IndexError past either end
+    def __getitem__(self, i) -> dict | list[dict]:  # a slice gives the list of its samples' dicts
+        i = range(len(self))[i]  # IndexError past either end
+        return [self[j] for j in i] if isinstance(i, range) else dict(_Sample(self.arrays, self.kinds, i))
 
     states = property(lambda self: self)
 
@@ -188,6 +193,8 @@ def _rates(rate, t, state, sides):
     """rate(t, state) with every group rate as (spatial, body) vectors, checked finite."""
     out = dict(rate(t, state))
     for name, value in state.items():
+        if name not in out:
+            raise KindMismatchError(f"no rate for component {name!r} at t={t:.6g}")
         if isinstance(value, GroupElement):
             out[name] = _as_split(out[name], sides.get(name, "left"), value.kind)
             arrays = [x for x in out[name] if x is not None]
@@ -303,7 +310,8 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
             if not isinstance(rate, Input):
                 raise TypeError("not an Input")
             raw = rate.u(read_ts := np.array(times))  # each stack's shape and finiteness checked once below
-            driven = {k: x for k, x in state.items() if not cascade or k in raw}
+            f = rate._follower(raw, state) if cascade else None
+            driven = {k: x for k, x in state.items() if k != f}
             for k, x in driven.items():
                 A, P = arrays[k], None
                 if k in kinds:
@@ -333,7 +341,6 @@ def integrate_system(rate, config: IntegratorConfig, state0, sides=None, record=
                         at[k][np.arange(m) % n > 0] = P
                         at[k] = groups._gated(at[k]) if k in kinds else at[k]
             if cascade:
-                f = next(k for k in state if k not in driven)
                 feed, ys = rate.sense(read_ts, {k: raw[k] for k in driven}, at)
                 q = 0 if feed.spatial is None else 1  # the side of the feedback
                 F = _factors((feed.spatial, feed.body), m, stages, weights, memo)

@@ -33,11 +33,6 @@ RIGHT = "right"
 _STACKED_KINDS = (DIRECTION_PAIR, LANDMARKS)  # output kinds checked by check_point_stack alone, no rebuild
 
 
-def _basis(kind: str):
-    dim = 3 if kind == "so3" else 6
-    return [AlgebraElement(kind, np.eye(dim)[i]) for i in range(dim)]
-
-
 @dataclass(frozen=True)
 class ObserverProblem:
     """A left- or right-observed kinematic system on SO(3) or SE(3).  V^y, ``cost(y, y_ref)``, and zeta_e's
@@ -71,20 +66,22 @@ class ObserverProblem:
         """V^e(e_g) = V^y(varphi_{e_g}(y0), y0)."""
         return self.cost(act(self.output_action, e_g, self.y0).value, self.y0.value)
 
+    def _probes(self, eps: float) -> np.ndarray:
+        """I, then exp(+eps xi_i) and exp(-eps xi_i) over the algebra basis xi_i, as one stacked exponential."""
+        dim = 3 if self.algebra_kind == "so3" else 6
+        return groups.exp_matrix(eps * np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)]))
+
     @cached_property
     def fd_probes(self) -> list[tuple[Point, Point]]:
         """varphi_{exp(+-FD_STEP xi_i)}(y0) per basis direction xi_i; built once, on first use."""
-        out, y0 = self.output_action, self.y0
-        return [
-            (act(out, groups.exp(FD_STEP * xi), y0), act(out, groups.exp(-FD_STEP * xi), y0))
-            for xi in _basis(self.algebra_kind)
-        ]
+        ys = [act(self.output_action, GroupElement(self.group_kind, g), self.y0) for g in self._probes(FD_STEP)[1:]]
+        return list(zip(ys[:len(ys) // 2], ys[len(ys) // 2:]))
 
     def _check_critical_point(self):
         # V^e must vanish at I and be non-degenerate there (a 3-point quadratic fit along each basis direction); on a
         # stacked kind the costs are those of one lifted stack's rows, and both terms must take that stack
         eps, dim, stacked = 1e-4, 3 if self.algebra_kind == "so3" else 6, self.y0.kind in _STACKED_KINDS
-        G = groups.exp_matrix(eps * np.concatenate([np.zeros((1, dim)), np.eye(dim), -np.eye(dim)]))  # I, exp(+-eps xi)
+        G = self._probes(eps)
         msg = "cost and zeta_e_analytic must take stacks of outputs and give a row each"
         try:
             y = self._lifted_y0(G) if stacked else None
@@ -174,57 +171,43 @@ def preobserver_rate(
     return zeta - innovation(prob, g_est, y, gain)
 
 
-def error_rate(prob: ObserverProblem, e_g: GroupElement, gain: float = 1.0) -> AlgebraElement:
-    """Algebra rate -k zeta_e of the autonomous error dynamics at e_g.
-
-    zeta_e is evaluated at the configuration g~ = I, g = e_g, which lies on
-    the same error coset for either handedness.
-    """
-    ident = GroupElement.identity(prob.group_kind)
-    return -gain * zeta_e(prob, ident, prob.output(e_g))
-
-
-def error_columns(prob: ObserverProblem, times, G, G_est, measure=None) -> dict[str, np.ndarray]:
-    """The ``Ve`` column of a run and, given ``measure``, its ``zeta_e_norm`` column, after the run.
+def error_columns(prob: ObserverProblem, times, G, G_est) -> dict[str, np.ndarray]:
+    """The ``Ve`` and ``zeta_e_norm`` columns of a run, after the run; zeta_e is taken at the noiseless output.
 
     ``G`` and ``G_est`` stack each sample's true and estimate matrices (n, k, k), as a ``Trajectory``
-    does.  ``_CHUNK`` samples at a time, ``prob``'s two terms take stacks: the cost at varphi_E(y0) of the group
-    errors E and, given ``measure``, the analytic zeta_e at the noiseless outputs varphi_{g^-1}(y0).  Another
-    output kind, a numeric zeta_e with ``measure``, or a chunk that fails a check or gives a non-finite value
-    takes the per-sample reference on its rows instead, which raises the error of the first bad sample.
+    does.  ``_CHUNK`` samples at a time, on a direction pair or landmarks with an analytic zeta_e, ``prob``'s two
+    terms take stacks: the cost at varphi_E(y0) of the group errors E, and zeta_e at the outputs varphi_{G^-1}(y0).
+    Any other problem, or a chunk that fails a check or gives a non-finite value, takes the per-sample reference
+    on its rows instead, which raises the error of the first bad sample.
     """
     chunks = []
     for i in range(0, len(times), _CHUNK):
         t, x, x_est = times[i:i + _CHUNK], G[i:i + _CHUNK], G_est[i:i + _CHUNK]
-        cols = _stacked_columns(prob, x, x_est, measure)
+        cols = _stacked_columns(prob, x, x_est)
         if cols is None:
-            cols = np.array([_sample_row(prob, *r, measure) for r in zip(t, x, x_est)]).T
+            cols = np.array([_sample_row(prob, *r) for r in zip(t, x, x_est)]).T
         chunks.append(cols)
     return dict(zip(["Ve", "zeta_e_norm"], np.concatenate(chunks, axis=1)))
 
 
-def _stacked_columns(prob: ObserverProblem, G, G_est, measure) -> Optional[np.ndarray]:
+def _stacked_columns(prob: ObserverProblem, G, G_est) -> Optional[np.ndarray]:
     """``error_columns``' stacked pass over one chunk, or None where it cannot stand for the reference."""
-    if prob.y0.kind not in _STACKED_KINDS or (measure is not None and prob.zeta_e_analytic is None):
+    if prob.y0.kind not in _STACKED_KINDS or prob.zeta_e_analytic is None:
         return None
     try:
         with np.errstate(all="ignore"):  # the reference reports what goes wrong
-            cols = [prob.cost(prob._lifted_y0(group_error(prob, G, G_est)), prob.y0.value)]
-            if measure is not None:
-                y = prob._lifted_y0(groups.inverse_matrix(G))
-                z, scale = prob.zeta_e_analytic(G_est, y), prob.metric.scale
-                cols.append(np.sqrt(groups.row_dot(z if scale == 1.0 else z / scale)))
+            ve = prob.cost(prob._lifted_y0(group_error(prob, G, G_est)), prob.y0.value)
+            z, scale = prob.zeta_e_analytic(G_est, prob._lifted_y0(groups.inverse_matrix(G))), prob.metric.scale
+            cols = np.array([ve, np.sqrt(groups.row_dot(z if scale == 1.0 else z / scale))])
     except BundleobsError:
         return None
-    return np.array(cols) if np.isfinite(cols).all() else None
+    return cols if np.isfinite(cols).all() else None
 
 
-def _sample_row(prob: ObserverProblem, t, m, m_est, measure) -> list[float]:
-    """The reference on one sample's matrices: error_cost of group_error, zeta_e at measure(g, 0.0, None)."""
+def _sample_row(prob: ObserverProblem, t, m, m_est) -> list[float]:
+    """The reference on one sample's matrices: error_cost of group_error, zeta_e at the output ``prob.output(g)``."""
     g, g_est = (GroupElement(prob.group_kind, x) for x in (m, m_est))
-    row = [prob.error_cost(group_error(prob, g, g_est))]
-    if measure is not None:
-        row.append(zeta_e(prob, g_est, measure(g, 0.0, None)).norm())
+    row = [prob.error_cost(group_error(prob, g, g_est)), zeta_e(prob, g_est, prob.output(g)).norm()]
     if not all(map(math.isfinite, row)):
         raise NumericalBlowupError(f"non-finite recorded value at t={t:.6g}", t=t)
     return row

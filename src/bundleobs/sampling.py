@@ -19,28 +19,26 @@ def random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_algebra(kind: str, rng: np.random.Generator, scale: float = 1.0) -> AlgebraElement:
-    dim = 3 if kind == "so3" else 6
-    return AlgebraElement(kind, scale * rng.normal(size=dim))
+def random_algebra(kind: str, rng: np.random.Generator) -> AlgebraElement:
+    return AlgebraElement(kind, rng.normal(size=3 if kind == "so3" else 6))
 
 
-def random_rotation(rng: np.random.Generator, max_angle: float = np.pi - 0.1) -> GroupElement:
+def random_rotation(rng: np.random.Generator) -> GroupElement:
     axis = random_unit(rng)
-    angle = rng.uniform(0.0, max_angle)
-    return groups.exp(AlgebraElement("so3", angle * axis))
+    return groups.exp(AlgebraElement("so3", rng.uniform(0.0, np.pi - 0.1) * axis))
 
 
-def random_group(kind: str, rng: np.random.Generator, translation_scale: float = 1.0) -> GroupElement:
+def random_group(kind: str, rng: np.random.Generator) -> GroupElement:
     R = random_rotation(rng)
     if kind == SO3:
         return R
     m = np.eye(4)
     m[:3, :3] = R.matrix
-    m[:3, 3] = translation_scale * rng.normal(size=3)
+    m[:3, 3] = rng.normal(size=3)
     return GroupElement(SE3, m)
 
 
-def random_landmarks(rng: np.random.Generator, n: int = 6, cond_limit: float = 1e6) -> np.ndarray:
+def random_landmarks(rng: np.random.Generator, n: int = 6) -> np.ndarray:
     """4xN homogeneous landmark columns sampled in the unit cube.
 
     Resampled until the 4xN matrix is well conditioned, which rules out
@@ -48,5 +46,5 @@ def random_landmarks(rng: np.random.Generator, n: int = 6, cond_limit: float = 1
     """
     while True:
         L = np.vstack([rng.uniform(-0.5, 0.5, size=(3, n)) + rng.normal(size=(3, 1)), np.ones((1, n))])
-        if np.linalg.cond(L) < cond_limit:
+        if np.linalg.cond(L) < 1e6:
             return L

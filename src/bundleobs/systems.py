@@ -45,9 +45,9 @@ def simulate_observer(
     ``u(ts)`` maps a block's read times (k,) to the input's coordinates (k, d), each row with its read's bits
     alone.  ``state0`` maps the true state's name, then the estimate's, to their initial group elements.  The
     run calls ``measure(G, noise)``, the raw outputs (``Point.value``s) of a stack G (k, n, n), each row with a
-    stack of one's bits, from None or a (k, d_out) block of draws (y's coordinates but landmarks' last row);
-    ``error_columns``, ``measure(g, 0.0, None)``, an element's Point.  k reads draw (k, d_in + d_out) at once,
-    as one draw per read would.  The estimate's feed-forward and its correction step by separate exponentials."""
+    stack of one's bits, from None or a (k, d_out) block of draws (y's coordinates but landmarks' last row); k
+    reads draw (k, d_in + d_out) at once, as one draw per read would.  The estimate's feed-forward and its
+    correction step by separate exponentials; ``error_columns`` takes zeta_e at the noiseless ``prob.output(g)``."""
     true, est = state0
     rng, side, kind = rng_from(seed), "body" if prob.handedness == observer.LEFT else "spatial", prob.y0.kind
     d_out = 3 * np.size(prob.y0.value) // (4 if kind == ac.LANDMARKS else 3)
@@ -79,7 +79,7 @@ def simulate_observer(
         term, scale = (lambda m, y: observer.zeta_e(prob, GroupElement(prob.group_kind, m), Point(kind, y)).vec), 1.0
     follow = lambda t, m, y: [gain * (x / scale) for x in term(m, y).tolist()]  # noqa: E731 -- in numpy's order
     traj = integrate_system(Cascade(lambda ts: {true: u(ts)}, sense, follow), config, state0)
-    traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est], measure))
+    traj.extras.update(observer.error_columns(prob, traj.times, traj.arrays[true], traj.arrays[est]))
     return traj
 
 
@@ -168,10 +168,11 @@ def simulate_attitude_observer(
 def simulate_error_dynamics(
     prob: ObserverProblem, e0: GroupElement, gain: float, config: IntegratorConfig
 ) -> Trajectory:
-    """Integrate the autonomous error flow e' = e (-k zeta_e)^ directly; V^e comes after the run."""
+    """Integrate the autonomous error flow e' = e (-k zeta_e)^ directly; V^e and ||zeta_e|| come after the run."""
+    ident = GroupElement.identity(prob.group_kind)  # zeta_e at g~ = I, g = e: on e's error coset for either handedness
 
     def rate(t, state):
-        return {"e": observer.error_rate(prob, state["e"], gain)}
+        return {"e": -gain * observer.zeta_e(prob, ident, prob.output(state["e"]))}
 
     traj = integrate_system(rate, config, {"e": e0}, sides={"e": prob.handedness})
     e = traj.arrays["e"]  # e_g at g~ = I, g = e

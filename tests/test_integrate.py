@@ -1071,6 +1071,35 @@ class TestBlockReads:
         got, calls = _run(rate, config, {"g": GroupElement.identity("SO3")}, None)
         assert isinstance(got, KindMismatchError) and "does not drive" in str(got) and calls == [0.0], (got, calls)
 
+    @pytest.mark.parametrize("loop", ["block", "wrapped"])
+    def test_two_undriven_components_raise_kind_mismatch(self, loop):
+        # the block pass and Cascade.__call__ share one follower rule; neither keeps a second undriven component
+        cascade = integrate.Cascade(lambda ts: {"g": np.ones((len(ts), 3))},
+                                    lambda ts, r, s: (SplitRate(body=np.zeros((len(ts), 3))), [None] * len(ts)),
+                                    lambda t, m, y: np.zeros(3))
+        state0 = {name: GroupElement.identity("SO3") for name in ("g", "x", "z")}
+        config = IntegratorConfig(method="rk4_cg", h=0.1, t_final=0.5)
+        rate = cascade if loop == "block" else (lambda t, s: cascade(t, s))
+        got, calls = _run(rate, config, state0, None)
+        assert isinstance(got, KindMismatchError) and "['x', 'z']" in str(got) and calls == [0.0], (got, calls)
+
+    @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
+    @pytest.mark.parametrize("loop", ["input", "cascade", "plain"])
+    def test_a_missing_rate_raises_kind_mismatch(self, method, loop):
+        # u's dict, a wrapped Cascade's rate or a plain rate without a component's rate names that component
+        cascade = integrate.Cascade(lambda ts: {"g": np.ones((len(ts), 3))},
+                                    lambda ts, r, s: (SplitRate(body=np.zeros((len(ts), 3))), [None] * len(ts)),
+                                    lambda t, m, y: np.zeros(3))
+        rate, state0, name = {
+            "input": (Input(lambda ts: {}), {"R": GroupElement.identity("SO3")}, "R"),
+            "cascade": (lambda t, s: {"x": cascade(t, s)["x"]},
+                        {"g": GroupElement.identity("SO3"), "x": GroupElement.identity("SO3")}, "g"),
+            "plain": (lambda t, s: {"g": np.zeros(3)}, {"g": GroupElement.identity("SO3"), "v": np.zeros(3)}, "v"),
+        }[loop]
+        got, calls = _run(rate, IntegratorConfig(method=method, h=0.1, t_final=0.3), state0, None)
+        assert isinstance(got, KindMismatchError) and calls == [0.0], (got, calls)
+        assert str(got) == f"no rate for component {name!r} at t=0"
+
     @pytest.mark.parametrize("method", ["lie_euler", "rk4_cg"])
     @pytest.mark.parametrize("loop", ["input", "wrapped", "plain"])
     @pytest.mark.parametrize("width", [1, 4])
@@ -1083,3 +1112,21 @@ class TestBlockReads:
         got, calls = _run(rate, IntegratorConfig(method=method, h=0.1, t_final=0.3), state0, None)
         assert isinstance(got, KindMismatchError) and calls == [0.0], (got, calls)
         assert str(got) == f"a rate of shape ({width},) for 'v' of shape (3,)"
+
+
+class TestTrajectorySlices:
+    """A Trajectory is a Sequence of sample dicts; a slice gives the list of its samples, in its order."""
+
+    @pytest.mark.parametrize("s", [slice(0, 2), slice(None), slice(None, None, 2), slice(-3, None), slice(1, -1, 3),
+                                   slice(5, 1, -2), slice(-1, -5, -1), slice(None, None, -1), slice(3, 3),
+                                   slice(-100, 100)])
+    def test_a_slice_is_the_list_of_its_samples(self, s):
+        u = lambda ts: {"g": np.tile([0.1, -0.2, 0.3], (len(ts), 1)), "v": np.ones((len(ts), 2))}  # noqa: E731
+        traj = integrate_system(Input(u), IntegratorConfig(h=0.1, t_final=0.6),
+                                {"g": GroupElement.identity("SO3"), "v": np.zeros(2)})
+        got, want = traj[s], [traj[i] for i in range(len(traj))[s]]
+        assert type(got) is list and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert type(a) is dict and list(a) == list(b) == ["g", "v"]
+            assert a["g"].kind == b["g"].kind and a["g"].matrix.tobytes() == b["g"].matrix.tobytes()
+            assert a["v"].tobytes() == b["v"].tobytes()

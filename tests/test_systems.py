@@ -706,7 +706,30 @@ class TestErrorColumns:
         config = IntegratorConfig(method=method, h=0.05, t_final=0.5)
         traj = systems.simulate_error_dynamics(prob, exp(hat([0.3, -0.5, 0.2])), 1.0, config)
         ve = np.array([prob.error_cost(s["e"]) for s in traj.states])
-        assert traj.extras["Ve"].tobytes() == ve.tobytes() and "zeta_e_norm" not in traj.extras
+        ident = GroupElement.identity("SO3")  # the flow's own zeta_e, at g~ = I and the output of g = e
+        zn = np.array([observer.zeta_e(prob, ident, prob.output(s["e"])).norm() for s in traj.states])
+        assert traj.extras["Ve"].tobytes() == ve.tobytes()
+        assert traj.extras["zeta_e_norm"].tobytes() == zn.tobytes()
+
+    def test_zeta_e_norm_is_at_the_noiseless_output_on_either_pass(self, monkeypatch):
+        # a measure that swaps the pair's two directions is a valid direction pair, but not the problem's
+        # output; the stacked pass and the per-sample reference both take zeta_e at prob.output(g)
+        prob = systems.attitude_problem()
+
+        def swapped(g, *noise):  # (R^T e3, R^T e2): on a stack, or as a Point on an element
+            y = systems.measure_attitude(g, *noise)
+            return y[::-1] if isinstance(y, tuple) else Point(ac.DIRECTION_PAIR, y.value[::-1])
+
+        config = IntegratorConfig(method="lie_euler", h=0.05, t_final=0.5)
+        u = lambda ts: np.tile([0.3, -0.2, 0.1], (len(ts), 1))  # noqa: E731
+        state0 = {"R": exp(hat([0.3, -0.4, 0.5])), "Rhat": GroupElement.identity("SO3")}
+        stacked = systems.simulate_observer(prob, swapped, u, state0, 1.0, config)
+        monkeypatch.setattr(observer, "_stacked_columns", lambda *args: None)
+        reference = systems.simulate_observer(prob, swapped, u, state0, 1.0, config)
+        for key in ("Ve", "zeta_e_norm"):
+            assert stacked.extras[key].tobytes() == reference.extras[key].tobytes()
+        zn = [observer.zeta_e(prob, s["Rhat"], prob.output(s["R"])).norm() for s in stacked.states]
+        assert stacked.extras["zeta_e_norm"].tobytes() == np.array(zn).tobytes()
 
     @pytest.mark.parametrize("chunk", [2, 128])
     def test_non_finite_ve_raises_at_first_bad_sample(self, monkeypatch, chunk):
